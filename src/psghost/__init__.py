@@ -3,7 +3,7 @@
 from .field import FieldElement, FieldSpec, multinomial_mod_p, pow_q_minus_1
 from .plane import (ProjLine, ProjPoint, enumerate_lines, enumerate_points,
                     incident, line_points, pencil_lines)
-from .poly import HomPoly, add_poly, evaluate, negate_poly, power_sum, redei_factor
+from .poly import HomPoly, add_poly, evaluate, negate_poly, power_sum
 from .msets import PointMultiset, complement, minverse, msum, phi
 from .ghost import (GhostReport, ghost_report, is_ghost, line_ghost,
                     partial_pencil_ghost, punctured_pencil_ghost,
@@ -15,7 +15,6 @@ __all__ = [
     "ProjLine", "ProjPoint", "enumerate_lines", "enumerate_points",
     "incident", "line_points", "pencil_lines",
     "HomPoly", "add_poly", "evaluate", "negate_poly", "power_sum",
-    "redei_factor",
     "PointMultiset", "complement", "minverse", "msum", "phi",
     "GhostReport", "ghost_report", "is_ghost", "line_ghost",
     "partial_pencil_ghost", "punctured_pencil_ghost", "vandermonde_check",

@@ -2,7 +2,9 @@
 
 Subcommands: psp, eval, ghost-report, solve, verify, elim-trace.
 Exit codes: 0 success, 1 verification failure, 2 inconsistent solve,
-3 input error.  Output is deterministic given the same flags and seed.
+3 input error (bad flags, unreadable or malformed input, a file header
+naming another field than --field).  Output is deterministic given the
+same flags and seed.
 """
 
 from __future__ import annotations
@@ -26,6 +28,14 @@ EXIT_INPUT = 3
 
 class InputError(Exception):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors as input errors (exit 3), not argparse's exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
 
 
 def _read(path):
@@ -247,7 +257,7 @@ def cmd_elim_trace(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="psghost",
         description="Power sum polynomials and ghosts in PG(2,q)")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -256,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--field", required=True,
                         help='field order, e.g. "7" or "3^2"')
         sp.add_argument("--out", default=None, help="output file (default stdout)")
-        sp.add_argument("--format", choices=["text", "json", "csv"],
+        sp.add_argument("--format", choices=["text", "json"],
                         default="text")
         sp.add_argument("--seed", type=int, default=0)
         if infile:
@@ -297,9 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -318,4 +318,10 @@ def verify_procedure(p: int) -> ElimReport:
 
 
 def det_nonzero_mod_p(M, p: int) -> bool:
-    return linalg.det_int(M) % p != 0
+    """True iff the integer determinant of square M is nonzero mod p.
+
+    That holds exactly when M has full rank over F_p.
+    """
+    if any(len(row) != len(M) for row in M):
+        raise ValueError("determinant requires a square matrix")
+    return linalg.rank(M, p) == len(M)

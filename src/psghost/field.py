@@ -243,7 +243,8 @@ def pow_q_minus_1(a: FieldElement) -> FieldElement:
     """
     r = a ** (a.spec.q - 1)
     expected = a.spec.zero() if a.is_zero() else a.spec.one()
-    assert r == expected, "power map disagrees with the zero/one branch"
+    if r != expected:
+        raise ArithmeticError("power map disagrees with the zero/one branch")
     return r
 
 

@@ -1,13 +1,11 @@
-"""Exact linear algebra over F_p and over the integers.
+"""Exact linear algebra over F_p.
 
-Mod-p routines work on numpy int64 arrays with entries reduced to
-{0,...,p-1}; pivoting is deterministic (first nonzero in column order) so
-echelon forms and kernel bases are byte-reproducible.  The kernel
+One elimination routine, `rref`, serves rank, left kernel and the
+prefactored solver.  It works on numpy int64 arrays with entries reduced
+to {0,...,p-1}; pivoting is deterministic (first nonzero in column order)
+so echelon forms and kernel bases are byte-reproducible.  The kernel
 orientation is the left kernel: vectors index rows (points), columns index
 monomial coordinates.
-
-Integer routines (Bareiss determinant, fraction-free elimination) use
-Python arbitrary-precision integers; no rounding anywhere.
 """
 
 from __future__ import annotations
@@ -18,93 +16,104 @@ from .field import FieldElement
 
 
 def as_fp(M, p: int) -> np.ndarray:
-    A = np.asarray(M, dtype=np.int64) % p
+    """M reduced mod p as an int64 array.
+
+    Integers that do not fit int64 are reduced exactly before the cast
+    (numpy reads such Python integers as object or float64 arrays).
+    """
+    A = np.asarray(M)
+    if A.dtype != np.int64:
+        A = np.array(M, dtype=object) % p
+    A = np.array(A, dtype=np.int64, order="C")
+    A %= p
     if A.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     return A
 
 
-def rref(M, p: int):
+def rref(M, p: int, ncols: int | None = None):
     """Reduced row-echelon form over F_p.
 
-    Returns (R, T, pivots) with T @ M = R (mod p), T square invertible,
-    pivots the list of pivot column indices.
+    Returns (R, pivots): pivots are the pivot column indices.  Pivots are
+    searched only in the first ncols columns (all columns by default); the
+    remaining columns take part in every row operation.
     """
     A = as_fp(M, p)
     rows, cols = A.shape
-    T = np.eye(rows, dtype=np.int64)
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for c in range(cols if ncols is None else ncols):
         if r == rows:
             break
-        nz = np.nonzero(A[r:, c])[0]
+        nz = np.flatnonzero(A[r:, c])
         if nz.size == 0:
             continue
         k = r + int(nz[0])
         if k != r:
             A[[r, k]] = A[[k, r]]
-            T[[r, k]] = T[[k, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        A[r] = A[r] * inv % p
-        T[r] = T[r] * inv % p
-        for i in range(rows):
-            if i != r and A[i, c]:
-                f = int(A[i, c])
-                A[i] = (A[i] - f * A[r]) % p
-                T[i] = (T[i] - f * T[r]) % p
+        # Rows at or below r are zero left of c, so the update starts at c.
+        A[r, c:] = A[r, c:] * pow(int(A[r, c]), -1, p) % p
+        others = np.flatnonzero(A[:, c])
+        others = others[others != r]
+        A[others, c:] = (A[others, c:] - np.outer(A[others, c], A[r, c:])) % p
         pivots.append(c)
         r += 1
-    return A, T, pivots
+    return A, pivots
 
 
 def rank(M, p: int) -> int:
-    return len(rref(M, p)[2])
+    return len(rref(M, p)[1])
 
 
 def left_kernel_basis(M, p: int) -> np.ndarray:
     """Echelonized basis of {x : x @ M = 0 (mod p)}.
 
     Rows of the returned array are the basis vectors, with leading-one
-    pivots, deterministic across runs.
+    pivots, deterministic across runs.  It is the kernel's reduced echelon
+    form, read off one elimination of M^T with its columns reversed: each
+    free column f gives the vector with 1 at f, 0 at the other free columns
+    and -R[k, f] at the pivot column of row k.
     """
-    R, T, pivots = rref(M, p)
-    null_rows = T[len(pivots):]
-    if null_rows.shape[0] == 0:
-        return np.zeros((0, np.asarray(M).shape[0]), dtype=np.int64)
-    B, _, _ = rref(null_rows, p)
+    R, pivots = rref(as_fp(M, p).T[:, ::-1], p)
+    n = R.shape[1]
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)[::-1]
+    # Column j of the reversed system is column n-1-j of x.
+    B = np.zeros((free.size, n), dtype=np.int64)
+    B[np.arange(free.size), n - 1 - free] = 1
+    B[:, n - 1 - np.asarray(pivots, dtype=np.int64)] = (
+        -R[:len(pivots), free].T % p)
     return B
-
-
-def solve_particular(M, target, p: int):
-    """One x with x @ M = target (mod p), free variables 0, or None."""
-    return PrefactoredLeftSystem(M, p).solve(target)
 
 
 class PrefactoredLeftSystem:
     """Repeated left-solves x @ M = t against a fixed matrix.
 
-    Factorizes M^T once; each solve is a matrix-vector product plus a
-    consistency check on the non-pivot rows.
+    Eliminates [M^T | I] once, pivoting only in the M^T block, so the
+    identity block becomes the transform T with T @ M^T in echelon form;
+    each solve is a matrix-vector product plus a consistency check on the
+    non-pivot rows.
     """
 
     def __init__(self, M, p: int):
         self.p = p
         A = as_fp(M, p).T  # solve A y = t with y = x
-        self.n_unknowns = A.shape[1]
-        self.R, self.T, self.pivots = rref(A, p)
+        m, self.n_unknowns = A.shape
+        R, self.pivots = rref(np.hstack([A, np.eye(m, dtype=np.int64)]), p,
+                              ncols=self.n_unknowns)
+        self.T = np.ascontiguousarray(R[:, self.n_unknowns:])
 
     def solve(self, target):
         t = np.asarray(target, dtype=np.int64) % self.p
-        if t.shape != (self.R.shape[0],):
+        if t.shape != (self.T.shape[0],):
             raise ValueError("target length must equal the column count")
         tp = self.T @ t % self.p
         r = len(self.pivots)
         if np.any(tp[r:]):
             return None
         x = np.zeros(self.n_unknowns, dtype=np.int64)
-        for row, col in enumerate(self.pivots):
-            x[col] = tp[row]
+        x[self.pivots] = tp[:r]
         return x
 
 
@@ -123,63 +132,3 @@ def expand_fq_to_fp(rows) -> np.ndarray:
             flat.extend(e.coeffs)
         out.append(flat)
     return np.asarray(out, dtype=np.int64)
-
-
-# -- exact integer matrices -------------------------------------------
-
-def det_int(M) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    A = [[int(x) for x in row] for row in M]
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
-            if swap is None:
-                return 0
-            A[k], A[swap] = A[swap], A[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
-def eliminate_int(M) -> list[list[int]]:
-    """Fraction-free (Bareiss) row echelon form over the integers."""
-    A = [[int(x) for x in row] for row in M]
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    prev = 1
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        swap = next((i for i in range(r, rows) if A[i][c] != 0), None)
-        if swap is None:
-            continue
-        A[r], A[swap] = A[swap], A[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                A[i][j] = (A[i][j] * A[r][c] - A[i][c] * A[r][j]) // prev
-            A[i][c] = 0
-        prev = A[r][c]
-        r += 1
-    return A
-
-
-# -- debug/CLI dump ---------------------------------------------------
-
-def matrix_to_csv(M, p: int) -> str:
-    A = as_fp(M, p)
-    lines = [f"p={p} rows={A.shape[0]} cols={A.shape[1]}"]
-    for row in A:
-        lines.append(",".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"

@@ -116,6 +116,7 @@ def mset_from_text(text: str, spec: FieldSpec) -> PointMultiset:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
         if not s or s.startswith("#"):
+            poly.check_header(s, spec)
             continue
         if ":" in s:
             coords_part, m_part = s.split(":", 1)

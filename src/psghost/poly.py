@@ -10,12 +10,13 @@ sum of the (q-1)-th powers of the linear forms attached to its points.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .field import FieldElement, FieldSpec, multinomial_mod_p
-from .plane import ProjLine, ProjPoint, enumerate_points
+from .plane import ProjLine, enumerate_points
 
 if TYPE_CHECKING:  # pragma: no cover
     from .msets import PointMultiset
@@ -79,11 +80,6 @@ def add_poly(G: HomPoly, H: HomPoly) -> HomPoly:
 
 def negate_poly(G: HomPoly) -> HomPoly:
     return HomPoly(G.spec, tuple(-a for a in G.coeffs))
-
-
-def redei_factor(P: ProjPoint) -> tuple[FieldElement, FieldElement, FieldElement]:
-    """The linear form a*X + b*Y + c*Z attached to P = (a, b, c)."""
-    return P.coords
 
 
 @lru_cache(maxsize=None)
@@ -165,6 +161,21 @@ def evaluate(G: HomPoly, line) -> FieldElement:
 
 # -- text format ------------------------------------------------------
 
+_HEADER = re.compile(r"#\s*(?:mset|psp)\s+q=(\S+)")
+
+
+def check_header(line: str, spec: FieldSpec) -> None:
+    """Reject a "# mset q=..." or "# psp q=..." header naming another field.
+
+    The header must spell the field as the writers do ("7", "3^2"); other
+    comment lines pass.
+    """
+    m = _HEADER.match(line)
+    if m is not None and m.group(1) != str(spec):
+        raise ValueError(f"header says q={m.group(1)}, but the field is "
+                         f"GF({spec})")
+
+
 def poly_to_text(G: HomPoly) -> str:
     """One line per nonzero coefficient: "i j coeff"."""
     lines = [f"# psp q={G.spec}"]
@@ -179,6 +190,7 @@ def poly_from_text(text: str, spec: FieldSpec) -> HomPoly:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
         if not s or s.startswith("#"):
+            check_header(s, spec)
             continue
         parts = s.split()
         if len(parts) != 3:

@@ -154,3 +154,45 @@ def test_bad_field_is_input_error(capsys):
     code, _, err = run(capsys, "ghost-report", "--field", "6")
     assert code == 3
     assert "error" in err
+
+
+def test_verify_elim_field17_big_integers(capsys):
+    # the weighted image matrix at p = 17 holds integers beyond int64
+    code, out, _ = run(capsys, "verify", "--field", "17", "--suite", "elim")
+    assert code == 0
+    assert "elim: pass" in out
+
+
+def test_csv_format_is_input_error(capsys):
+    code, _, err = run(capsys, "ghost-report", "--field", "2",
+                       "--format", "csv")
+    assert code == 3
+    assert "--format" in err
+
+
+def test_unknown_suite_is_input_error(capsys):
+    code, _, err = run(capsys, "verify", "--field", "2", "--suite", "bogus")
+    assert code == 3
+    assert "--suite" in err
+
+
+def test_missing_field_is_input_error(capsys):
+    code, _, err = run(capsys, "ghost-report")
+    assert code == 3
+    assert "--field" in err
+
+
+def test_mset_header_other_field_is_input_error(tmp_path, capsys):
+    f = tmp_path / "s.mset"
+    f.write_text("# mset q=3\n0 0 1\n")
+    code, out, err = run(capsys, "psp", "--field", "2", "--in", str(f))
+    assert code == 3
+    assert out == "" and "q=3" in err
+
+
+def test_psp_header_other_field_is_input_error(tmp_path, capsys):
+    f = tmp_path / "z.psp"
+    f.write_text("# psp q=3^2\n1 0 1\n")
+    code, out, err = run(capsys, "solve", "--field", "3", "--in", str(f))
+    assert code == 3
+    assert out == "" and "q=3^2" in err

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from psghost.field import FieldSpec
@@ -191,3 +192,17 @@ def test_exhaustive_ghost_count_q2_all_multisets():
     count = sum(is_ghost(PointMultiset(GF2, bits))
                 for bits in itertools.product((0, 1), repeat=7))
     assert count == 16
+
+
+def test_ghost_report_rejects_a_basis_outside_the_kernel(monkeypatch):
+    from psghost import linalg
+    spec = FieldSpec.of(3)
+    bad = np.zeros((1, spec.q**2 + spec.q + 1), dtype=np.int64)
+    bad[0, 0] = 1  # a single point is not a ghost
+    monkeypatch.setattr(linalg, "left_kernel_basis", lambda M, p: bad)
+    ghost_report.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            ghost_report(spec)
+    finally:
+        ghost_report.cache_clear()

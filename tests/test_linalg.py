@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from psghost import linalg
+from psghost import elim, linalg
 from psghost.field import FieldSpec
 from psghost.ghost import point_matrix_fp
 
@@ -44,15 +45,16 @@ def test_kernel_deterministic_echelon():
         B1 = linalg.left_kernel_basis(A, p)
         B2 = linalg.left_kernel_basis(A.copy(), p)
         assert np.array_equal(B1, B2)
-        # leading entries are ones at strictly increasing columns
+        # leading entries are ones at strictly increasing columns, and the
+        # only nonzero entries in those columns (reduced echelon form)
         lead = [int(np.nonzero(row)[0][0]) for row in B1]
         assert lead == sorted(lead) and len(set(lead)) == len(lead)
-        assert all(B1[i, lead[i]] == 1 for i in range(len(lead)))
+        assert np.array_equal(B1[:, lead], np.eye(len(lead), dtype=np.int64))
 
 
 def test_solve_zero_target():
     M = point_matrix_fp(FieldSpec.of(2))
-    x = linalg.solve_particular(M, np.zeros(3, dtype=np.int64), 2)
+    x = linalg.PrefactoredLeftSystem(M, 2).solve(np.zeros(3, dtype=np.int64))
     assert np.array_equal(x, np.zeros(7, dtype=np.int64))
 
 
@@ -60,7 +62,7 @@ def test_solve_target_z_q2():
     spec = FieldSpec.of(2)
     M = point_matrix_fp(spec)
     target = np.array([0, 0, 1], dtype=np.int64)  # coefficients of Z
-    x = linalg.solve_particular(M, target, 2)
+    x = linalg.PrefactoredLeftSystem(M, 2).solve(target)
     assert x is not None
     assert np.array_equal(x @ M % 2, target)
     assert set(x.tolist()) <= {0, 1}
@@ -71,7 +73,7 @@ def test_solve_inconsistent_truncated():
     spec = FieldSpec.of(2)
     M = point_matrix_fp(spec)[:3]  # points (0,0,1), (0,1,0), (0,1,1)
     target = np.array([1, 0, 0], dtype=np.int64)  # coefficients of X
-    assert linalg.solve_particular(M, target, 2) is None
+    assert linalg.PrefactoredLeftSystem(M, 2).solve(target) is None
 
 
 def test_expand_h1_identity():
@@ -108,17 +110,26 @@ def test_expand_commutes_with_fp_row_operations():
         expanded, 3)
 
 
+# elim.det_nonzero_mod_p is linalg.rank at full rank; these determinants
+# are 2, 0 and 4 over the integers.
+
 def test_det_vandermonde():
-    assert linalg.det_int([[1, 1, 1], [1, 2, 4], [1, 3, 9]]) == 2
+    M = [[1, 1, 1], [1, 2, 4], [1, 3, 9]]
+    assert not elim.det_nonzero_mod_p(M, 2)
+    assert elim.det_nonzero_mod_p(M, 3) and elim.det_nonzero_mod_p(M, 5)
 
 
 def test_det_singular():
-    assert linalg.det_int([[1, 2], [1, 2]]) == 0
+    assert not any(elim.det_nonzero_mod_p([[1, 2], [1, 2]], p)
+                   for p in (2, 3, 5, 7))
 
 
 def test_det_ones_plus_identity():
     M = [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
-    assert linalg.det_int(M) == 4
+    assert not elim.det_nonzero_mod_p(M, 2)
+    assert elim.det_nonzero_mod_p(M, 3)
+    with pytest.raises(ValueError):
+        elim.det_nonzero_mod_p(M[:2], 3)
 
 
 def test_rank_nullity_random():
@@ -135,6 +146,19 @@ def test_rank_nullity_random():
             assert not np.any(B @ A % p)
 
 
+def _det_leibniz(A):
+    n = len(A)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = (-1)**inversions
+        for i in range(n):
+            term *= A[i][perm[i]]
+        total += term
+    return total
+
+
 def test_det_mod_p_vs_rank():
     rng = random.Random(2)
     for _ in range(30):
@@ -142,7 +166,7 @@ def test_det_mod_p_vs_rank():
         n = rng.randrange(1, 6)
         A = [[rng.randrange(-10, 10) for _ in range(n)] for _ in range(n)]
         full_rank = linalg.rank(np.array(A), p) == n
-        assert (linalg.det_int(A) % p != 0) == full_rank
+        assert (_det_leibniz(A) % p != 0) == full_rank
 
 
 def test_solver_prefactored_matches_direct():
@@ -158,14 +182,8 @@ def test_solver_prefactored_matches_direct():
         assert np.array_equal(x @ M % 3, t)
 
 
-def test_csv_dump():
-    out = linalg.matrix_to_csv(np.array([[1, 2], [3, 4]]), 3)
-    assert out.splitlines()[0] == "p=3 rows=2 cols=2"
-    assert out.splitlines()[1] == "1,2"
-    assert out.splitlines()[2] == "0,1"
-
-
-def test_eliminate_int_echelon():
-    A = linalg.eliminate_int([[2, 4], [1, 3]])
-    assert A[1][0] == 0
-    assert linalg.det_int([[2, 4], [1, 3]]) == 2
+def test_rank_reduces_big_integers_exactly():
+    # entries of the weighted image matrix at p = 17 overflow int64
+    assert linalg.rank(elim.weighted_image_rows(17), 17) == 153
+    # numpy reads this list as float64, rounding 2^63 + 1 to an even number
+    assert linalg.rank([[2**63 + 1, 1], [1, 1]], 2) == 1

@@ -7,7 +7,7 @@ from psghost.msets import PointMultiset, msum, phi
 from psghost.plane import ProjLine, ProjPoint, enumerate_lines, line_points
 from psghost.poly import (HomPoly, add_poly, evaluate, monomial_indices,
                           negate_poly, num_monomials, poly_from_text,
-                          poly_to_text, power_sum, redei_factor)
+                          poly_to_text, power_sum)
 
 GF2 = FieldSpec.of(2)
 
@@ -15,15 +15,6 @@ GF2 = FieldSpec.of(2)
 def mset(spec, *encs):
     return PointMultiset.from_points(
         spec, [ProjPoint.from_encodings(spec, *e) for e in encs])
-
-
-def test_redei_factor():
-    P = ProjPoint.from_encodings(GF2, 0, 0, 1)
-    a, b, c = redei_factor(P)
-    assert (a.encoding, b.encoding, c.encoding) == (0, 0, 1)
-    gf7 = FieldSpec.of(7)
-    Q = ProjPoint.from_encodings(gf7, 1, 2, 3)
-    assert tuple(x.encoding for x in redei_factor(Q)) == (1, 2, 3)
 
 
 def test_power_sum_fano_single_point():
