@@ -2,9 +2,9 @@
 
 Subcommands: psp, eval, ghost-report, solve, verify, elim-trace.
 Exit codes: 0 success, 1 verification failure, 2 inconsistent solve,
-3 input error (bad flags, unreadable or malformed input, a file header
-naming another field than --field).  Output is deterministic given the
-same flags and seed.
+3 input error (bad flags, unreadable or malformed input, an unwritable
+--out file, a file header naming another field than --field), 4 internal
+error.  Output is deterministic given the same flags and seed.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INCONSISTENT = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(Exception):
@@ -51,9 +52,12 @@ def _read(path):
 def _write(path, text):
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as f:
             f.write(text)
+    except OSError as e:
+        raise InputError(str(e)) from e
 
 
 def _field(args) -> FieldSpec:
@@ -123,6 +127,8 @@ def cmd_ghost_report(args) -> int:
 
 def cmd_solve(args) -> int:
     spec = _field(args)
+    if args.sets and args.limit <= 0:
+        raise InputError(f"--limit must be positive, got {args.limit}")
     try:
         G = poly_from_text(_read(args.infile), spec)
     except ValueError as e:
@@ -313,6 +319,9 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as e:
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,16 +1,21 @@
 """Exact arithmetic in GF(q), q = p^h, at desk scale (q <= 2^20).
 
-Elements are stored in polynomial-basis coordinates (low-order first) and
-carry a compact integer encoding: the base-p digit expansion of the
-coordinate vector, constant term = lowest digit.  All file formats use the
-integer encoding.
+An element is its integer encoding: the base-p digit expansion of its
+polynomial-basis coordinates, constant term = lowest digit.  All file
+formats use the encoding.  Products and powers go through log/antilog
+tables of a primitive element, built once per field on first use.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
+
+from .linalg import rank
 
 MAX_Q = 2**20
 
@@ -36,51 +41,39 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_trim(v):
-    v = list(v)
-    while v and v[-1] == 0:
-        v.pop()
-    return v
+def _multiplication_matrix(v, modulus, p: int) -> np.ndarray:
+    """Matrix of y -> v * y on digit vectors mod a monic modulus."""
+    cols = [np.asarray(v, dtype=np.int64)]
+    for _ in range(len(modulus) - 2):  # times x: shift up, reduce x^h
+        c = cols[-1]
+        cols.append((np.concatenate([[0], c[:-1]])
+                     - c[-1] * np.array(modulus[:-1])) % p)
+    return np.stack(cols, axis=1)
 
 
-def _poly_mod(num, den, p):
-    """Remainder of num by monic-leading den, coefficients mod p."""
-    num = [x % p for x in num]
-    den = _poly_trim([x % p for x in den])
-    inv_lead = pow(den[-1], -1, p)
-    d = len(den) - 1
-    while len(_poly_trim(num)) - 1 >= d:
-        num = _poly_trim(num)
-        k = len(num) - 1 - d
-        factor = num[-1] * inv_lead % p
-        for i, c in enumerate(den):
-            num[k + i] = (num[k + i] - factor * c) % p
-    return _poly_trim(num)
+def _rabin_irreducible(modulus, p: int) -> bool:
+    """Rabin's test for a monic modulus f of degree h >= 2 over F_p.
 
-
-def _monic_polys(p, deg):
-    """All monic polynomials of the given degree over F_p, low-order first."""
-    def rec(k):
-        if k == 0:
-            yield []
-            return
-        for tail in rec(k - 1):
-            for c in range(p):
-                yield [c] + tail
-    for low in rec(deg):
-        yield low + [1]
-
-
-def _is_irreducible(modulus, p, h):
-    """Exhaustive factor search; intended for h <= 4."""
-    if modulus[0] == 0 and h >= 1:
-        return False  # divisible by x
-    for deg in range(1, h // 2 + 1):
-        for f in _monic_polys(p, deg):
-            if not _poly_mod(modulus, f, p):
-                return False
-    # no factor of degree <= h/2 implies irreducible
-    return True
+    f is irreducible iff x^(p^h) = x (mod f) and, for every prime r
+    dividing h, gcd(x^(p^(h/r)) - x, f) = 1 (Rabin, SIAM J. Comput. 1980).
+    The gcd is 1 iff multiplication by x^(p^(h/r)) - x is invertible mod f.
+    """
+    h = len(modulus) - 1
+    one, x = np.eye(h, dtype=np.int64)[:2]
+    times_x = _multiplication_matrix(x, modulus, p)
+    powers = [one]  # x^j mod f
+    for _ in range(p * (h - 1)):
+        powers.append(times_x @ powers[-1] % p)
+    # The Frobenius y -> y^p is F_p-linear; its column k is x^(pk).
+    frobenius = np.stack(powers[::p], axis=1)
+    frob = [x]  # frob[k] = x^(p^k) mod f
+    for _ in range(h):
+        frob.append(frobenius @ frob[-1] % p)
+    if not np.array_equal(frob[h], x):
+        return False
+    return all(rank(_multiplication_matrix((frob[h // r] - x) % p, modulus, p),
+                    p) == h
+               for r in range(2, h + 1) if h % r == 0 and is_prime(r))
 
 
 @dataclass(frozen=True)
@@ -103,7 +96,7 @@ class FieldSpec:
             raise ValueError("modulus must be monic of degree h")
         if self.h == 1 and mod != (0, 1):
             raise ValueError("for h = 1 the modulus must be x")
-        if 2 <= self.h <= 4 and not _is_irreducible(list(mod), self.p, self.h):
+        if self.h >= 2 and not _rabin_irreducible(mod, self.p):
             raise ValueError(f"modulus {mod} is reducible over F_{self.p}")
         object.__setattr__(self, "modulus", mod)
 
@@ -135,102 +128,159 @@ class FieldSpec:
     def __str__(self):
         return str(self.p) if self.h == 1 else f"{self.p}^{self.h}"
 
+    # -- log/antilog tables --------------------------------------------
+
+    @property
+    def exp(self) -> np.ndarray:
+        """exp[k] = g^k for k < q, g the primitive element of least encoding."""
+        return _tables(self)[0]
+
+    @property
+    def log(self) -> np.ndarray:
+        """Inverse of exp on nonzero encodings; log[0] is 0 and unused."""
+        return _tables(self)[1]
+
     # -- element construction ------------------------------------------
 
     def element(self, encoding: int) -> "FieldElement":
         """Element from its integer encoding (base-p digits, low first)."""
+        encoding = operator.index(encoding)
         if not 0 <= encoding < self.q:
             raise ValueError(f"encoding {encoding} out of range for GF({self})")
-        digits, v = [], encoding
-        for _ in range(self.h):
-            digits.append(v % self.p)
-            v //= self.p
-        return FieldElement(self, tuple(digits))
-
-    def from_coeffs(self, coeffs) -> "FieldElement":
-        coeffs = [c % self.p for c in coeffs]
-        if len(coeffs) > self.h:
-            coeffs = _poly_mod(coeffs, list(self.modulus), self.p)
-        coeffs += [0] * (self.h - len(coeffs))
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, encoding)
 
     def zero(self) -> "FieldElement":
-        return self.element(0)
+        return FieldElement(self, 0)
 
     def one(self) -> "FieldElement":
-        return self.element(1)
+        return FieldElement(self, 1)
 
     def elements(self) -> list["FieldElement"]:
-        return [self.element(k) for k in range(self.q)]
+        return [FieldElement(self, k) for k in range(self.q)]
+
+
+@lru_cache(maxsize=None)
+def _tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(exp, log) of the primitive element of least encoding.
+
+    g is primitive iff its powers first return to 1 after q-1 steps.
+    """
+    p, q = spec.p, spec.q
+    for g in range(1, q):
+        # e -> g * e is F_p-linear: tabulate it one base-p digit of e at a
+        # time, the digit at x^k adding a multiple of g * x^k.
+        times_g = np.zeros(1, dtype=np.int64)
+        for gxk in _multiplication_matrix(digits(spec, g), spec.modulus, p).T:
+            multiples = from_digits(spec, np.outer(np.arange(p), gxk) % p)
+            times_g = add(spec, multiples[:, None], times_g).ravel()
+        times_g = times_g.tolist()
+        exp = [1, times_g[1]]
+        while exp[-1] != 1 and len(exp) < q:
+            exp.append(times_g[exp[-1]])
+        if len(exp) == q and exp[-1] == 1:
+            break
+    else:
+        raise ArithmeticError(f"GF({spec}) has no primitive element")
+    exp = np.array(exp, dtype=np.int64)
+    log = np.zeros(q, dtype=np.int64)
+    log[exp[:-1]] = np.arange(q - 1)
+    exp.flags.writeable = log.flags.writeable = False
+    return exp, log
+
+
+# -- array arithmetic on encodings -------------------------------------
+
+def digits(spec: FieldSpec, a) -> np.ndarray:
+    """Base-p digits of encodings, low first, along a new last axis."""
+    a = np.asarray(a, dtype=np.int64)
+    return a[..., None] // spec.p**np.arange(spec.h) % spec.p
+
+
+def from_digits(spec: FieldSpec, D) -> np.ndarray:
+    """Encodings of digit vectors (each < p) along the last axis."""
+    return np.asarray(D, dtype=np.int64) @ spec.p**np.arange(spec.h)
+
+
+def add(spec: FieldSpec, a, b):
+    """Encodings of a + b: digit-wise sums mod p.
+
+    Python ints give a Python int, arrays an array.
+    """
+    p, s, pk = spec.p, 0, 1
+    for _ in range(spec.h):
+        s = s + (a // pk + b // pk) % p * pk
+        pk *= p
+    return s
+
+
+def mul(spec: FieldSpec, a, b) -> np.ndarray:
+    """Encodings of a * b through the log/antilog tables."""
+    a, b = np.asarray(a), np.asarray(b)
+    prod = spec.exp[(spec.log[a] + spec.log[b]) % (spec.q - 1)]
+    return np.where((a == 0) | (b == 0), 0, prod)
+
+
+def power(spec: FieldSpec, a, n) -> np.ndarray:
+    """Encodings of a^n for exponents n >= 0, with 0^0 = 1."""
+    a, n = np.asarray(a), np.asarray(n)
+    prod = spec.exp[spec.log[a] * n % (spec.q - 1)]
+    return np.where(a == 0, (n == 0).astype(np.int64), prod)
 
 
 @dataclass(frozen=True)
 class FieldElement:
-    """Element of GF(p^h) in polynomial-basis coordinates (low-order first)."""
+    """Element of GF(p^h), a view of its integer encoding."""
 
     spec: FieldSpec
-    coeffs: tuple[int, ...]
+    encoding: int
 
-    def _check(self, other):
+    def _other(self, other) -> int:
         if not isinstance(other, FieldElement) or other.spec != self.spec:
             raise ValueError("field mismatch")
+        return other.encoding
 
     @property
-    def encoding(self) -> int:
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * self.spec.p + c
-        return v
+    def coeffs(self) -> tuple[int, ...]:
+        """Polynomial-basis coordinates, low-order first."""
+        return tuple(digits(self.spec, self.encoding).tolist())
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.encoding == 0
 
     def __add__(self, other):
-        self._check(other)
-        p = self.spec.p
-        return FieldElement(self.spec, tuple(
-            (a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FieldElement(self.spec,
+                            add(self.spec, self.encoding, self._other(other)))
 
     def __neg__(self):
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((-a) % p for a in self.coeffs))
+        return -1 * self
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        self._check(other)
-        p, h = self.spec.p, self.spec.h
-        prod = [0] * (2 * h - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] = (prod[i + j] + a * b) % p
-        if h > 1:
-            prod = _poly_mod(prod, list(self.spec.modulus), p)
-        prod += [0] * (h - len(prod))
-        return FieldElement(self.spec, tuple(prod[:h]))
+        b = self._other(other)
+        a, spec = self.encoding, self.spec
+        if a == 0 or b == 0:
+            return FieldElement(spec, 0)
+        exp, log = _tables(spec)
+        return FieldElement(
+            spec, exp.item((log.item(a) + log.item(b)) % (spec.q - 1)))
 
     def __rmul__(self, scalar: int):
         """Integer scalar action through the prime subfield."""
         return self.spec.element(scalar % self.spec.p) * self
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        result = self.spec.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        a, spec = self.encoding, self.spec
+        if a == 0:
+            if n < 0:
+                raise ZeroDivisionError("inverse of zero field element")
+            return FieldElement(spec, 1 if n == 0 else 0)
+        exp, log = _tables(spec)
+        return FieldElement(spec, exp.item(log.item(a) * n % (spec.q - 1)))
 
     def inv(self) -> "FieldElement":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
-        return self ** (self.spec.q - 2)
+        return self ** -1
 
     def __str__(self):
         return str(self.encoding)
@@ -239,7 +289,7 @@ class FieldElement:
 def pow_q_minus_1(a: FieldElement) -> FieldElement:
     """a^(q-1): zero for a = 0, one otherwise.
 
-    Computed by repeated squaring and cross-checked against the branch.
+    Computed through the log tables and cross-checked against the branch.
     """
     r = a ** (a.spec.q - 1)
     expected = a.spec.zero() if a.is_zero() else a.spec.one()

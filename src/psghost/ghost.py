@@ -17,12 +17,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import linalg
+from . import field, linalg
 from .field import FieldSpec
 from .msets import PointMultiset, mset_to_text
-from .plane import (ProjLine, ProjPoint, enumerate_lines, enumerate_points,
-                    incidence_matrix, line_points, pencil_lines, point_index)
-from .poly import monomial_indices, point_matrix_fp, _powers
+from .plane import (ProjLine, ProjPoint, canonical_triples, incidence_matrix,
+                    line_points, point_index)
+from .poly import monomial_values, point_matrix_fp
 
 
 @lru_cache(maxsize=None)
@@ -31,24 +31,16 @@ def line_evaluation_matrix_fp(spec: FieldSpec) -> np.ndarray:
 
     mult @ matrix mod p gives, per line, the h coordinates of the power sum
     polynomial evaluated at that line.  Built by composing the point-image
-    matrix with the (F_p-linear) monomial evaluation map at each line.
+    matrix with the (F_p-linear) monomial evaluation map at each line, which
+    sends coordinate k of a coefficient (x^k, encoding p^k) to the digits of
+    x^k times the monomial's value.
     """
-    p, h = spec.p, spec.h
-    monos = monomial_indices(spec)
-    lines = enumerate_lines(spec)
-    d = spec.q - 1
-    basis = [spec.element(p**k) for k in range(h)]  # 1, x, ..., x^(h-1)
-    E = np.zeros((len(monos) * h, len(lines) * h), dtype=np.int64)
-    for li, line in enumerate(lines):
-        u, v, w = line.coords
-        pu, pv, pw = _powers(u, d), _powers(v, d), _powers(w, d)
-        for mi, (i, j) in enumerate(monos):
-            val = pu[d - i - j] * (pv[j] * pw[i])
-            for k in range(h):
-                prod = basis[k] * val
-                for s in range(h):
-                    E[mi * h + k, li * h + s] = prod.coeffs[s]
-    return point_matrix_fp(spec) @ E % p
+    values = monomial_values(spec, canonical_triples(spec))  # lines x monos
+    basis = spec.p ** np.arange(spec.h)
+    D = field.digits(spec, field.mul(spec, values[:, :, None], basis))
+    n_lines, n_monos = values.shape
+    E = D.transpose(1, 2, 0, 3).reshape(n_monos * spec.h, n_lines * spec.h)
+    return point_matrix_fp(spec) @ E % spec.p
 
 
 def is_ghost(S: PointMultiset) -> bool:
@@ -83,6 +75,13 @@ def line_ghost(line: ProjLine, spec: FieldSpec) -> PointMultiset:
     return PointMultiset.from_points(spec, line_points(line, spec))
 
 
+def _pencil_union(P: ProjPoint, n_lines: int, spec: FieldSpec) -> np.ndarray:
+    """0/1 vector of the points on the first n_lines lines through P."""
+    inc = incidence_matrix(spec)
+    pencil = np.flatnonzero(inc[point_index(spec)[P]])[:n_lines]
+    return inc[:, pencil].any(axis=1).astype(np.int64)
+
+
 def partial_pencil_ghost(P: ProjPoint, lam: int, spec: FieldSpec) -> PointMultiset:
     """Point-set union of the first lam*p + 1 lines through P.
 
@@ -93,29 +92,17 @@ def partial_pencil_ghost(P: ProjPoint, lam: int, spec: FieldSpec) -> PointMultis
     n_lines = lam * p + 1
     if not (0 <= lam <= p**(h - 1)) or n_lines > q + 1:
         raise ValueError(f"lambda = {lam} out of range for GF({spec})")
-    pencil = pencil_lines(P, spec)[:n_lines]
-    pts = {Q for l in pencil for Q in line_points(l, spec)}
-    idx = point_index(spec)
-    mult = [0] * (q**2 + q + 1)
-    for Q in pts:
-        mult[idx[Q]] = 1
-    return PointMultiset(spec, tuple(mult))
+    return PointMultiset(spec, tuple(_pencil_union(P, n_lines, spec).tolist()))
 
 
 def punctured_pencil_ghost(P: ProjPoint, lam: int, spec: FieldSpec) -> PointMultiset:
     """Union of q - lam*p lines through P, with P itself removed; a ghost."""
-    p, q = spec.p, spec.q
-    n_lines = q - lam * p
-    if not 1 <= n_lines <= q + 1:
+    n_lines = spec.q - lam * spec.p
+    if not 1 <= n_lines <= spec.q + 1:
         raise ValueError(f"lambda = {lam} out of range for GF({spec})")
-    pencil = pencil_lines(P, spec)[:n_lines]
-    pts = {Q for l in pencil for Q in line_points(l, spec)}
-    pts.discard(P)
-    idx = point_index(spec)
-    mult = [0] * (q**2 + q + 1)
-    for Q in pts:
-        mult[idx[Q]] = 1
-    return PointMultiset(spec, tuple(mult))
+    mult = _pencil_union(P, n_lines, spec)
+    mult[point_index(spec)[P]] = 0
+    return PointMultiset(spec, tuple(mult.tolist()))
 
 
 @dataclass(frozen=True)

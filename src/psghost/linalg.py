@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import FieldElement
-
 
 def as_fp(M, p: int) -> np.ndarray:
     """M reduced mod p as an int64 array.
@@ -116,19 +114,3 @@ class PrefactoredLeftSystem:
         x[self.pivots] = tp[:r]
         return x
 
-
-def expand_fq_to_fp(rows) -> np.ndarray:
-    """Expand a matrix of field elements to prime-subfield coordinates.
-
-    Each GF(p^h) entry becomes its h coordinates, multiplying the column
-    count by h.  For h = 1 this is the identity transformation.
-    """
-    out = []
-    for row in rows:
-        flat: list[int] = []
-        for e in row:
-            if not isinstance(e, FieldElement):
-                raise TypeError("expected FieldElement entries")
-            flat.extend(e.coeffs)
-        out.append(flat)
-    return np.asarray(out, dtype=np.int64)

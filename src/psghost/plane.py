@@ -4,7 +4,7 @@ Coordinate triples are normalized so that the first nonzero coordinate is 1.
 The point enumeration order is fixed and defines row indices everywhere:
 (0,0,1); then (0,1,c) for c ascending; then (1,b,c) for (b,c) ascending
 lexicographically (by integer encoding).  Lines use the same normalized
-triples (Plücker coordinates, dual to points).
+triples (Plücker coordinates, dual to points), so one type serves both.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import field
 from .field import FieldElement, FieldSpec
 
 
@@ -27,6 +28,8 @@ def _normalize(coords: tuple[FieldElement, ...]) -> tuple[FieldElement, ...]:
 
 @dataclass(frozen=True)
 class ProjPoint:
+    """A point, or by duality a line (u, v, w), as a normalized triple."""
+
     coords: tuple[FieldElement, FieldElement, FieldElement]
 
     @classmethod
@@ -48,62 +51,33 @@ class ProjPoint:
         return " ".join(str(c.encoding) for c in self.coords)
 
 
-@dataclass(frozen=True)
-class ProjLine:
-    coords: tuple[FieldElement, FieldElement, FieldElement]
-
-    @classmethod
-    def make(cls, u, v, w) -> "ProjLine":
-        return cls(_normalize((u, v, w)))
-
-    @classmethod
-    def from_encodings(cls, spec: FieldSpec, u: int, v: int, w: int) -> "ProjLine":
-        return cls.make(spec.element(u), spec.element(v), spec.element(w))
-
-    @property
-    def spec(self) -> FieldSpec:
-        return self.coords[0].spec
-
-    def encodings(self) -> tuple[int, int, int]:
-        return tuple(c.encoding for c in self.coords)
-
-    def __str__(self):
-        return " ".join(str(c.encoding) for c in self.coords)
+ProjLine = ProjPoint
 
 
-def _canonical_triples(spec: FieldSpec):
-    els = spec.elements()
-    one = spec.one()
-    zero = spec.zero()
-    out = [(zero, zero, one)]
-    for c in els:
-        out.append((zero, one, c))
-    for b in els:
-        for c in els:
-            out.append((one, b, c))
-    return out
+@lru_cache(maxsize=None)
+def canonical_triples(spec: FieldSpec) -> np.ndarray:
+    """(q^2+q+1, 3) encodings of the normalized triples in enumeration order."""
+    q = spec.q
+    return np.array([(0, 0, 1)] + [(0, 1, c) for c in range(q)]
+                    + [(1, b, c) for b in range(q) for c in range(q)],
+                    dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
 def enumerate_points(spec: FieldSpec) -> tuple[ProjPoint, ...]:
     """All q^2+q+1 points in the canonical enumeration order."""
-    return tuple(ProjPoint(t) for t in _canonical_triples(spec))
+    return tuple(ProjPoint(tuple(FieldElement(spec, x) for x in t))
+                 for t in canonical_triples(spec).tolist())
 
 
-@lru_cache(maxsize=None)
 def enumerate_lines(spec: FieldSpec) -> tuple[ProjLine, ...]:
     """All q^2+q+1 lines; by duality the same triples as the points."""
-    return tuple(ProjLine(t) for t in _canonical_triples(spec))
+    return enumerate_points(spec)
 
 
 @lru_cache(maxsize=None)
 def point_index(spec: FieldSpec) -> dict:
     return {P: i for i, P in enumerate(enumerate_points(spec))}
-
-
-@lru_cache(maxsize=None)
-def line_index(spec: FieldSpec) -> dict:
-    return {l: i for i, l in enumerate(enumerate_lines(spec))}
 
 
 def incident(P: ProjPoint, line: ProjLine) -> bool:
@@ -118,22 +92,25 @@ def incident(P: ProjPoint, line: ProjLine) -> bool:
 
 def line_points(line: ProjLine, spec: FieldSpec) -> list[ProjPoint]:
     """The q+1 points on the line, in enumeration order."""
-    return [P for P in enumerate_points(spec) if incident(P, line)]
+    points = enumerate_points(spec)
+    column = incidence_matrix(spec)[:, point_index(spec)[line]]
+    return [points[k] for k in np.flatnonzero(column)]
 
 
 def pencil_lines(P: ProjPoint, spec: FieldSpec) -> list[ProjLine]:
     """The q+1 lines through P, in enumeration order."""
-    return [l for l in enumerate_lines(spec) if incident(P, l)]
+    lines = enumerate_lines(spec)
+    row = incidence_matrix(spec)[point_index(spec)[P]]
+    return [lines[k] for k in np.flatnonzero(row)]
 
 
 @lru_cache(maxsize=None)
 def incidence_matrix(spec: FieldSpec) -> np.ndarray:
-    """0/1 matrix, rows = points, columns = lines, in enumeration order."""
-    points = enumerate_points(spec)
-    lines = enumerate_lines(spec)
-    M = np.zeros((len(points), len(lines)), dtype=np.int64)
-    for i, P in enumerate(points):
-        for j, l in enumerate(lines):
-            if incident(P, l):
-                M[i, j] = 1
-    return M
+    """0/1 matrix, rows = points, columns = lines, in enumeration order.
+
+    Points and lines share the canonical triples, so it is symmetric.
+    """
+    T = canonical_triples(spec)
+    terms = [field.mul(spec, T[:, None, k], T[None, :, k]) for k in range(3)]
+    dot = field.add(spec, field.add(spec, terms[0], terms[1]), terms[2])
+    return (dot == 0).astype(np.int64)

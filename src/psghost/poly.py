@@ -15,8 +15,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .field import FieldElement, FieldSpec, multinomial_mod_p
-from .plane import ProjLine, enumerate_points
+import numpy as np
+
+from . import field
+from .field import FieldElement, FieldSpec, multinomial_int
+from .plane import ProjLine, canonical_triples
 
 if TYPE_CHECKING:  # pragma: no cover
     from .msets import PointMultiset
@@ -82,42 +85,41 @@ def negate_poly(G: HomPoly) -> HomPoly:
     return HomPoly(G.spec, tuple(-a for a in G.coeffs))
 
 
-@lru_cache(maxsize=None)
-def point_image_rows(spec: FieldSpec) -> tuple[tuple[FieldElement, ...], ...]:
-    """Coefficient vector of (aX+bY+cZ)^(q-1) for every canonical point.
+def monomial_values(spec: FieldSpec, T) -> np.ndarray:
+    """Encodings of u^(q-1-i-j) * v^j * w^i for triples (u, v, w).
 
-    Entry at (i, j) is C(q-1; i, j) * a^(q-1-i-j) * b^j * c^i.
+    T is an (n, 3) array of encodings; the result is (n, m), one column per
+    monomial in monomial_indices order.
     """
-    d = spec.q - 1
-    monos = monomial_indices(spec)
-    rows = []
-    for P in enumerate_points(spec):
-        a, b, c = P.coords
-        pa = _powers(a, d)
-        pb = _powers(b, d)
-        pc = _powers(c, d)
-        row = tuple(
-            multinomial_mod_p(i, j, spec) * (pa[d - i - j] * (pb[j] * pc[i]))
-            for i, j in monos)
-        rows.append(row)
-    return tuple(rows)
-
-
-def _powers(x: FieldElement, d: int) -> list[FieldElement]:
-    out = [x.spec.one()]
-    for _ in range(d):
-        out.append(out[-1] * x)
-    return out
+    T = np.asarray(T, dtype=np.int64)
+    i, j = np.array(monomial_indices(spec), dtype=np.int64).reshape(-1, 2).T
+    u, v, w = (field.power(spec, T[:, k, None], e)
+               for k, e in enumerate((spec.q - 1 - i - j, j, i)))
+    return field.mul(spec, u, field.mul(spec, v, w))
 
 
 @lru_cache(maxsize=None)
-def point_matrix_fp(spec: FieldSpec):
+def point_image_rows(spec: FieldSpec) -> np.ndarray:
+    """Encodings of the coefficients of (aX+bY+cZ)^(q-1), one row per point.
+
+    Entry at (i, j) is C(q-1; i, j) * a^(q-1-i-j) * b^j * c^i; the
+    multinomial lies in the prime subfield, so its encoding is its residue.
+    """
+    multinomials = [multinomial_int(spec.q - 1, i, j) % spec.p
+                    for i, j in monomial_indices(spec)]
+    return field.mul(spec, multinomials,
+                     monomial_values(spec, canonical_triples(spec)))
+
+
+@lru_cache(maxsize=None)
+def point_matrix_fp(spec: FieldSpec) -> np.ndarray:
     """Point-image rows in prime-subfield coordinates, as a numpy matrix.
 
-    Shape (q^2+q+1, h*C(q+1,2)); a multiset maps to mult @ matrix mod p.
+    Each entry becomes its h base-p digits, so the shape is
+    (q^2+q+1, h*C(q+1,2)); a multiset maps to mult @ matrix mod p.
     """
-    from .linalg import expand_fq_to_fp
-    return expand_fq_to_fp(point_image_rows(spec))
+    rows = point_image_rows(spec)
+    return field.digits(spec, rows).reshape(rows.shape[0], -1)
 
 
 def power_sum(S: "PointMultiset") -> HomPoly:
@@ -127,14 +129,10 @@ def power_sum(S: "PointMultiset") -> HomPoly:
     mod p, which is all that matters for the scalar action); the sum is
     taken in prime-subfield coordinates.
     """
-    import numpy as np
-
     spec = S.spec
     flat = np.asarray(S.mult, dtype=np.int64) @ point_matrix_fp(spec) % spec.p
-    h = spec.h
-    coeffs = tuple(FieldElement(spec, tuple(int(x) for x in flat[k * h:(k + 1) * h]))
-                   for k in range(num_monomials(spec)))
-    return HomPoly(spec, coeffs)
+    encodings = field.from_digits(spec, flat.reshape(-1, spec.h))
+    return HomPoly(spec, tuple(FieldElement(spec, e) for e in encodings.tolist()))
 
 
 def evaluate(G: HomPoly, line) -> FieldElement:
@@ -144,19 +142,11 @@ def evaluate(G: HomPoly, line) -> FieldElement:
     homogeneity the value does not depend on the chosen representative.
     """
     spec = G.spec
-    if isinstance(line, ProjLine):
-        u, v, w = line.coords
-    else:
-        u, v, w = line
-    d = spec.q - 1
-    pu = _powers(u, d)
-    pv = _powers(v, d)
-    pw = _powers(w, d)
-    acc = spec.zero()
-    for (i, j), c in zip(monomial_indices(spec), G.coeffs):
-        if not c.is_zero():
-            acc = acc + c * (pu[d - i - j] * (pv[j] * pw[i]))
-    return acc
+    coords = line.coords if isinstance(line, ProjLine) else line
+    values = monomial_values(spec, [[c.encoding for c in coords]])[0]
+    terms = field.mul(spec, [c.encoding for c in G.coeffs], values)
+    return FieldElement(spec, int(field.from_digits(
+        spec, field.digits(spec, terms).sum(axis=0) % spec.p)))
 
 
 # -- text format ------------------------------------------------------

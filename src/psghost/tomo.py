@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .field import FieldSpec
+from .field import FieldSpec, digits
 from .ghost import ghost_report, point_matrix_fp
 from .msets import PointMultiset, minverse, msum, phi
 from .poly import HomPoly
@@ -47,7 +47,7 @@ def _solver(spec: FieldSpec) -> linalg.PrefactoredLeftSystem:
 
 
 def _poly_fp(G: HomPoly) -> np.ndarray:
-    return np.asarray([x for c in G.coeffs for x in c.coeffs], dtype=np.int64)
+    return digits(G.spec, [c.encoding for c in G.coeffs]).ravel()
 
 
 def solve(G: HomPoly) -> SolutionCoset:

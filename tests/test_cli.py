@@ -196,3 +196,32 @@ def test_psp_header_other_field_is_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "solve", "--field", "3", "--in", str(f))
     assert code == 3
     assert out == "" and "q=3^2" in err
+
+
+def test_solve_sets_nonpositive_limit_is_input_error(tmp_path, capsys):
+    f = tmp_path / "z.psp"
+    f.write_text(Z_POLY_FILE)
+    code, out, err = run(capsys, "solve", "--field", "2", "--in", str(f),
+                         "--sets", "--limit", "0")
+    assert code == 3
+    assert out == "" and err.startswith("error:") and "--limit" in err
+
+
+def test_unwritable_out_is_input_error(tmp_path, capsys):
+    code, out, err = run(capsys, "ghost-report", "--field", "2",
+                         "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 3
+    assert out == "" and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_unexpected_exception_exits_internal(capsys, monkeypatch):
+    import psghost.ghost as ghost
+
+    def broken(spec):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(ghost, "ghost_report", broken)
+    code, out, err = run(capsys, "ghost-report", "--field", "2")
+    assert code == 4
+    assert out == "" and err == "error: internal: RuntimeError: boom\n"

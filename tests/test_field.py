@@ -1,13 +1,18 @@
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from psghost import field
 from psghost.field import (FieldSpec, multinomial_mod_p, multinomial_int,
                            pow_q_minus_1)
 
 GF7 = FieldSpec.of(7)
 GF4 = FieldSpec.of(2, 2)
 GF9_X2P1 = FieldSpec(3, 2, (1, 0, 1))  # modulus x^2 + 1
-ALL_Q = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1)]
+ALL_Q = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
+         (13, 1), (17, 1), (19, 1), (23, 1)]
 
 
 def spec_of(p, h):
@@ -24,9 +29,9 @@ def test_add_characteristic_two():
 
 
 def test_add_gf9_componentwise():
-    a = GF9_X2P1.from_coeffs([1, 1])  # 1 + x
-    b = GF9_X2P1.from_coeffs([2, 1])  # 2 + x
-    assert a + b == GF9_X2P1.from_coeffs([0, 2])  # 2x
+    a = GF9_X2P1.element(4)  # 1 + x
+    b = GF9_X2P1.element(5)  # 2 + x
+    assert a + b == GF9_X2P1.element(6)  # 2x
 
 
 def test_mul_prime_field():
@@ -35,11 +40,11 @@ def test_mul_prime_field():
 
 def test_mul_gf4_reduction():
     x = GF4.element(2)
-    assert x * x == GF4.from_coeffs([1, 1])  # x + 1
+    assert x * x == GF4.element(3)  # x + 1
 
 
 def test_mul_gf9_x_squared():
-    x = GF9_X2P1.from_coeffs([0, 1])
+    x = GF9_X2P1.element(3)  # x
     assert x * x == GF9_X2P1.element(2)  # x^2 = -1 = 2
 
 
@@ -48,12 +53,19 @@ def test_inv():
     gf2 = FieldSpec.of(2)
     assert gf2.element(1).inv() == gf2.element(1)
     x = GF4.element(2)
-    assert x.inv() == GF4.from_coeffs([1, 1])
+    assert x.inv() == GF4.element(3)  # x + 1
 
 
 def test_inv_zero_raises():
     with pytest.raises(ZeroDivisionError):
         GF7.zero().inv()
+
+
+def test_pow_exponents_beyond_int64():
+    assert GF7.element(3) ** (2**70) == GF7.element(pow(3, 2**70, 7))
+    assert GF7.element(3) ** -(2**70) == GF7.element(pow(5, 2**70, 7))
+    assert GF4.zero() ** (2**70) == GF4.zero()
+    assert GF4.zero() ** 0 == GF4.one()
 
 
 def test_spec_mismatch_raises():
@@ -143,6 +155,149 @@ def test_parse():
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError):
         FieldSpec(2, 2, (1, 0, 1))  # x^2 + 1 = (x+1)^2 over F_2
+
+
+@pytest.mark.parametrize("p,h,modulus", [
+    (2, 5, (1, 0, 0, 0, 0, 1)),  # x^5 + 1 = (x+1)(x^4+x^3+x^2+x+1)
+    (2, 6, (1,) * 7),            # (x^3+x+1)(x^3+x^2+1)
+    (3, 4, (1, 0, 2, 0, 1)),     # (x^2+1)^2, no linear factor
+])
+def test_reducible_modulus_rejected_any_degree(p, h, modulus):
+    with pytest.raises(ValueError):
+        FieldSpec.of(p, h, modulus=modulus)
+
+
+def _mobius(n):
+    result, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            result = -result
+        d += 1
+    return -result if n > 1 else result
+
+
+@pytest.mark.parametrize("p,h", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
+                                 (2, 8), (3, 2), (3, 3), (3, 4), (5, 2),
+                                 (5, 3), (7, 2)])
+def test_irreducible_count_matches_gauss_formula(p, h):
+    accepted = 0
+    for low in itertools.product(range(p), repeat=h):
+        try:
+            FieldSpec.of(p, h, modulus=low + (1,))
+            accepted += 1
+        except ValueError:
+            pass
+    expected = sum(_mobius(d) * p**(h // d)
+                   for d in range(1, h + 1) if h % d == 0) // h
+    assert accepted == expected
+
+
+def test_custom_degree5_modulus_is_a_field():
+    spec = FieldSpec.of(2, 5, modulus=(1, 0, 1, 0, 0, 1))  # x^5 + x^2 + 1
+    _check_against_schoolbook(spec)
+    x1 = spec.element(3)  # x + 1
+    assert x1 * x1.inv() == spec.one()
+    a = np.arange(spec.q)
+    for b, c in itertools.product(range(spec.q), repeat=2):
+        assert np.array_equal(field.mul(spec, field.mul(spec, a, b), c),
+                              field.mul(spec, a, field.mul(spec, b, c)))
+        assert np.array_equal(
+            field.mul(spec, a, field.add(spec, b, c)),
+            field.add(spec, field.mul(spec, a, b), field.mul(spec, a, c)))
+
+
+# -- reference: schoolbook polynomial arithmetic modulo the modulus ----
+
+def _ref_digits(spec, e):
+    return [e // spec.p**k % spec.p for k in range(spec.h)]
+
+
+def _ref_encoding(spec, coeffs):
+    return sum(c * spec.p**k for k, c in enumerate(coeffs))
+
+
+def _ref_mul(spec, a, b):
+    p, h, mod = spec.p, spec.h, spec.modulus
+    prod = [0] * (2 * h - 1)
+    for i, x in enumerate(_ref_digits(spec, a)):
+        for j, y in enumerate(_ref_digits(spec, b)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for k in range(2 * h - 2, h - 1, -1):  # x^h = -(mod[0] + ... )
+        top, prod[k] = prod[k], 0
+        for i in range(h):
+            prod[k - h + i] = (prod[k - h + i] - top * mod[i]) % p
+    return _ref_encoding(spec, prod[:h])
+
+
+def _check_against_schoolbook(spec):
+    q = spec.q
+    a, b = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
+    sums, prods = field.add(spec, a, b), field.mul(spec, a, b)
+    for x, y in itertools.product(range(q), repeat=2):
+        ref_sum = _ref_encoding(spec, [
+            (s + t) % spec.p for s, t in zip(_ref_digits(spec, x),
+                                             _ref_digits(spec, y))])
+        ref_prod = _ref_mul(spec, x, y)
+        assert sums[x, y] == ref_sum and prods[x, y] == ref_prod
+        ex, ey = spec.element(x), spec.element(y)
+        assert (ex + ey).encoding == ref_sum
+        assert (ex * ey).encoding == ref_prod
+
+
+REFERENCE_SPECS = sorted({FieldSpec.of(p, h) for p, h in ALL_Q}
+                         | {FieldSpec.of(2, 4), FieldSpec.of(3, 3),
+                            FieldSpec.of(5, 2), GF9_X2P1}, key=str)
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=str)
+def test_tables_match_schoolbook(spec):
+    _check_against_schoolbook(spec)
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=str)
+def test_tables_are_a_primitive_element(spec):
+    exp, log = spec.exp, spec.log
+    assert len(exp) == len(log) == spec.q
+    # exp lists g^0, ..., g^(q-1) = 1, each nonzero element once
+    assert sorted(exp[:-1].tolist()) == list(range(1, spec.q)) and exp[-1] == 1
+    assert np.array_equal(log[exp[:-1]], np.arange(spec.q - 1))
+    g = int(exp[1 % (spec.q - 1)])
+    assert all(_ref_mul(spec, int(exp[k]), g) == int(exp[k + 1])
+               for k in range(spec.q - 1))
+    # no element of smaller encoding generates the multiplicative group
+    for c in range(1, g):
+        powers, e = {1}, c
+        while e != 1:
+            powers.add(e)
+            e = _ref_mul(spec, e, c)
+        assert len(powers) < spec.q - 1
+
+
+def test_x_is_not_primitive_in_gf9_x2p1():
+    # x^2 = -1, so x has order 4 and the generator search must go past it
+    assert GF9_X2P1.exp.tolist()[:2] == [1, 4]  # g = 1 + x
+
+
+def test_tables_built_on_first_arithmetic():
+    field._tables.cache_clear()
+    spec = FieldSpec.of(2, 4)
+    spec.element(3) + spec.element(5)
+    assert field._tables.cache_info().currsize == 0
+    spec.element(3) * spec.element(5)
+    assert field._tables.cache_info().currsize == 1
+
+
+def test_power_array_zero_to_the_zero():
+    spec = FieldSpec.of(2, 2)
+    assert field.power(spec, [0, 0, 2, 2], [0, 3, 0, 3]).tolist() == [1, 0, 1, 1]
+
+
+def test_coeffs_derived_from_encoding():
+    assert GF9_X2P1.element(5).coeffs == (2, 1)  # 2 + x
+    assert FieldSpec.of(7).element(6).coeffs == (6,)
 
 
 def test_nonprime_p_rejected():

@@ -1,8 +1,11 @@
-"""Golden output hashes: `ghost-report` and `solve` JSON must stay byte-identical.
+"""Golden output hashes: `ghost-report`, `solve`, `psp` and `eval` JSON must
+stay byte-identical.
 
-Each entry is the sha256 of the bytes the CLI writes to stdout.  The `solve`
-input is the power sum polynomial of the plain set whose per-point bits are
-drawn as random.Random(7).randrange(2), in canonical point order.
+Each entry is the sha256 of the bytes the CLI writes to stdout.  The inputs
+derive from the plain set whose per-point bits are drawn as
+random.Random(7).randrange(2), in canonical point order: `psp` reads its
+`# mset` text, `solve` and `eval` read the `# psp` text of its power sum
+polynomial.
 """
 
 import hashlib
@@ -12,7 +15,7 @@ import pytest
 
 from psghost.cli import main
 from psghost.field import FieldSpec
-from psghost.msets import PointMultiset, phi
+from psghost.msets import PointMultiset, mset_to_text, phi
 from psghost.poly import poly_to_text
 
 FIELDS = ["2", "3", "2^2", "5", "7", "2^3", "3^2", "13"]
@@ -55,17 +58,65 @@ SOLVE_SHA256 = {
         "611305b56cc5a98ad6d9d276b45b7d7d32f74418fc555dceb31d1f86fc0b7ee9",
 }
 
+PSP_SHA256 = {
+    "2":
+        "5db33cda6d8e9a52c6908b31965bf1891d4a9480bff134dc468adfbbca737901",
+    "3":
+        "3c1ba9dac402803252655474958340500326a4ffbe0da1229bc03dd382a68cf0",
+    "2^2":
+        "e2feab1e87a19a99a3c8554d6a0cbdca0051d80481ff4d256254cc10808c1ef5",
+    "5":
+        "f2424358c0be0322faa6d0748d8824426d4e6c4be86bdc96684dfcdb5c68d108",
+    "7":
+        "7f9c6406279325ad98cb335cd447dfcfb6dfe1388bec4da338ff810342ab6b40",
+    "2^3":
+        "7481f1385b5ea41dee747ed8e55b87c7cad1476acfa39d5c8e25bc7fa4780fb5",
+    "3^2":
+        "cb360e48809726b345dfc5f0fff3b4e67cdc5c84c8912cb2f0e217f87ef4c2aa",
+    "13":
+        "4542c1e973c435bbd0d35212f6d95c98156fa5143568431c52eecd71e7a28622",
+}
+
+EVAL_SHA256 = {
+    "2":
+        "f50118a0fee254e59067ccc26bc7babd321917b78fe0027ba998299c93890083",
+    "3":
+        "b8b3c077c8dce13c5532eb9496a924e45512c33b7b2fded6b2bfd3f69edce048",
+    "2^2":
+        "02df6cf8d550f21f2b58f7a00279b07c1e6b21882492db6f5cdb7d8fd0e87a2c",
+    "5":
+        "4e7df05feed5f08253a0d720139dd6f36ed5cdc514ade23e288b3d8ffe68c0d5",
+    "7":
+        "5114b3c8adac171a8dde3aba96394c3bd662db6097c2ccb2ea501f34fddfe9c5",
+    "2^3":
+        "1cc223229137d07a53094f4b2ba461ffe67732372b1450783a0a7a8ede8c500a",
+    "3^2":
+        "4dcf0411b1f4ddfd2403413d4b6c1c88beff77f503fb0e9796bc28f87cc848a8",
+    "13":
+        "c69d0482357f6934a967caefb6539d1e6c2ae85bfe306ff3090a65f270153e8f",
+}
+
 
 def _stdout_sha256(capsys, argv):
     assert main(argv) == 0
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
-def _random_set_poly(spec):
+def _random_set(spec):
     rng = random.Random(7)
     n = spec.q**2 + spec.q + 1
-    S = PointMultiset.from_vector(spec, [rng.randrange(2) for _ in range(n)])
-    return poly_to_text(phi(S))
+    return PointMultiset.from_vector(spec, [rng.randrange(2) for _ in range(n)])
+
+
+def _random_set_poly(spec):
+    return poly_to_text(phi(_random_set(spec)))
+
+
+def _cli_json_sha256(tmp_path, capsys, command, field, text):
+    f = tmp_path / "in.txt"
+    f.write_text(text)
+    return _stdout_sha256(
+        capsys, [command, "--field", field, "--in", str(f), "--format", "json"])
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -77,8 +128,20 @@ def test_ghost_report_json_golden(capsys, field):
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_solve_json_golden(tmp_path, capsys, field):
-    f = tmp_path / "in.psp"
-    f.write_text(_random_set_poly(FieldSpec.parse(field)))
-    digest = _stdout_sha256(
-        capsys, ["solve", "--field", field, "--in", str(f), "--format", "json"])
-    assert digest == SOLVE_SHA256[field]
+    text = _random_set_poly(FieldSpec.parse(field))
+    assert (_cli_json_sha256(tmp_path, capsys, "solve", field, text)
+            == SOLVE_SHA256[field])
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_psp_json_golden(tmp_path, capsys, field):
+    text = mset_to_text(_random_set(FieldSpec.parse(field)))
+    assert (_cli_json_sha256(tmp_path, capsys, "psp", field, text)
+            == PSP_SHA256[field])
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_eval_json_golden(tmp_path, capsys, field):
+    text = _random_set_poly(FieldSpec.parse(field))
+    assert (_cli_json_sha256(tmp_path, capsys, "eval", field, text)
+            == EVAL_SHA256[field])

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from psghost import elim, linalg
+from psghost import elim, field, linalg
 from psghost.field import FieldSpec
 from psghost.ghost import point_matrix_fp
 
@@ -76,22 +76,27 @@ def test_solve_inconsistent_truncated():
     assert linalg.PrefactoredLeftSystem(M, 2).solve(target) is None
 
 
+# field.digits expands a matrix of encodings to prime-subfield coordinates:
+# each GF(p^h) entry becomes its h coordinates.
+
+def _expand(spec, rows):
+    rows = np.asarray(rows)
+    return field.digits(spec, rows).reshape(rows.shape[0], -1)
+
+
 def test_expand_h1_identity():
     spec = FieldSpec.of(7)
-    row = [spec.element(3), spec.element(5)]
-    assert np.array_equal(linalg.expand_fq_to_fp([row]), [[3, 5]])
+    assert np.array_equal(_expand(spec, [[3, 5]]), [[3, 5]])
 
 
 def test_expand_gf4():
     spec = FieldSpec.of(2, 2)
-    x = spec.element(2)
-    assert np.array_equal(linalg.expand_fq_to_fp([[x]]), [[0, 1]])
+    assert np.array_equal(_expand(spec, [[2]]), [[0, 1]])  # x
 
 
 def test_expand_gf9_shape():
     spec = FieldSpec.of(3, 2)
-    row = [spec.element(4), spec.element(7)]
-    out = linalg.expand_fq_to_fp([row])
+    out = _expand(spec, [[4, 7]])
     assert out.shape == (1, 4)
 
 
@@ -100,14 +105,15 @@ def test_expand_commutes_with_fp_row_operations():
     # so the expanded rank is the F_p-dimension of the original row span.
     spec = FieldSpec.of(3, 2)
     rng = random.Random(4)
-    rows = [[spec.element(rng.randrange(9)) for _ in range(3)]
-            for _ in range(5)]
-    expanded = linalg.expand_fq_to_fp(rows)
-    mixed = list(rows)
-    mixed.append([2 * a + b for a, b in zip(rows[0], rows[1])])
-    mixed.append([2 * a for a in rows[2]])
-    assert linalg.rank(linalg.expand_fq_to_fp(mixed), 3) == linalg.rank(
-        expanded, 3)
+    rows = np.array([[rng.randrange(9) for _ in range(3)] for _ in range(5)])
+    expanded = _expand(spec, rows)
+    two = 2  # the prime-subfield scalar 2 has encoding 2
+    mixed = np.vstack([
+        rows,
+        field.add(spec, field.mul(spec, two, rows[0]), rows[1]),
+        field.mul(spec, two, rows[2]),
+    ])
+    assert linalg.rank(_expand(spec, mixed), 3) == linalg.rank(expanded, 3)
 
 
 # elim.det_nonzero_mod_p is linalg.rank at full rank; these determinants

@@ -113,3 +113,30 @@ def test_all_zero_rejected():
     spec = FieldSpec.of(3)
     with pytest.raises(ValueError):
         ProjPoint.from_encodings(spec, 0, 0, 0)
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                 (2, 3), (3, 2)])
+def test_incidence_matrix_matches_scalar_incident(p, h):
+    spec = FieldSpec.of(p, h)
+    points = enumerate_points(spec)
+    inc = incidence_matrix(spec)
+    expected = [[int(incident(P, l)) for l in enumerate_lines(spec)]
+                for P in points]
+    assert np.array_equal(inc, expected)
+
+
+def test_line_points_and_pencils_read_the_incidence_matrix():
+    spec = FieldSpec.of(3, 2)
+    points = enumerate_points(spec)
+    for k in (0, 17, len(points) - 1):
+        P = points[k]
+        assert pencil_lines(P, spec) == [l for l in enumerate_lines(spec)
+                                         if incident(P, l)]
+        assert line_points(P, spec) == [Q for Q in points if incident(Q, P)]
+
+
+def test_one_type_for_points_and_lines():
+    spec = FieldSpec.of(2, 2)
+    assert ProjLine is ProjPoint
+    assert enumerate_lines(spec) is enumerate_points(spec)
