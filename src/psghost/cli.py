@@ -140,8 +140,14 @@ def cmd_solve(args) -> int:
     if args.sets:
         sols = tomo.enumerate_set_solutions(G, args.limit)
         if args.format == "json":
+            # Complete: every candidate was examined (exhaustive search, or a
+            # coset within the walk budget) and --limit did not cut it off.
+            examined_all = (spec.q <= 3
+                            or spec.p**coset.exponent <= tomo.WALK_BUDGET)
             _write(args.out, json.dumps(
-                {"q": str(spec), "solutions": [mset_to_text(S) for S in sols]},
+                {"q": str(spec),
+                 "complete": examined_all and len(sols) < args.limit,
+                 "solutions": [mset_to_text(S) for S in sols]},
                 indent=2) + "\n")
         else:
             _write(args.out, "\n".join(mset_to_text(S) for S in sols))

@@ -17,6 +17,7 @@ implements both routes and compares them cell by cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from . import linalg
 from .field import is_prime, multinomial_int
@@ -187,23 +188,29 @@ def closed_form_entry(n: int, b: int, c: int, lam: int, mu: int) -> int:
         raise ValueError("closed forms are defined for steps n >= 1")
     if n == 1:
         return b**lam * (c**mu - 1)
+    return b**lam * _nested_sum(n, c, 1, mu)
+
+
+@lru_cache(maxsize=None)
+def _nested_sum(n: int, c: int, k: int, prev: int) -> int:
+    """Level k of the nested summation for step n >= 2 and row c.
+
+    It does not depend on b or lam, so each value is computed once and
+    shared by every cell of the rows with this c.
+    """
     nprime, odd = divmod(n, 2)
-
-    def level(k: int, prev: int) -> int:
-        if k == nprime:
-            lo = 1 if odd else 0
-            total = 0
-            for i in range(lo, prev - 1):
-                f = (2 * k)**(prev - 1 - i) - (2 * k - 1)**(prev - 1 - i)
-                if odd:
-                    total += f * (c**i - n**i)
-                else:
-                    total += (c - n) * f * c**i
-            return total
-        return sum(((2 * k)**(prev - 1 - i) - (2 * k - 1)**(prev - 1 - i))
-                   * level(k + 1, i) for i in range(0, prev - 1))
-
-    return b**lam * level(1, mu)
+    if k == nprime:
+        lo = 1 if odd else 0
+        total = 0
+        for i in range(lo, prev - 1):
+            f = (2 * k)**(prev - 1 - i) - (2 * k - 1)**(prev - 1 - i)
+            if odd:
+                total += f * (c**i - n**i)
+            else:
+                total += (c - n) * f * c**i
+        return total
+    return sum(((2 * k)**(prev - 1 - i) - (2 * k - 1)**(prev - 1 - i))
+               * _nested_sum(n, c, k + 1, i) for i in range(0, prev - 1))
 
 
 # -- verification -----------------------------------------------------

@@ -140,7 +140,12 @@ def ghost_report(spec: FieldSpec) -> GhostReport:
     """Rank of the point-image matrix over F_p, kernel basis, exponent."""
     M = point_matrix_fp(spec)
     B = linalg.left_kernel_basis(M, spec.p)
-    if np.any(B @ M % spec.p):
+    # One float64 (BLAS) product: exact while every sum of residue
+    # products, at most (p-1)^2 * n, is below 2^53.
+    if (spec.p - 1)**2 * M.shape[0] >= 2**53:
+        raise ArithmeticError(f"basis check over GF({spec}) would not be "
+                              "exact in float64")
+    if np.any(B.astype(np.float64) @ M.astype(np.float64) % spec.p):
         raise ArithmeticError(f"kernel basis over GF({spec}) is not in the "
                               "kernel of the point-image matrix")
     rank_phi = M.shape[0] - B.shape[0]

@@ -1,9 +1,10 @@
 """Exact linear algebra over F_p.
 
 One elimination routine, `rref`, serves rank, left kernel and the
-prefactored solver.  It works on numpy int64 arrays with entries reduced
-to {0,...,p-1}; pivoting is deterministic (first nonzero in column order)
-so echelon forms and kernel bases are byte-reproducible.  The kernel
+prefactored solver.  It takes entries reduced to {0,...,p-1} and works in
+the narrowest integer type that holds every intermediate (int16 for
+p <= 181, else int64); pivoting is deterministic (first nonzero in column
+order) so echelon forms and kernel bases are byte-reproducible.  The kernel
 orientation is the left kernel: vectors index rows (points), columns index
 monomial coordinates.
 """
@@ -29,14 +30,20 @@ def as_fp(M, p: int) -> np.ndarray:
     return A
 
 
+def _work_dtype(p: int):
+    """int16 when every product and difference of residues, at most
+    (p-1)^2 in absolute value, fits it; int64 otherwise."""
+    return np.int16 if (p - 1)**2 < 2**15 else np.int64
+
+
 def rref(M, p: int, ncols: int | None = None):
-    """Reduced row-echelon form over F_p.
+    """Reduced row-echelon form over F_p, returned as int64.
 
     Returns (R, pivots): pivots are the pivot column indices.  Pivots are
     searched only in the first ncols columns (all columns by default); the
     remaining columns take part in every row operation.
     """
-    A = as_fp(M, p)
+    A = as_fp(M, p).astype(_work_dtype(p), copy=False)
     rows, cols = A.shape
     pivots: list[int] = []
     r = 0
@@ -56,7 +63,7 @@ def rref(M, p: int, ncols: int | None = None):
         A[others, c:] = (A[others, c:] - np.outer(A[others, c], A[r, c:])) % p
         pivots.append(c)
         r += 1
-    return A, pivots
+    return A.astype(np.int64, copy=False), pivots
 
 
 def rank(M, p: int) -> int:

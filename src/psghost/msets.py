@@ -9,6 +9,9 @@ sum polynomial is a group homomorphism into the polynomial space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .field import FieldSpec
 from .plane import ProjPoint, enumerate_points, point_index
@@ -24,7 +27,7 @@ class PointMultiset:
         n = self.spec.q**2 + self.spec.q + 1
         if len(self.mult) != n:
             raise ValueError(f"multiplicity vector must have length {n}")
-        if any(not 0 <= m < self.spec.p for m in self.mult):
+        if min(self.mult) < 0 or max(self.mult) >= self.spec.p:
             raise ValueError("multiplicities must lie in {0,...,p-1}")
 
     @classmethod
@@ -46,6 +49,13 @@ class PointMultiset:
 
     @classmethod
     def from_vector(cls, spec: FieldSpec, vec) -> "PointMultiset":
+        """Multiset of an integer vector, each entry reduced mod p.
+
+        Integer ndarrays are reduced by numpy; anything else entry by entry
+        as Python integers, so entries beyond int64 stay exact.
+        """
+        if isinstance(vec, np.ndarray) and vec.dtype.kind in "iu":
+            return cls(spec, tuple((vec % spec.p).tolist()))
         return cls(spec, tuple(int(m) % spec.p for m in vec))
 
     @property
@@ -98,15 +108,24 @@ def phi(S: PointMultiset) -> poly.HomPoly:
 
 # -- text format ------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _point_labels(spec: FieldSpec) -> tuple[str, ...]:
+    """str(P) for every point, in enumeration order."""
+    return tuple(str(P) for P in enumerate_points(spec))
+
+
+@lru_cache(maxsize=None)
+def _multiplicity_suffixes(p: int) -> tuple[str, ...]:
+    """The text after a point label, indexed by its multiplicity m < p."""
+    return ("", "") + tuple(f" : {m}" for m in range(2, p))
+
+
 def mset_to_text(S: PointMultiset) -> str:
     """One line per point with nonzero multiplicity: "a b c : m"."""
+    suffix = _multiplicity_suffixes(S.spec.p)
     lines = [f"# mset q={S.spec}"]
-    pts = enumerate_points(S.spec)
-    for k, m in enumerate(S.mult):
-        if m == 1:
-            lines.append(str(pts[k]))
-        elif m > 1:
-            lines.append(f"{pts[k]} : {m}")
+    lines += [label + suffix[m]
+              for label, m in zip(_point_labels(S.spec), S.mult) if m]
     return "\n".join(lines) + "\n"
 
 

@@ -1,8 +1,12 @@
 import json
+import random
 
 import pytest
 
 from psghost.cli import main
+from psghost.field import FieldSpec
+from psghost.msets import PointMultiset, mset_to_text, phi
+from psghost.poly import poly_to_text
 
 S1_FILE = "# mset q=2\n0 0 1\n"
 FIVE_POINT_FILE = "# mset q=2\n0 1 0\n0 0 1\n0 1 1\n1 0 0\n1 1 0\n"
@@ -83,6 +87,50 @@ def test_solve_sets_q2(tmp_path, capsys):
     blocks = [b for b in out.split("\n\n") if b.strip()]
     assert len(blocks) == 16
     assert "0 0 1" in out
+
+
+def _solve_sets_json(tmp_path, capsys, field, S, limit):
+    f = tmp_path / "s.psp"
+    f.write_text(poly_to_text(phi(S)))
+    code, out, _ = run(capsys, "solve", "--field", field, "--in", str(f),
+                       "--sets", "--limit", str(limit), "--format", "json")
+    assert code == 0
+    return json.loads(out)
+
+
+def _random_plain_set(spec, seed):
+    rng = random.Random(seed)
+    n = spec.q**2 + spec.q + 1
+    return PointMultiset.from_vector(spec, [rng.randrange(2) for _ in range(n)])
+
+
+def test_solve_sets_complete_when_exhaustive(tmp_path, capsys):
+    spec = FieldSpec.of(2)
+    data = _solve_sets_json(tmp_path, capsys, "2", _random_plain_set(spec, 3),
+                            100)
+    assert data["complete"] is True and len(data["solutions"]) == 16
+
+
+def test_solve_sets_complete_when_coset_within_budget(tmp_path, capsys):
+    # p = 2: every element of the 2^12-element coset is a plain set
+    spec = FieldSpec.parse("2^2")
+    S = _random_plain_set(spec, 4)
+    data = _solve_sets_json(tmp_path, capsys, "2^2", S, 5000)
+    assert data["complete"] is True and len(data["solutions"]) == 4096
+    assert mset_to_text(S) in data["solutions"]
+    data = _solve_sets_json(tmp_path, capsys, "2^2", S, 1000)
+    assert data["complete"] is False and len(data["solutions"]) == 1000
+
+
+def test_solve_sets_incomplete_when_walk_is_cut_off(tmp_path, capsys,
+                                                    monkeypatch):
+    # 5^16 coset elements exceed any budget; a small one keeps the test fast
+    import psghost.tomo as tomo
+    monkeypatch.setattr(tomo, "WALK_BUDGET", 2000)
+    spec = FieldSpec.of(5)
+    data = _solve_sets_json(tmp_path, capsys, "5", _random_plain_set(spec, 5),
+                            1000)
+    assert data["complete"] is False
 
 
 def test_solve_zero_polynomial_kernel_listing(tmp_path, capsys):

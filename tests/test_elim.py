@@ -133,7 +133,7 @@ def test_column_scaling_values():
     assert scaling[cols.index((1, 1))] == multinomial_int(4, 1, 1)  # 12
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 17, 19, 23])
 def test_verify_procedure(p):
     report = elim.verify_procedure(p)
     assert report.ok, report.summary()

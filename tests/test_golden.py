@@ -20,6 +20,9 @@ from psghost.poly import poly_to_text
 
 FIELDS = ["2", "3", "2^2", "5", "7", "2^3", "3^2", "13"]
 
+# `ghost-report` is also pinned at the benchmark's larger fields.
+REPORT_FIELDS = FIELDS + ["23", "2^4"]
+
 GHOST_REPORT_SHA256 = {
     "2":
         "d9e7bdc998fda457994e5519abbd6a5e647aa8acc0274eae141c0e63f9a34c84",
@@ -37,6 +40,10 @@ GHOST_REPORT_SHA256 = {
         "70ee22923257c500598ef485be4a0ab9e834840a0dc594c7a098325e804f0bf0",
     "13":
         "37722895d38b8422038035b0e17c5f1bae7a775aa4dffcfac6c5a5222167d1a7",
+    "23":
+        "9a90d93eee6b7213b262c8edef32d5c351b56248ac861087dcee99feef06bd92",
+    "2^4":
+        "c48f1ccf750b70ad8c9104ce164934126b0898a49ac30c05ec0d87d5d960ca42",
 }
 
 SOLVE_SHA256 = {
@@ -119,7 +126,7 @@ def _cli_json_sha256(tmp_path, capsys, command, field, text):
         capsys, [command, "--field", field, "--in", str(f), "--format", "json"])
 
 
-@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("field", REPORT_FIELDS)
 def test_ghost_report_json_golden(capsys, field):
     digest = _stdout_sha256(
         capsys, ["ghost-report", "--field", field, "--format", "json"])

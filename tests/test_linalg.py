@@ -193,3 +193,80 @@ def test_rank_reduces_big_integers_exactly():
     assert linalg.rank(elim.weighted_image_rows(17), 17) == 153
     # numpy reads this list as float64, rounding 2^63 + 1 to an even number
     assert linalg.rank([[2**63 + 1, 1], [1, 1]], 2) == 1
+
+
+# -- reference elimination in Python integers ---------------------------
+
+def _ref_rref(rows, p, ncols=None):
+    """Reduced echelon form by textbook Gaussian elimination on lists of
+    Python integers, pivoting on the first nonzero row at or below r."""
+    A = [[x % p for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(len(A[0]) if ncols is None else ncols):
+        k = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if k is None:
+            continue
+        A[r], A[k] = A[k], A[r]
+        inv = pow(A[r][c], -1, p)
+        A[r] = [x * inv % p for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(A):
+            break
+    return A, pivots
+
+
+def _ref_left_kernel(rows, p):
+    """Reduced echelon basis of {x : x @ M = 0}, from the null space of M^T."""
+    n = len(rows)
+    R, pivots = _ref_rref([list(col) for col in zip(*rows)], p)
+    basis = []
+    for f in (j for j in range(n) if j not in pivots):
+        x = [0] * n
+        x[f] = 1
+        for k, c in enumerate(pivots):
+            x[c] = -R[k][f] % p
+        basis.append(x)
+    return _ref_rref(basis, p)[0] if basis else []
+
+
+def _random_low_rank(rng, p, rows, cols):
+    """A random matrix of rank at most min(rows, cols) - 1, with entries
+    p - 1 made common so that products reach (p - 1)^2."""
+    k = max(min(rows, cols) - 1, 1)
+    X = [[rng.choice([0, 1, p - 1, rng.randrange(p)]) for _ in range(k)]
+         for _ in range(rows)]
+    Y = [[rng.choice([0, p - 1, rng.randrange(p)]) for _ in range(cols)]
+         for _ in range(k)]
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*Y)]
+            for row in X]
+
+
+def test_work_dtype_boundary():
+    assert linalg._work_dtype(181) == np.int16
+    assert linalg._work_dtype(191) == np.int64
+
+
+@pytest.mark.parametrize("p", [2, 3, 181, 191, 65521])
+def test_elimination_matches_python_integer_reference(p):
+    rng = random.Random(p)
+    for trial in range(40):
+        rows, cols = rng.randrange(1, 14), rng.randrange(1, 14)
+        if trial % 2:
+            A = _random_low_rank(rng, p, rows, cols)
+        else:
+            A = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+        R_ref, piv_ref = _ref_rref(A, p)
+        R, piv = linalg.rref(np.array(A, dtype=np.int64), p)
+        assert R.dtype == np.int64
+        assert piv == piv_ref and R.tolist() == R_ref
+        assert linalg.rank(A, p) == len(piv_ref)
+        ncols = rng.randrange(cols + 1)
+        R, piv = linalg.rref(np.array(A, dtype=np.int64), p, ncols=ncols)
+        assert (R.tolist(), piv) == _ref_rref(A, p, ncols=ncols)
+        B = linalg.left_kernel_basis(np.array(A, dtype=np.int64), p)
+        assert B.tolist() == _ref_left_kernel(A, p)

@@ -1,13 +1,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from psghost.field import FieldSpec
 from psghost.msets import (PointMultiset, complement, minverse, mset_from_text,
                            mset_to_text, msum, phi)
-from psghost.plane import ProjPoint, line_points, ProjLine
+from psghost.plane import ProjPoint, enumerate_points, line_points, ProjLine
 from psghost.poly import add_poly
 
 GF2 = FieldSpec.of(2)
@@ -129,3 +130,50 @@ def test_text_plain_set_omits_multiplicity():
 def test_text_parse_error_line_number():
     with pytest.raises(ValueError, match="line 2"):
         mset_from_text("# mset q=2\n0 0\n", GF2)
+
+
+def test_from_vector_reduces_exactly():
+    n = 13
+    vec = [2**64 + 3, -1, 2**63, -(2**70) - 1] + [5] * (n - 4)
+    expected = tuple(v % 3 for v in vec)
+    for given in (vec, np.array(vec, dtype=object)):
+        S = PointMultiset.from_vector(GF3, given)
+        assert S.mult == expected
+        assert all(type(m) is int for m in S.mult)
+    arr = np.array([-1, 2**62, -(2**63), 2**63 - 1] + [7] * (n - 4),
+                   dtype=np.int64)
+    S = PointMultiset.from_vector(GF3, arr)
+    assert S.mult == tuple(int(v) % 3 for v in arr)
+    assert all(type(m) is int for m in S.mult)
+    assert PointMultiset.from_vector(
+        GF3, arr.astype(np.uint64)).mult == tuple(
+            int(v) % 3 for v in arr.astype(np.uint64))
+
+
+def test_multiplicities_out_of_range_rejected():
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="multiplicities"):
+            PointMultiset(GF3, (0,) * 12 + (bad,))
+        with pytest.raises(ValueError, match="multiplicities"):
+            PointMultiset(GF3, (bad,) + (1,) * 12)
+
+
+def _text_reference(S):
+    pts = enumerate_points(S.spec)
+    lines = [f"# mset q={S.spec}"]
+    for k, m in enumerate(S.mult):
+        if m:
+            lines.append(str(pts[k]) if m == 1 else f"{pts[k]} : {m}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("field", ["2", "3", "2^2", "5", "7", "2^3", "3^2",
+                                   "13", "23", "2^4"])
+def test_text_matches_per_point_reference(field):
+    spec = FieldSpec.parse(field)
+    rng = random.Random(field)
+    n = spec.q**2 + spec.q + 1
+    for S in (PointMultiset.empty(spec), PointMultiset.full_plane(spec),
+              PointMultiset.from_vector(
+                  spec, [rng.randrange(spec.p) for _ in range(n)])):
+        assert mset_to_text(S) == _text_reference(S)
