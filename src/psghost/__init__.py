@@ -1,5 +1,11 @@
 """Power sum polynomials, ghosts and the inverse problem in PG(2,q)."""
 
+import os
+
+# The float64 products here are small; extra OpenBLAS threads only add
+# start-up and hand-off time.  Set before numpy loads, and only if unset.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .field import FieldElement, FieldSpec, multinomial_mod_p, pow_q_minus_1
 from .plane import (ProjLine, ProjPoint, enumerate_lines, enumerate_points,
                     incident, line_points, pencil_lines)

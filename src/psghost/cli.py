@@ -4,7 +4,8 @@ Subcommands: psp, eval, ghost-report, solve, verify, elim-trace.
 Exit codes: 0 success, 1 verification failure, 2 inconsistent solve,
 3 input error (bad flags, unreadable or malformed input, an unwritable
 --out file, a file header naming another field than --field), 4 internal
-error.  Output is deterministic given the same flags and seed.
+error.  Output is deterministic given the same flags and seed, apart from
+the per-suite seconds in `verify --format json`.
 """
 
 from __future__ import annotations
@@ -13,10 +14,13 @@ import argparse
 import json
 import random
 import sys
+import time
+
+import numpy as np
 
 from . import elim, ghost, linalg, msets, poly, tomo
 from .field import FieldSpec
-from .msets import PointMultiset, complement, mset_from_text, mset_to_text
+from .msets import PointMultiset, mset_from_text, mset_to_text
 from .plane import ProjLine, enumerate_points, enumerate_lines
 from .poly import poly_from_text, poly_to_text
 
@@ -168,49 +172,51 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+# Each suite appends a message per failed check to `failures` and returns
+# the number of multisets (or, for elim, closed-form cells) it checked.
+
 def _suite_pencils(spec, rng, failures):
     points = enumerate_points(spec)
-    vertices = [points[0], points[len(points) // 2], points[-1]]
-    for P in vertices:
+    labels, stack = [], []
+    for P in [points[0], points[len(points) // 2], points[-1]]:
         for lam in range(spec.p**(spec.h - 1) + 1):
-            if not ghost.is_ghost(ghost.partial_pencil_ghost(P, lam, spec)):
-                failures.append(f"partial pencil lam={lam} at {P}")
+            labels.append(f"partial pencil lam={lam} at {P}")
+            stack.append(ghost.partial_pencil_ghost(P, lam, spec).mult)
         lam = 0
         while 1 <= spec.q - lam * spec.p:
-            if not ghost.is_ghost(ghost.punctured_pencil_ghost(P, lam, spec)):
-                failures.append(f"punctured pencil lam={lam} at {P}")
+            labels.append(f"punctured pencil lam={lam} at {P}")
+            stack.append(ghost.punctured_pencil_ghost(P, lam, spec).mult)
             lam += 1
     for l in enumerate_lines(spec)[:5]:
-        if not ghost.is_ghost(ghost.line_ghost(l, spec)):
-            failures.append(f"line ghost {l}")
+        labels.append(f"line ghost {l}")
+        stack.append(ghost.line_ghost(l, spec).mult)
+    ok = ghost.is_ghost_stack(spec, stack).tolist()
+    failures.extend(label for label, good in zip(labels, ok) if not good)
+    return len(stack)
 
 
 def _suite_complements(spec, rng, failures):
-    full = PointMultiset.full_plane(spec)
-    report = ghost.ghost_report(spec)
-    for S in report.kernel_basis:
-        if all(a <= b for a, b in zip(S.mult, full.mult)):
-            comp = complement(S, full)
-        else:
-            # mod-p complement for multiplicities above 1
-            comp = msets.msum(full, msets.minverse(S))
-        if not ghost.is_ghost(comp):
-            failures.append("complement of a kernel basis element")
+    # Full plane minus a basis element, mod p: for a plain set this is its
+    # complement, for higher multiplicities the mod-p complement.
+    B = np.array([S.mult for S in ghost.ghost_report(spec).kernel_basis])
+    ok = ghost.is_ghost_stack(spec, (1 - B) % spec.p)
+    failures.extend("complement of a kernel basis element"
+                    for good in ok.tolist() if not good)
+    return len(B)
 
 
 def _suite_vandermonde(spec, rng, failures):
-    n = spec.q**2 + spec.q + 1
-    for _ in range(200):
-        S = PointMultiset.from_vector(
-            spec, [rng.randrange(spec.p) for _ in range(n)])
-        a, b = ghost.is_ghost(S), ghost.vandermonde_check(S)
-        if a != b:
-            failures.append(f"is_ghost {a} != vandermonde_check {b}")
+    V = msets.random_residues(rng, spec.p, (200, spec.q**2 + spec.q + 1))
+    a = ghost.is_ghost_stack(spec, V).tolist()
+    b = ghost.vandermonde_check_stack(spec, V).tolist()
+    failures.extend(f"is_ghost {x} != vandermonde_check {y}"
+                    for x, y in zip(a, b) if x != y)
+    return len(V)
 
 
 def _suite_union_counterexample(spec, rng, failures):
     if spec.q != 2:
-        return
+        return 0
     l1 = ProjLine.from_encodings(spec, 1, 0, 0)  # X = 0
     l2 = ProjLine.from_encodings(spec, 0, 0, 1)  # Z = 0
     pts = set(ghost.line_points(l1, spec)) | set(ghost.line_points(l2, spec))
@@ -219,14 +225,16 @@ def _suite_union_counterexample(spec, rng, failures):
     Y = poly.HomPoly.from_terms(spec, {(0, 1): 1})
     if G != Y or ghost.is_ghost(S):
         failures.append("set-union counterexample did not reproduce")
+    return 1
 
 
 def _suite_elim(spec, rng, failures):
     if spec.h != 1 or spec.p < 3:
-        return
+        return 0
     report = elim.verify_procedure(spec.p)
     if not report.ok:
         failures.extend(report.discrepancies)
+    return report.cells_checked
 
 
 def cmd_verify(args) -> int:
@@ -243,16 +251,25 @@ def cmd_verify(args) -> int:
     if args.suite not in suites:
         raise InputError(f"unknown suite {args.suite!r}")
     failures: list[str] = []
-    report_lines = []
+    results = []
     for fn in suites[args.suite]:
         before = len(failures)
-        fn(spec, rng, failures)
-        name = fn.__name__.removeprefix("_suite_")
-        status = "pass" if len(failures) == before else "FAIL"
-        report_lines.append(f"{name}: {status}")
-    for f in failures:
-        report_lines.append(f"  {f}")
-    _write(args.out, "\n".join(report_lines) + "\n")
+        t0 = time.perf_counter()
+        checked = fn(spec, rng, failures)
+        results.append({
+            "name": fn.__name__.removeprefix("_suite_"),
+            "status": "pass" if len(failures) == before else "FAIL",
+            "checked": checked,
+            "seconds": round(time.perf_counter() - t0, 6),
+            "failures": failures[before:],
+        })
+    if args.format == "json":
+        _write(args.out, json.dumps({"q": str(spec), "seed": args.seed,
+                                     "suites": results}, indent=2) + "\n")
+    else:
+        report_lines = [f"{r['name']}: {r['status']}" for r in results]
+        report_lines += [f"  {f}" for f in failures]
+        _write(args.out, "\n".join(report_lines) + "\n")
     return EXIT_OK if not failures else EXIT_VERIFY_FAIL
 
 

@@ -222,6 +222,7 @@ class ElimReport:
     steps_run: int
     checks: list[str]
     discrepancies: list[str]
+    cells_checked: int  # closed-form cells compared with elimination
 
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -254,6 +255,7 @@ def verify_procedure(p: int) -> ElimReport:
         raise ValueError("verify_procedure requires an odd prime")
     checks: list[str] = []
     disc: list[str] = []
+    cells = 0
 
     states = run_elimination(p)
     for state in states[1:]:
@@ -261,6 +263,7 @@ def verify_procedure(p: int) -> ElimReport:
         for (b, c), row in zip(state.row_labels, state.matrix):
             if c < n + 1:
                 continue  # pivotal or already frozen rows
+            cells += len(row)
             for (lam, mu), x in zip(state.col_labels, row):
                 cf = closed_form_entry(n, b, c, lam, mu)
                 if cf != x:
@@ -321,7 +324,7 @@ def verify_procedure(p: int) -> ElimReport:
     else:
         disc.append("stripped matrix singular mod p")
 
-    return ElimReport(p, not disc, len(states) - 1, checks, disc)
+    return ElimReport(p, not disc, len(states) - 1, checks, disc, cells)
 
 
 def det_nonzero_mod_p(M, p: int) -> bool:

@@ -6,7 +6,9 @@ the kernel description of the ghost subgroup with its size exponent.
 
 The fast paths go through a cached prime-subfield point-image matrix: the
 power sum polynomial of a multiset, in F_p coordinates, is the
-multiplicity vector times that matrix mod p.
+multiplicity vector times that matrix mod p.  Each predicate takes an
+(m, q^2+q+1) stack of multiplicity vectors and answers every row with one
+float64 product; the PointMultiset forms wrap a one-row stack.
 """
 
 from __future__ import annotations
@@ -43,31 +45,73 @@ def line_evaluation_matrix_fp(spec: FieldSpec) -> np.ndarray:
     return point_matrix_fp(spec) @ E % spec.p
 
 
+def product_mod_p(V, matrix: np.ndarray, p: int) -> np.ndarray:
+    """V @ matrix % p for an (m, n) stack V, as one float64 (BLAS) product.
+
+    Entries of V and matrix must lie in {0,...,p-1}.  The product is exact
+    while every sum of n such products, at most (p-1)^2 * n, is below 2^53;
+    ArithmeticError otherwise.
+    """
+    n = matrix.shape[0]
+    if (p - 1)**2 * n >= 2**53:
+        raise ArithmeticError(f"a sum of {n} products mod {p} would not be "
+                              "exact in float64")
+    R = np.asarray(V, dtype=np.float64) @ matrix.astype(np.float64)
+    return np.remainder(R, p, out=R)
+
+
+def _mult_stack(spec: FieldSpec, V) -> np.ndarray:
+    """V as an (m, q^2+q+1) integer array of multiplicities, checked."""
+    V = np.asarray(V)
+    n = spec.q**2 + spec.q + 1
+    if V.ndim != 2 or V.shape[1] != n or V.dtype.kind not in "biu":
+        raise ValueError(f"expected an (m, {n}) integer stack of multiplicity "
+                         f"vectors, got {V.dtype} of shape {V.shape}")
+    if V.size and (V.min() < 0 or V.max() >= spec.p):
+        raise ValueError("multiplicities must lie in {0,...,p-1}")
+    return V
+
+
+def is_ghost_stack(spec: FieldSpec, V) -> np.ndarray:
+    """Per row of V: every coefficient of the power sum polynomial is zero."""
+    V = _mult_stack(spec, V)
+    return ~product_mod_p(V, point_matrix_fp(spec), spec.p).any(axis=1)
+
+
+def all_line_evaluations_zero_stack(spec: FieldSpec, V) -> np.ndarray:
+    """Per row of V: the power sum polynomial is zero on every line."""
+    V = _mult_stack(spec, V)
+    return ~product_mod_p(V, line_evaluation_matrix_fp(spec),
+                          spec.p).any(axis=1)
+
+
+def vandermonde_check_stack(spec: FieldSpec, V) -> np.ndarray:
+    """Per row of V: the constant-intersection characterization.
+
+    True iff some residue r mod p satisfies: every line meets the multiset
+    in r points (multiplicity-weighted, mod p) and the total multiplicity is
+    r mod p.
+    """
+    V = _mult_stack(spec, V)
+    meets = product_mod_p(V, incidence_matrix(spec), spec.p)
+    r = meets[:, 0]
+    return (meets == r[:, None]).all(axis=1) & (V.sum(axis=1) % spec.p == r)
+
+
 def is_ghost(S: PointMultiset) -> bool:
     """True iff every coefficient of the power sum polynomial is zero."""
-    spec = S.spec
-    v = np.asarray(S.mult, dtype=np.int64)
-    return not np.any(v @ point_matrix_fp(spec) % spec.p)
+    return bool(is_ghost_stack(S.spec, [S.mult])[0])
 
 
 def all_line_evaluations_zero(S: PointMultiset) -> bool:
     """True iff the power sum polynomial evaluates to zero on every line."""
-    spec = S.spec
-    v = np.asarray(S.mult, dtype=np.int64)
-    return not np.any(v @ line_evaluation_matrix_fp(spec) % spec.p)
+    return bool(all_line_evaluations_zero_stack(S.spec, [S.mult])[0])
 
 
 def vandermonde_check(S: PointMultiset) -> bool:
-    """Constant-intersection characterization.
-
-    True iff some residue r mod p satisfies: every line meets S in r points
-    (multiplicity-weighted, mod p) and the total multiplicity is r mod p.
-    """
-    spec = S.spec
-    v = np.asarray(S.mult, dtype=np.int64)
-    meets = v @ incidence_matrix(spec) % spec.p
-    r = int(meets[0])
-    return bool(np.all(meets == r)) and S.size % spec.p == r
+    """Constant-intersection characterization of one multiset; see
+    vandermonde_check_stack."""
+    return bool(vandermonde_check_stack(S.spec, [S.mult])[0])
 
 
 def line_ghost(line: ProjLine, spec: FieldSpec) -> PointMultiset:
@@ -140,12 +184,7 @@ def ghost_report(spec: FieldSpec) -> GhostReport:
     """Rank of the point-image matrix over F_p, kernel basis, exponent."""
     M = point_matrix_fp(spec)
     B = linalg.left_kernel_basis(M, spec.p)
-    # One float64 (BLAS) product: exact while every sum of residue
-    # products, at most (p-1)^2 * n, is below 2^53.
-    if (spec.p - 1)**2 * M.shape[0] >= 2**53:
-        raise ArithmeticError(f"basis check over GF({spec}) would not be "
-                              "exact in float64")
-    if np.any(B.astype(np.float64) @ M.astype(np.float64) % spec.p):
+    if np.any(product_mod_p(B, M, spec.p)):
         raise ArithmeticError(f"kernel basis over GF({spec}) is not in the "
                               "kernel of the point-image matrix")
     rank_phi = M.shape[0] - B.shape[0]

@@ -8,6 +8,8 @@ sum polynomial is a group homomorphism into the polynomial space.
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -104,6 +106,31 @@ def complement(A: PointMultiset, B: PointMultiset) -> PointMultiset:
 def phi(S: PointMultiset) -> poly.HomPoly:
     """The group homomorphism sending a multiset to its power sum polynomial."""
     return poly.power_sum(S)
+
+
+def random_residues(rng: random.Random, p: int, shape) -> np.ndarray:
+    """An int64 array of rng.randrange(p) draws, filled in row-major order.
+
+    It equals the array of per-entry randrange(p) calls and leaves rng in
+    the same state.  randrange(p) keeps the top k = p.bit_length() bits of
+    one 32-bit Mersenne Twister word, and takes the next word while they
+    are >= p.  Here words come in blocks from getrandbits(32 * need), where
+    need is the number of draws still missing, so no block takes a word
+    that the per-entry calls would not take.
+    """
+    k = p.bit_length()
+    if not 2 <= k <= 32:
+        raise ValueError(f"p = {p} out of range for 32-bit draws")
+    draws = [np.zeros(0, dtype=np.int64)]
+    need = math.prod(shape)
+    while need:
+        words = np.frombuffer(
+            rng.getrandbits(32 * need).to_bytes(4 * need, "little"),
+            dtype="<u4")
+        top = (words >> (32 - k)).astype(np.int64)
+        draws.append(top[top < p])
+        need -= len(draws[-1])
+    return np.concatenate(draws).reshape(shape)
 
 
 # -- text format ------------------------------------------------------

@@ -8,14 +8,17 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 from psghost import elim, tomo
 from psghost.field import FieldSpec
-from psghost.ghost import (all_line_evaluations_zero, ghost_report, is_ghost,
-                           line_ghost, partial_pencil_ghost,
-                           punctured_pencil_ghost, vandermonde_check)
-from psghost.msets import PointMultiset, complement, minverse, msum, phi
+from psghost.ghost import (all_line_evaluations_zero_stack, ghost_report,
+                           is_ghost, is_ghost_stack, line_ghost,
+                           partial_pencil_ghost, punctured_pencil_ghost,
+                           vandermonde_check_stack)
+from psghost.msets import (PointMultiset, complement, minverse, msum, phi,
+                           random_residues)
 from psghost.plane import (ProjLine, ProjPoint, enumerate_lines,
                            enumerate_points, line_points)
 from psghost.poly import HomPoly
@@ -109,28 +112,22 @@ def test_criterion_6_closed_form_vs_elimination():
 
 
 def test_criterion_7_characterization_equivalence():
-    mismatches = 0
-    for bits in itertools.product((0, 1), repeat=7):
-        S = PointMultiset(GF2, bits)
-        a = is_ghost(S)
-        if a != vandermonde_check(S) or a != all_line_evaluations_zero(S):
-            mismatches += 1
-    gf3 = FieldSpec.of(3)
-    for bits in itertools.product((0, 1), repeat=13):
-        S = PointMultiset(gf3, bits)
-        a = is_ghost(S)
-        if a != vandermonde_check(S) or a != all_line_evaluations_zero(S):
-            mismatches += 1
+    # every plain set at q = 2 and q = 3, and 10 000 random multisets per
+    # field drawn as rng.randrange(p) per entry, checked as one stack each
+    stacks = [(GF2, np.array(list(itertools.product((0, 1), repeat=7)))),
+              (FieldSpec.of(3),
+               np.array(list(itertools.product((0, 1), repeat=13))))]
     for p, h in [(5, 1), (7, 1), (2, 3), (3, 2)]:
         spec = FieldSpec.of(p, h)
         n = spec.q**2 + spec.q + 1
-        rng = random.Random(1000 + spec.q)
-        for _ in range(10_000):
-            S = PointMultiset.from_vector(
-                spec, [rng.randrange(p) for _ in range(n)])
-            a = is_ghost(S)
-            if a != vandermonde_check(S) or a != all_line_evaluations_zero(S):
-                mismatches += 1
+        stacks.append((spec, random_residues(random.Random(1000 + spec.q), p,
+                                             (10_000, n))))
+    mismatches = 0
+    for spec, V in stacks:
+        a = is_ghost_stack(spec, V)
+        mismatches += int(np.count_nonzero(
+            (a != vandermonde_check_stack(spec, V))
+            | (a != all_line_evaluations_zero_stack(spec, V))))
     report("7 characterization equivalence", mismatches == 0)
 
 

@@ -1,10 +1,13 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from psghost.cli import main
+from psghost.elim import verify_procedure
 from psghost.field import FieldSpec
+from psghost.ghost import ghost_report
 from psghost.msets import PointMultiset, mset_to_text, phi
 from psghost.poly import poly_to_text
 
@@ -190,6 +193,65 @@ def test_verify_deterministic_output(capsys):
     code2, out2, _ = run(capsys, "verify", "--field", "3",
                          "--suite", "vandermonde", "--seed", "42")
     assert (code1, out1) == (code2, out2)
+
+
+VERIFY_SUITES = ["pencils", "complements", "vandermonde",
+                 "union_counterexample", "elim"]
+
+
+def _verify_json(capsys, field, *extra):
+    code, out, _ = run(capsys, "verify", "--field", field, "--format", "json",
+                       *extra)
+    return code, json.loads(out)
+
+
+@pytest.mark.parametrize("field", ["2", "3", "2^2", "7", "3^2"])
+def test_verify_json_says_what_each_suite_checked(capsys, field):
+    spec = FieldSpec.parse(field)
+    code, data = _verify_json(capsys, field, "--seed", "5")
+    assert code == 0
+    assert data["q"] == field and data["seed"] == 5
+    assert [s["name"] for s in data["suites"]] == VERIFY_SUITES
+    for s in data["suites"]:
+        assert set(s) == {"name", "status", "checked", "seconds", "failures"}
+        assert s["status"] == "pass" and s["failures"] == []
+        assert isinstance(s["seconds"], float) and s["seconds"] >= 0
+    checked = {s["name"]: s["checked"] for s in data["suites"]}
+    # 3 vertices, p^(h-1)+1 partial and q/p punctured pencils each, 5 lines
+    assert checked["pencils"] == 3 * (2 * spec.q // spec.p + 1) + 5
+    assert checked["complements"] == ghost_report(spec).ghost_exponent
+    assert checked["vandermonde"] == 200
+    # the counterexample lives at q = 2; the elimination proof at odd primes
+    assert checked["union_counterexample"] == (1 if spec.q == 2 else 0)
+    if spec.h == 1 and spec.p >= 3:
+        # closed-form cells; p = 3 has one step and no non-pivotal rows
+        cells = verify_procedure(spec.p).cells_checked
+        assert checked["elim"] == cells and (cells > 0) == (spec.p > 3)
+    else:
+        assert checked["elim"] == 0
+
+
+def test_verify_json_single_suite(capsys):
+    code, data = _verify_json(capsys, "5", "--suite", "vandermonde")
+    assert code == 0
+    assert [(s["name"], s["checked"]) for s in data["suites"]] == [
+        ("vandermonde", 200)]
+
+
+def test_verify_json_lists_failures_per_suite(monkeypatch, capsys):
+    from psghost import ghost
+    monkeypatch.setattr(ghost, "is_ghost_stack",
+                        lambda spec, V: np.zeros(len(V), dtype=bool))
+    code, data = _verify_json(capsys, "3")
+    assert code == 1
+    by_name = {s["name"]: s for s in data["suites"]}
+    assert by_name["pencils"]["status"] == "FAIL"
+    assert len(by_name["pencils"]["failures"]) == by_name["pencils"]["checked"]
+    assert by_name["complements"]["failures"] == (
+        ["complement of a kernel basis element"]
+        * by_name["complements"]["checked"])
+    assert by_name["elim"] == {**by_name["elim"], "status": "pass",
+                               "failures": []}
 
 
 def test_elim_trace(capsys):

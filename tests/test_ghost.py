@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from psghost.field import FieldSpec
-from psghost.ghost import (all_line_evaluations_zero, ghost_report, is_ghost,
-                           line_ghost, partial_pencil_ghost,
-                           punctured_pencil_ghost, vandermonde_check)
+from psghost.ghost import (all_line_evaluations_zero,
+                           all_line_evaluations_zero_stack, ghost_report,
+                           is_ghost, is_ghost_stack, line_ghost,
+                           partial_pencil_ghost, product_mod_p,
+                           punctured_pencil_ghost, vandermonde_check,
+                           vandermonde_check_stack)
 from psghost.msets import PointMultiset, complement, minverse, msum, phi
-from psghost.plane import ProjLine, ProjPoint, enumerate_lines, enumerate_points
+from psghost.plane import (ProjLine, ProjPoint, enumerate_lines,
+                           enumerate_points, line_points)
 from psghost.poly import HomPoly, evaluate
 
 GF2 = FieldSpec.of(2)
@@ -206,3 +210,96 @@ def test_ghost_report_rejects_a_basis_outside_the_kernel(monkeypatch):
             ghost_report(spec)
     finally:
         ghost_report.cache_clear()
+
+
+STACK_PREDICATES = [is_ghost_stack, vandermonde_check_stack,
+                    all_line_evaluations_zero_stack]
+
+
+def _loop_reference(spec, S):
+    """The three characterizations of one multiset, by loops over lines."""
+    G = phi(S)
+    lines = enumerate_lines(spec)
+    meets = [sum(S.multiplicity(P) for P in line_points(l, spec)) % spec.p
+             for l in lines]
+    return (G.is_zero(),
+            all(m == S.size % spec.p for m in meets),
+            all(evaluate(G, l).is_zero() for l in lines))
+
+
+def _mixed_stack(spec):
+    """Lines, pencils, kernel rows and their complements, random multisets,
+    the empty and the full plane, as an (m, n) int64 stack."""
+    P = enumerate_points(spec)[1]
+    rows = [line_ghost(l, spec).mult for l in enumerate_lines(spec)[:3]]
+    rows += [partial_pencil_ghost(P, lam, spec).mult
+             for lam in range(spec.p**(spec.h - 1) + 1)]
+    rows += [punctured_pencil_ghost(P, lam, spec).mult
+             for lam in range(spec.q // spec.p)]
+    kernel = [S.mult for S in ghost_report(spec).kernel_basis[:4]]
+    rows += kernel
+    rows += [tuple((1 - m) % spec.p for m in v) for v in kernel]
+    rng = random.Random(spec.q)
+    n = spec.q**2 + spec.q + 1
+    rows += [tuple(rng.randrange(spec.p) for _ in range(n)) for _ in range(8)]
+    rows += [(0,) * n, (1,) * n]
+    rng.shuffle(rows)
+    return np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                 (2, 3), (3, 2)])
+def test_stack_predicates_match_loop_reference(p, h):
+    spec = FieldSpec.of(p, h)
+    V = _mixed_stack(spec)
+    got = [pred(spec, V) for pred in STACK_PREDICATES]
+    for a in got:
+        assert a.dtype == np.bool_ and a.shape == (len(V),)
+    want = np.array([_loop_reference(spec, PointMultiset(spec, tuple(v)))
+                     for v in V.tolist()])
+    assert np.array_equal(np.column_stack(got), want)
+    assert want[:, 0].any() and not want[:, 0].all()  # both answers occur
+    # the one-multiset forms agree row by row
+    for v, row in zip(V.tolist(), want.tolist()):
+        S = PointMultiset(spec, tuple(v))
+        assert [is_ghost(S), vandermonde_check(S),
+                all_line_evaluations_zero(S)] == row
+
+
+@pytest.mark.parametrize("pred", STACK_PREDICATES)
+def test_stack_predicates_on_an_empty_stack(pred):
+    spec = FieldSpec.of(3)
+    out = pred(spec, np.zeros((0, 13), dtype=np.int64))
+    assert out.shape == (0,) and out.dtype == np.bool_
+
+
+@pytest.mark.parametrize("pred", STACK_PREDICATES)
+def test_stack_predicates_reject_malformed_stacks(pred):
+    spec = FieldSpec.of(3)
+    for bad in (np.zeros(13, dtype=np.int64),          # not a stack
+                np.zeros((2, 12), dtype=np.int64),     # wrong width
+                np.zeros((2, 13)),                     # not integers
+                np.full((2, 13), 3, dtype=np.int64),   # entry p
+                np.full((2, 13), -1, dtype=np.int64)):
+        with pytest.raises(ValueError):
+            pred(spec, bad)
+
+
+def test_product_mod_p_guard():
+    # (p-1)^2 * n must stay below 2^53 for the float64 sums to be exact
+    p = 2**26 + 1
+    V = np.array([[p - 1]])
+    assert product_mod_p(V, np.array([[p - 1]]), p).tolist() == [[1.0]]
+    with pytest.raises(ArithmeticError):
+        product_mod_p(np.array([[p - 1, p - 1]]), np.array([[p - 1], [p - 1]]),
+                      p)
+
+
+def test_one_multiset_predicates_return_bool():
+    spec = FieldSpec.of(3)
+    for S in (PointMultiset.full_plane(spec),
+              PointMultiset.from_vector(spec, [1] + [0] * 12)):
+        answers = [is_ghost(S), vandermonde_check(S),
+                   all_line_evaluations_zero(S)]
+        assert all(type(a) is bool for a in answers)
+        json.dumps(answers)

@@ -1,5 +1,5 @@
-"""Golden output hashes: `ghost-report`, `solve`, `psp` and `eval` JSON must
-stay byte-identical.
+"""Golden output hashes: `ghost-report`, `solve`, `psp` and `eval` JSON and
+`verify --suite all` text must stay byte-identical.
 
 Each entry is the sha256 of the bytes the CLI writes to stdout.  The inputs
 derive from the plain set whose per-point bits are drawn as
@@ -11,8 +11,10 @@ polynomial.
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
+from psghost import ghost
 from psghost.cli import main
 from psghost.field import FieldSpec
 from psghost.msets import PointMultiset, mset_to_text, phi
@@ -104,8 +106,48 @@ EVAL_SHA256 = {
 }
 
 
-def _stdout_sha256(capsys, argv):
-    assert main(argv) == 0
+# `verify --suite all` text: five pass lines at every field and seed.
+VERIFY_FIELDS = FIELDS[:-1] + ["11", "13"]
+VERIFY_ALL_PASS_SHA256 = (
+    "d0006b130e1fb4e85dde7a4f4b69b41ef6333215ce8d1e86fb56cc6119fac435")
+
+# `verify --suite all` text with the ghost predicate forced to one answer, so
+# that every check of pencils and complements fails and vandermonde fails on
+# each sample where the characterizations disagree with it: this pins the
+# failure messages, their order and the random sample stream.  Keys are
+# (forced answer, field, seed).
+VERIFY_FORCED_SHA256 = {
+    (False, "2", 0):
+        "4b42b96d9a180ba16e71a594ccf08de90ce0dc8b57f00dd6a2d20a40ccbbf87c",
+    (False, "2", 1):
+        "5d3578401a446c08d98eb06d8197a98e4fcaa6e8cb9e63ca9e5116f789fd9c3e",
+    (False, "3", 0):
+        "503efc9b9448cc1b80cc2286caca843bc7df836b6228b2fef94e96978d14c9fe",
+    (False, "3", 1):
+        "db27495bd1d2622b3ce90562835d05671f1f4d6a08d4d9869cf003d5822bae57",
+    (False, "2^2", 0):
+        "0d5e55c43fb6d98c9c0cb29319ec134227de4671eddb081031d599671c015b03",
+    (False, "2^2", 1):
+        "0cbf3e7bd3f5d0f3152a1135662dbef22ccca95e105c27df7bace828d244582d",
+    (False, "5", 0):
+        "61388082efb514e8fbdf1f788b167ea9f4aa35b9668becc600617431f155bc96",
+    (False, "3^2", 0):
+        "ab5882e6121a95355c00d4f4d6996ed2548896a8b61b84e6010743197d764861",
+    (True, "2", 0):
+        "72c2e74b55aada271b9d0561383cefbfec7ba9651c8089d9677b5f479d8d289a",
+    (True, "2", 1):
+        "72dc6d168289b66aee818aedee688f4b3192a299f9fab82fc1e53dc5779cfac3",
+    (True, "3", 0):
+        "3c650d52534d217d806470845ac5bda4dd6bd3aa50502b72c57b50f6fbc3eef4",
+    (True, "3", 1):
+        "8210ce5a7cd35cac48dfea2d959d2f135e1968f66164f7a21534a68daea46451",
+    (True, "2^2", 1):
+        "11795374addcea74f68a5c72596a907dfd6563431dc8559a6afdd4de3a901ca9",
+}
+
+
+def _stdout_sha256(capsys, argv, code=0):
+    assert main(argv) == code
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
@@ -152,3 +194,20 @@ def test_eval_json_golden(tmp_path, capsys, field):
     text = _random_set_poly(FieldSpec.parse(field))
     assert (_cli_json_sha256(tmp_path, capsys, "eval", field, text)
             == EVAL_SHA256[field])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("field", VERIFY_FIELDS)
+def test_verify_all_text_golden(capsys, field, seed):
+    digest = _stdout_sha256(
+        capsys, ["verify", "--field", field, "--seed", str(seed)])
+    assert digest == VERIFY_ALL_PASS_SHA256
+
+
+@pytest.mark.parametrize("forced,field,seed", sorted(VERIFY_FORCED_SHA256))
+def test_verify_failure_text_golden(monkeypatch, capsys, forced, field, seed):
+    monkeypatch.setattr(ghost, "is_ghost_stack",
+                        lambda spec, V: np.full(len(V), forced))
+    digest = _stdout_sha256(
+        capsys, ["verify", "--field", field, "--seed", str(seed)], code=1)
+    assert digest == VERIFY_FORCED_SHA256[(forced, field, seed)]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from psghost.field import FieldSpec
 from psghost.msets import (PointMultiset, complement, minverse, mset_from_text,
-                           mset_to_text, msum, phi)
+                           mset_to_text, msum, phi, random_residues)
 from psghost.plane import ProjPoint, enumerate_points, line_points, ProjLine
 from psghost.poly import add_poly
 
@@ -177,3 +177,23 @@ def test_text_matches_per_point_reference(field):
               PointMultiset.from_vector(
                   spec, [rng.randrange(spec.p) for _ in range(n)])):
         assert mset_to_text(S) == _text_reference(S)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31])
+def test_random_residues_equal_the_randrange_stream(p):
+    for seed in (0, 1, 7, 11, 1000 + p):
+        for shape in [(40, p * p + p + 1), (3, 5), (1, 1), (0, 4), (9,)]:
+            fast, slow = random.Random(seed), random.Random(seed)
+            got = random_residues(fast, p, shape)
+            want = np.array([slow.randrange(p) for _ in range(int(np.prod(shape)))],
+                            dtype=np.int64).reshape(shape)
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert np.array_equal(got, want), (seed, shape)
+            # the same number of words was taken
+            assert fast.getstate() == slow.getstate()
+
+
+def test_random_residues_reject_p_beyond_32_bits():
+    for p in (1, 2**32 + 15):
+        with pytest.raises(ValueError):
+            random_residues(random.Random(0), p, (2, 2))
