@@ -11,6 +11,7 @@ the per-suite seconds in `verify --format json`.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -29,6 +30,11 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INCONSISTENT = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
+
+# Largest field order the commands accept: desk scale, every prime up to 61.
+# At q = 61 the point-image matrix is 3783 x 1891; far beyond it the
+# builders would allocate without bound before printing anything.
+MAX_CLI_Q = 64
 
 
 class InputError(Exception):
@@ -66,9 +72,13 @@ def _write(path, text):
 
 def _field(args) -> FieldSpec:
     try:
-        return FieldSpec.parse(args.field)
+        spec = FieldSpec.parse(args.field)
     except (ValueError, TypeError) as e:
         raise InputError(f"bad field {args.field!r}: {e}") from e
+    if spec.q > MAX_CLI_Q:
+        raise InputError(f"bad field {args.field!r}: q = {spec.q} exceeds "
+                         f"{MAX_CLI_Q}, the largest plane the commands handle")
+    return spec
 
 
 def cmd_psp(args) -> int:
@@ -143,18 +153,20 @@ def cmd_solve(args) -> int:
         return EXIT_INCONSISTENT
     if args.sets:
         sols = tomo.enumerate_set_solutions(G, args.limit)
+        # Complete: every candidate was examined (exhaustive search, or a
+        # coset within the walk budget) and --limit did not cut it off.
+        examined_all = (spec.q <= 3
+                        or spec.p**coset.exponent <= tomo.WALK_BUDGET)
+        complete = examined_all and len(sols) < args.limit
         if args.format == "json":
-            # Complete: every candidate was examined (exhaustive search, or a
-            # coset within the walk budget) and --limit did not cut it off.
-            examined_all = (spec.q <= 3
-                            or spec.p**coset.exponent <= tomo.WALK_BUDGET)
             _write(args.out, json.dumps(
-                {"q": str(spec),
-                 "complete": examined_all and len(sols) < args.limit,
+                {"q": str(spec), "complete": complete,
                  "solutions": [mset_to_text(S) for S in sols]},
                 indent=2) + "\n")
         else:
-            _write(args.out, "\n".join(mset_to_text(S) for S in sols))
+            _write(args.out, f"# {len(sols)} plain-set solutions, complete: "
+                   f"{json.dumps(complete)}\n"
+                   + "\n".join(mset_to_text(S) for S in sols))
         return EXIT_OK
     if args.format == "json":
         _write(args.out, json.dumps({
@@ -237,27 +249,24 @@ def _suite_elim(spec, rng, failures):
     return report.cells_checked
 
 
+# Every suite by name, in the order `--suite all` runs them.
+SUITES = {fn.__name__.removeprefix("_suite_"): fn
+          for fn in (_suite_pencils, _suite_complements, _suite_vandermonde,
+                     _suite_union_counterexample, _suite_elim)}
+
+
 def cmd_verify(args) -> int:
     spec = _field(args)
     rng = random.Random(args.seed)
-    suites = {
-        "pencils": [_suite_pencils],
-        "complements": [_suite_complements],
-        "vandermonde": [_suite_vandermonde],
-        "elim": [_suite_elim],
-        "all": [_suite_pencils, _suite_complements, _suite_vandermonde,
-                _suite_union_counterexample, _suite_elim],
-    }
-    if args.suite not in suites:
-        raise InputError(f"unknown suite {args.suite!r}")
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     failures: list[str] = []
     results = []
-    for fn in suites[args.suite]:
+    for name in names:
         before = len(failures)
         t0 = time.perf_counter()
-        checked = fn(spec, rng, failures)
+        checked = SUITES[name](spec, rng, failures)
         results.append({
-            "name": fn.__name__.removeprefix("_suite_"),
+            "name": name,
             "status": "pass" if len(failures) == before else "FAIL",
             "checked": checked,
             "seconds": round(time.perf_counter() - t0, 6),
@@ -324,9 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a verification suite")
     common(sp)
-    sp.add_argument("--suite", default="all",
-                    choices=["pencils", "complements", "vandermonde",
-                             "elim", "all"])
+    sp.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("elim-trace", help="dump elimination step matrices")
@@ -347,5 +354,19 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def run(argv=None) -> int:
+    """Process entry point: `main`, then freeze the collector's heap.
+
+    Once the answer is written the process only exits, and CPython's
+    shutdown would otherwise run one cyclic collection over every object
+    alive, numpy's import heap included (about 20 ms a command).  Frozen
+    objects are skipped.  `main` stays free of this, so that in-process
+    callers keep collecting their own garbage.
+    """
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

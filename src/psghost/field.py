@@ -24,6 +24,7 @@ DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
     (2, 2): (1, 1, 1),        # x^2 + x + 1
     (2, 3): (1, 1, 0, 1),     # x^3 + x + 1
     (2, 4): (1, 1, 0, 0, 1),  # x^4 + x + 1
+    (2, 5): (1, 0, 1, 0, 0, 1),  # x^5 + x^2 + 1
     (3, 2): (2, 2, 1),        # x^2 + 2x + 2
     (3, 3): (1, 2, 0, 1),     # x^3 + 2x + 1
     (5, 2): (2, 4, 1),        # x^2 + 4x + 2
@@ -85,12 +86,13 @@ class FieldSpec:
     modulus: tuple[int, ...]  # low-order first, monic, degree h
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+        # Size first: trial division of a large p would not finish.
         if self.h < 1:
             raise ValueError(f"extension degree must be >= 1, got {self.h}")
         if self.p**self.h > MAX_Q:
             raise ValueError(f"q = {self.p}^{self.h} exceeds supported size")
+        if not is_prime(self.p):
+            raise ValueError(f"p = {self.p} is not prime")
         mod = tuple(c % self.p for c in self.modulus)
         if len(mod) != self.h + 1 or mod[-1] != 1:
             raise ValueError("modulus must be monic of degree h")

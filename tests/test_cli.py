@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from psghost import elim, poly
 from psghost.cli import main
 from psghost.elim import verify_procedure
 from psghost.field import FieldSpec
@@ -72,6 +73,15 @@ def test_ghost_report_field7(capsys):
     assert data["rank"] == 28 and data["exponent"] == 29
 
 
+def test_ghost_report_field32(capsys):
+    code, out, _ = run(capsys, "ghost-report", "--field", "2^5",
+                       "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["rank"] == 243 == 3**5  # C(3,2)^5
+    assert data["exponent"] == 814
+
+
 def test_ghost_report_h2_flagged(capsys):
     code, out, _ = run(capsys, "ghost-report", "--field", "3^2",
                        "--format", "json")
@@ -134,6 +144,23 @@ def test_solve_sets_incomplete_when_walk_is_cut_off(tmp_path, capsys,
     data = _solve_sets_json(tmp_path, capsys, "5", _random_plain_set(spec, 5),
                             1000)
     assert data["complete"] is False
+
+
+def test_solve_sets_text_says_whether_complete(tmp_path, capsys,
+                                               monkeypatch):
+    import psghost.tomo as tomo
+    monkeypatch.setattr(tomo, "WALK_BUDGET", 2000)
+    for field, seed, complete in [("2", 3, "true"), ("5", 5, "false")]:
+        f = tmp_path / "s.psp"
+        f.write_text(poly_to_text(phi(
+            _random_plain_set(FieldSpec.parse(field), seed))))
+        code, out, _ = run(capsys, "solve", "--field", field, "--in", str(f),
+                           "--sets")
+        assert code == 0
+        header, _, rest = out.partition("\n")
+        n = out.count("# mset")
+        assert header == f"# {n} plain-set solutions, complete: {complete}"
+        assert n == 0 or rest.startswith(f"# mset q={field}\n")
 
 
 def test_solve_zero_polynomial_kernel_listing(tmp_path, capsys):
@@ -238,6 +265,13 @@ def test_verify_json_single_suite(capsys):
         ("vandermonde", 200)]
 
 
+def test_verify_union_counterexample_alone(capsys):
+    code, data = _verify_json(capsys, "2", "--suite", "union_counterexample")
+    assert code == 0
+    assert [(s["name"], s["status"], s["checked"]) for s in data["suites"]] == [
+        ("union_counterexample", "pass", 1)]
+
+
 def test_verify_json_lists_failures_per_suite(monkeypatch, capsys):
     from psghost import ghost
     monkeypatch.setattr(ghost, "is_ghost_stack",
@@ -264,6 +298,26 @@ def test_bad_field_is_input_error(capsys):
     code, _, err = run(capsys, "ghost-report", "--field", "6")
     assert code == 3
     assert "error" in err
+
+
+def _refuse(*args):
+    raise RuntimeError("guard bypassed")
+
+
+@pytest.mark.parametrize("command", ["ghost-report", "verify"])
+@pytest.mark.parametrize("field", ["1000003", "67"])
+def test_field_beyond_desk_scale_is_input_error(monkeypatch, capsys, command,
+                                                field):
+    # Without the guard these would build the point-image rows (about 5e11
+    # monomial pairs at q = 1000003) or enumerate the plane; fail fast instead.
+    import psghost.cli as cli
+    monkeypatch.setattr(poly, "point_image_rows", _refuse)
+    monkeypatch.setattr(elim, "verify_procedure", _refuse)
+    monkeypatch.setattr(cli, "enumerate_points", _refuse)
+    monkeypatch.setattr(cli, "enumerate_lines", _refuse)
+    code, out, err = run(capsys, command, "--field", field)
+    assert code == 3
+    assert out == "" and err.startswith("error:") and "64" in err
 
 
 def test_verify_elim_field17_big_integers(capsys):

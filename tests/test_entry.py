@@ -1,0 +1,62 @@
+"""The process entry point: `python -m psghost.cli` and the installed script."""
+
+import gc
+import os
+import subprocess
+import sys
+import tomllib
+from pathlib import Path
+
+import pytest
+
+import psghost
+from psghost import cli
+
+SRC = Path(psghost.__file__).resolve().parent.parent
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+
+def _process(*argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "psghost.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_process_output_equals_in_process(capsys):
+    argv = ["ghost-report", "--field", "3", "--format", "json"]
+    proc = _process(*argv)
+    assert cli.main(argv) == 0
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["ghost-report", "--field", "6"], 3),
+    (["verify", "--field", "2", "--suite", "bogus"], 3),
+    (["--help"], 0),
+])
+def test_process_exit_codes(argv, code):
+    proc = _process(*argv)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    assert cli.main(["verify", "--field", "2"]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_run_freezes_after_the_output(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(gc, "freeze",
+                        lambda: calls.append(capsys.readouterr().out))
+    assert cli.run(["ghost-report", "--field", "2"]) == 0
+    assert len(calls) == 1 and calls[0].startswith("q = 2 ")
+
+
+def test_installed_script_is_run():
+    pyproject = tomllib.loads(PYPROJECT.read_text())
+    module, _, name = pyproject["project"]["scripts"]["psghost"].partition(":")
+    assert module == "psghost.cli"
+    assert getattr(cli, name) is cli.run

@@ -150,6 +150,7 @@ def test_parse():
     assert FieldSpec.parse("7") == GF7
     assert FieldSpec.parse("3^2") == FieldSpec.of(3, 2)
     assert str(FieldSpec.of(3, 2)) == "3^2"
+    assert FieldSpec.parse("2^5").modulus == (1, 0, 1, 0, 0, 1)
 
 
 def test_reducible_modulus_rejected():
@@ -303,3 +304,13 @@ def test_coeffs_derived_from_encoding():
 def test_nonprime_p_rejected():
     with pytest.raises(ValueError):
         FieldSpec.of(6)
+
+
+def test_oversized_p_rejected_before_trial_division(monkeypatch):
+    # trial division of the prime 2^61 - 1 would not finish
+    def no_trial_division(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(field, "is_prime", no_trial_division)
+    with pytest.raises(ValueError, match="exceeds"):
+        FieldSpec.of(2**61 - 1)
