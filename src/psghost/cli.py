@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from . import elim, ghost, linalg, msets, poly, tomo
+from . import ghost, msets, poly, tomo
 from .field import FieldSpec
 from .msets import PointMultiset, mset_from_text, mset_to_text
 from .plane import ProjLine, enumerate_points, enumerate_lines
@@ -243,6 +243,7 @@ def _suite_union_counterexample(spec, rng, failures):
 def _suite_elim(spec, rng, failures):
     if spec.h != 1 or spec.p < 3:
         return 0
+    from . import elim  # only here and in elim-trace: keeps cold reports lean
     report = elim.verify_procedure(spec.p)
     if not report.ok:
         failures.extend(report.discrepancies)
@@ -286,6 +287,7 @@ def cmd_elim_trace(args) -> int:
     spec = _field(args)
     if spec.h != 1 or spec.p < 3:
         raise InputError("elim-trace requires a prime field p >= 3")
+    from . import elim
     states = elim.run_elimination(spec.p)
     chunks = []
     for state in states:

@@ -222,13 +222,6 @@ def mul(spec: FieldSpec, a, b) -> np.ndarray:
     return np.where((a == 0) | (b == 0), 0, prod)
 
 
-def power(spec: FieldSpec, a, n) -> np.ndarray:
-    """Encodings of a^n for exponents n >= 0, with 0^0 = 1."""
-    a, n = np.asarray(a), np.asarray(n)
-    prod = spec.exp[spec.log[a] * n % (spec.q - 1)]
-    return np.where(a == 0, (n == 0).astype(np.int64), prod)
-
-
 @dataclass(frozen=True)
 class FieldElement:
     """Element of GF(p^h), a view of its integer encoding."""

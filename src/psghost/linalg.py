@@ -1,12 +1,14 @@
 """Exact linear algebra over F_p.
 
 One elimination routine, `rref`, serves rank, left kernel and the
-prefactored solver.  It takes entries reduced to {0,...,p-1} and works in
-the narrowest integer type that holds every intermediate (int16 for
-p <= 181, else int64); pivoting is deterministic (first nonzero in column
-order) so echelon forms and kernel bases are byte-reproducible.  The kernel
-orientation is the left kernel: vectors index rows (points), columns index
-monomial coordinates.
+prefactored solver.  It takes entries reduced to {0,...,p-1} and delays
+the reduction mod p (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008): a row
+update subtracts at most (p-1)^2 from an entry, so it works in int32 (int64
+when p + (p-1)^2 >= 2^31) and reduces the whole matrix only after every
+`room` updates, the number that provably stay in range.  Pivoting is
+deterministic (first nonzero in column order) so echelon forms and kernel
+bases are byte-reproducible.  The kernel orientation is the left kernel:
+vectors index rows (points), columns index monomial coordinates.
 """
 
 from __future__ import annotations
@@ -30,39 +32,50 @@ def as_fp(M, p: int) -> np.ndarray:
     return A
 
 
-def _work_dtype(p: int):
-    """int16 when every product and difference of residues, at most
-    (p-1)^2 in absolute value, fits it; int64 otherwise."""
-    return np.int16 if (p - 1)**2 < 2**15 else np.int64
-
-
 def rref(M, p: int, ncols: int | None = None):
     """Reduced row-echelon form over F_p, returned as int64.
 
     Returns (R, pivots): pivots are the pivot column indices.  Pivots are
     searched only in the first ncols columns (all columns by default); the
     remaining columns take part in every row operation.
+
+    The pivot column and the pivot row are reduced when read, so each update
+    subtracts products in [0, (p-1)^2] and entries stay in
+    [-room * (p-1)^2, p-1] between full reductions.  ArithmeticError when
+    not even one update fits int64.
     """
-    A = as_fp(M, p).astype(_work_dtype(p), copy=False)
+    if p + (p - 1)**2 >= 2**63:
+        raise ArithmeticError(f"products of residues mod {p} would overflow "
+                              "int64")
+    dtype = np.int32 if p + (p - 1)**2 < 2**31 else np.int64
+    room = (int(np.iinfo(dtype).max) - p) // (p - 1)**2
+    A = as_fp(M, p).astype(dtype, copy=False)
     rows, cols = A.shape
     pivots: list[int] = []
-    r = 0
+    r = updates = 0
     for c in range(cols if ncols is None else ncols):
         if r == rows:
             break
-        nz = np.flatnonzero(A[r:, c])
+        col = A[:, c] % p
+        nz = np.flatnonzero(col[r:])
         if nz.size == 0:
             continue
         k = r + int(nz[0])
         if k != r:
             A[[r, k]] = A[[k, r]]
-        # Rows at or below r are zero left of c, so the update starts at c.
-        A[r, c:] = A[r, c:] * pow(int(A[r, c]), -1, p) % p
-        others = np.flatnonzero(A[:, c])
+            col[[r, k]] = col[[k, r]]
+        # Rows at or below r are 0 mod p left of c, so the update starts at c.
+        A[r, c:] = A[r, c:] % p * pow(int(col[r]), -1, p) % p
+        others = np.flatnonzero(col)
         others = others[others != r]
-        A[others, c:] = (A[others, c:] - np.outer(A[others, c], A[r, c:])) % p
+        A[others, c:] -= np.outer(col[others], A[r, c:])
+        updates += 1
+        if updates == room:
+            A %= p
+            updates = 0
         pivots.append(c)
         r += 1
+    A %= p
     return A.astype(np.int64, copy=False), pivots
 
 

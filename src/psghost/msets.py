@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .field import FieldSpec
-from .plane import ProjPoint, enumerate_points, point_index
+from .plane import ProjPoint, canonical_triples, enumerate_points, point_index
 from . import poly
 
 
@@ -138,7 +138,7 @@ def random_residues(rng: random.Random, p: int, shape) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _point_labels(spec: FieldSpec) -> tuple[str, ...]:
     """str(P) for every point, in enumeration order."""
-    return tuple(str(P) for P in enumerate_points(spec))
+    return tuple(f"{a} {b} {c}" for a, b, c in canonical_triples(spec).tolist())
 
 
 @lru_cache(maxsize=None)

@@ -85,17 +85,27 @@ def negate_poly(G: HomPoly) -> HomPoly:
     return HomPoly(G.spec, tuple(-a for a in G.coeffs))
 
 
-def monomial_values(spec: FieldSpec, T) -> np.ndarray:
-    """Encodings of u^(q-1-i-j) * v^j * w^i for triples (u, v, w).
+def monomial_values(spec: FieldSpec, T, coeffs=None) -> np.ndarray:
+    """Encodings of c * u^(q-1-i-j) * v^j * w^i for triples (u, v, w).
 
     T is an (n, 3) array of encodings; the result is (n, m), one column per
-    monomial in monomial_indices order.
+    monomial in monomial_indices order.  coeffs gives the m encodings c
+    (1 by default).  One gather in the log domain: the exponent of g is
+    log c + sum of exponent * log base, and an entry is 0 where c = 0 or a
+    zero base has a positive exponent (0^0 = 1).
     """
-    T = np.asarray(T, dtype=np.int64)
+    q1 = spec.q - 1
+    # Exponents total q-1 and logs are at most q-2, so every sum over
+    # nonzero factors is below q1^2; a zero factor adds at least q1^2.
+    zero = q1 * q1
+    logs = spec.log.copy()
+    logs[0] = zero
     i, j = np.array(monomial_indices(spec), dtype=np.int64).reshape(-1, 2).T
-    u, v, w = (field.power(spec, T[:, k, None], e)
-               for k, e in enumerate((spec.q - 1 - i - j, j, i)))
-    return field.mul(spec, u, field.mul(spec, v, w))
+    s = logs[np.asarray(T, dtype=np.int64)] @ np.stack([q1 - i - j, j, i])
+    if coeffs is not None:
+        s += logs[np.asarray(coeffs, dtype=np.int64)]
+    powers = np.append(np.tile(spec.exp[:q1], q1), 0)  # g^s; 0 at s = q1^2
+    return powers[np.minimum(s, zero, out=s)]
 
 
 @lru_cache(maxsize=None)
@@ -107,8 +117,7 @@ def point_image_rows(spec: FieldSpec) -> np.ndarray:
     """
     multinomials = [multinomial_int(spec.q - 1, i, j) % spec.p
                     for i, j in monomial_indices(spec)]
-    return field.mul(spec, multinomials,
-                     monomial_values(spec, canonical_triples(spec)))
+    return monomial_values(spec, canonical_triples(spec), multinomials)
 
 
 @lru_cache(maxsize=None)

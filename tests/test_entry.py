@@ -41,6 +41,30 @@ def test_process_exit_codes(argv, code):
     assert "Traceback" not in proc.stderr
 
 
+def test_cold_report_does_not_import_elim():
+    # elim is imported by the two commands that use it, so a cold report
+    # does not compile and run it.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = ("import sys\n"
+            "from psghost import cli\n"
+            "code = cli.main(['ghost-report', '--field', '5'])\n"
+            "print(code, 'psghost.elim' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("argv,first_line", [
+    (["verify", "--field", "5", "--suite", "elim"], "elim: pass"),
+    (["elim-trace", "--field", "3"], "# step 0"),
+])
+def test_elim_commands_import_it_themselves(argv, first_line):
+    proc = _process(*argv)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines()[0] == first_line
+
+
 def test_main_leaves_the_collector_alone(capsys):
     frozen = gc.get_freeze_count()
     assert cli.main(["verify", "--field", "2"]) == 0

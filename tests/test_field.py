@@ -291,11 +291,6 @@ def test_tables_built_on_first_arithmetic():
     assert field._tables.cache_info().currsize == 1
 
 
-def test_power_array_zero_to_the_zero():
-    spec = FieldSpec.of(2, 2)
-    assert field.power(spec, [0, 0, 2, 2], [0, 3, 0, 3]).tolist() == [1, 0, 1, 1]
-
-
 def test_coeffs_derived_from_encoding():
     assert GF9_X2P1.element(5).coeffs == (2, 1)  # 2 + x
     assert FieldSpec.of(7).element(6).coeffs == (6,)

@@ -22,8 +22,9 @@ from psghost.poly import poly_to_text
 
 FIELDS = ["2", "3", "2^2", "5", "7", "2^3", "3^2", "13"]
 
-# `ghost-report` is also pinned at the benchmark's larger fields.
-REPORT_FIELDS = FIELDS + ["23", "2^4"]
+# `ghost-report` is also pinned at the benchmark's larger fields and at the
+# two largest eliminations below q = 31.
+REPORT_FIELDS = FIELDS + ["23", "2^4", "5^2", "29"]
 
 GHOST_REPORT_SHA256 = {
     "2":
@@ -46,6 +47,10 @@ GHOST_REPORT_SHA256 = {
         "9a90d93eee6b7213b262c8edef32d5c351b56248ac861087dcee99feef06bd92",
     "2^4":
         "c48f1ccf750b70ad8c9104ce164934126b0898a49ac30c05ec0d87d5d960ca42",
+    "5^2":
+        "aabea5fafc1824aff3dafe98e849439c811de84062c363ad9e66fd95616f4d2d",
+    "29":
+        "4b12654dfe4c538e69aecd3f3b890b162d4ed81cb3d235749e9e49b216cbe708",
 }
 
 SOLVE_SHA256 = {

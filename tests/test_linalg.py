@@ -246,12 +246,52 @@ def _random_low_rank(rng, p, rows, cols):
             for row in X]
 
 
-def test_work_dtype_boundary():
-    assert linalg._work_dtype(181) == np.int16
-    assert linalg._work_dtype(191) == np.int64
+def _chain(p, k):
+    """k pivot rows (e_i, p-1, 0) above one row (p-1, ..., p-1, 0, 1).
+
+    Eliminating column i subtracts (p-1)^2 from the last row's entry in
+    column k, so without reduction it reaches -k * (p-1)^2; its inverse
+    then shows in column k+1 of the echelon form.
+    """
+    rows = [[int(c == i) for c in range(k)] + [p - 1, 0] for i in range(k)]
+    return rows + [[p - 1] * k + [0, 1]]
 
 
-@pytest.mark.parametrize("p", [2, 3, 181, 191, 65521])
+# 46337 is the largest prime with p + (p-1)^2 < 2^31: it stays in int32
+# with room for one update between full reductions.  46349 is the next
+# prime, and one of its updates already leaves int32.  3037000493 is the
+# largest prime with p + (p-1)^2 < 2^63.
+@pytest.mark.parametrize("p", [2, 3, 46337, 46349, 65521, 2**31 - 1,
+                               3037000493])
+def test_delayed_reduction_stays_in_range(p):
+    for k in (1, 2, 3, 5):
+        A = _chain(p, k)
+        R_ref, piv_ref = _ref_rref(A, p)
+        R, piv = linalg.rref(np.array(A, dtype=np.int64), p)
+        assert (R.tolist(), piv) == (R_ref, piv_ref)
+        assert linalg.rank(A, p) == len(piv_ref)
+
+
+def test_delayed_reduction_bounds():
+    assert field.is_prime(46337) and field.is_prime(46349)
+    assert not any(field.is_prime(n) for n in range(46338, 46349))
+    assert 46337 + 46336**2 < 2**31 <= 46349 + 46348**2
+    assert field.is_prime(3037000493)
+    assert 3037000493 + 3037000492**2 < 2**63
+
+
+@pytest.mark.parametrize("p", [3037000507, 4294967311])
+def test_rref_refuses_a_modulus_beyond_int64(p):
+    # p = 4294967311 used to give wrong ranks without an error: (p-1)^2
+    # wraps in int64.
+    rng = random.Random(p)
+    A = _random_low_rank(rng, p, 3, 3)
+    for fn in (linalg.rank, linalg.rref, linalg.left_kernel_basis):
+        with pytest.raises(ArithmeticError):
+            fn(A, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 181, 191, 46337, 46349, 65521])
 def test_elimination_matches_python_integer_reference(p):
     rng = random.Random(p)
     for trial in range(40):

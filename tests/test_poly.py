@@ -2,12 +2,16 @@ import random
 
 import pytest
 
-from psghost.field import FieldSpec
+import numpy as np
+
+from psghost.field import FieldSpec, multinomial_mod_p
 from psghost.msets import PointMultiset, msum, phi
-from psghost.plane import ProjLine, ProjPoint, enumerate_lines, line_points
+from psghost.plane import (ProjLine, ProjPoint, enumerate_lines,
+                           enumerate_points, line_points)
 from psghost.poly import (HomPoly, add_poly, evaluate, monomial_indices,
-                          negate_poly, num_monomials, poly_from_text,
-                          poly_to_text, power_sum)
+                          monomial_values, negate_poly, num_monomials,
+                          point_image_rows, poly_from_text, poly_to_text,
+                          power_sum)
 
 GF2 = FieldSpec.of(2)
 
@@ -114,9 +118,6 @@ def test_coefficient_vector_length(p, h):
 @pytest.mark.parametrize("p,h", [(2, 1), (5, 1), (3, 2)])
 def test_power_sum_matches_direct_coefficient_formula(p, h):
     """Independent oracle: per-coefficient multinomial-and-powers formula."""
-    from psghost.field import multinomial_mod_p
-    from psghost.plane import enumerate_points
-
     spec = FieldSpec.of(p, h)
     rng = random.Random(31)
     n = spec.q**2 + spec.q + 1
@@ -146,3 +147,51 @@ def test_poly_text_round_trip():
 def test_poly_text_parse_error_line_number():
     with pytest.raises(ValueError, match="line 2"):
         poly_from_text("# psp q=2\n0 garbage\n", GF2)
+
+
+def test_monomial_values_zero_to_the_zero():
+    # q = 4: monomials Z^i Y^j X^(3-i-j); 0^0 = 1 and 0^e = 0 for e > 0
+    spec = FieldSpec.of(2, 2)
+    pos = {ij: k for k, ij in enumerate(monomial_indices(spec))}
+    V = monomial_values(spec, [[0, 0, 2], [2, 0, 0], [0, 0, 0]])
+    assert V[0, pos[(3, 0)]] == 1  # 0^0 * 0^0 * 2^3 = 1 in GF(4)
+    assert V[0, pos[(2, 0)]] == 0  # 0^1 * 0^0 * 2^2
+    assert V[1, pos[(0, 0)]] == 1  # 2^3 * 0^0 * 0^0
+    assert V[1, pos[(0, 1)]] == 0  # 2^2 * 0^1
+    assert V[2].tolist() == [0] * num_monomials(spec)
+
+
+def _term(spec, coeff, triple, i, j):
+    a, b, c = (spec.element(x) for x in triple)
+    return coeff * (a**(spec.q - 1 - i - j) * (b**j * c**i))
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3),
+                                 (3, 2), (7, 1), (2, 4)])
+def test_point_image_rows_match_per_entry_formula(p, h):
+    # Multinomials vanish mod p at prime powers (C(3; 1, 1) = 6 at q = 4),
+    # so the zero-coefficient branch is covered too.
+    spec = FieldSpec.of(p, h)
+    rows = point_image_rows(spec)
+    for r, P in enumerate(enumerate_points(spec)):
+        expected = [_term(spec, multinomial_mod_p(i, j, spec), P.encodings(),
+                          i, j).encoding
+                    for i, j in monomial_indices(spec)]
+        assert rows[r].tolist() == expected
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_monomial_values_match_per_entry_formula(p, h):
+    spec = FieldSpec.of(p, h)
+    rng = random.Random(p * 10 + h)
+    T = [[rng.choice([0, 0, 1, rng.randrange(spec.q)]) for _ in range(3)]
+         for _ in range(60)]
+    coeffs = [rng.choice([0, 1, rng.randrange(spec.q)])
+              for _ in monomial_indices(spec)]
+    V = monomial_values(spec, T, coeffs)
+    assert V.dtype == np.int64 and V.shape == (60, num_monomials(spec))
+    for row, t in zip(V.tolist(), T):
+        assert row == [_term(spec, spec.element(c), t, i, j).encoding
+                       for c, (i, j) in zip(coeffs, monomial_indices(spec))]
+    assert np.array_equal(monomial_values(spec, T),
+                          monomial_values(spec, T, [1] * len(coeffs)))
