@@ -273,11 +273,13 @@ def test_delayed_reduction_stays_in_range(p):
 
 
 def test_delayed_reduction_bounds():
+    # The primes above sit where the comment says they do.
     assert field.is_prime(46337) and field.is_prime(46349)
     assert not any(field.is_prime(n) for n in range(46338, 46349))
     assert 46337 + 46336**2 < 2**31 <= 46349 + 46348**2
-    assert field.is_prime(3037000493)
-    assert 3037000493 + 3037000492**2 < 2**63
+    assert field.is_prime(3037000493) and field.is_prime(3037000507)
+    assert not any(field.is_prime(n) for n in range(3037000494, 3037000507))
+    assert 3037000493 + 3037000492**2 < 2**63 <= 3037000507 + 3037000506**2
 
 
 @pytest.mark.parametrize("p", [3037000507, 4294967311])
