@@ -6,7 +6,6 @@ import pytest
 
 from psghost import elim, poly
 from psghost.cli import main
-from psghost.elim import verify_procedure
 from psghost.field import FieldSpec
 from psghost.ghost import ghost_report
 from psghost.msets import PointMultiset, mset_to_text, phi
@@ -250,12 +249,9 @@ def test_verify_json_says_what_each_suite_checked(capsys, field):
     assert checked["vandermonde"] == 200
     # the counterexample lives at q = 2; the elimination proof at odd primes
     assert checked["union_counterexample"] == (1 if spec.q == 2 else 0)
-    if spec.h == 1 and spec.p >= 3:
-        # closed-form cells; p = 3 has one step and no non-pivotal rows
-        cells = verify_procedure(spec.p).cells_checked
-        assert checked["elim"] == cells and (cells > 0) == (spec.p > 3)
-    else:
-        assert checked["elim"] == 0
+    # closed-form cells at odd primes; p = 3 has one step and no
+    # non-pivotal rows
+    assert checked["elim"] == {"3": 0, "7": 300}.get(field, 0)
 
 
 def test_verify_json_single_suite(capsys):

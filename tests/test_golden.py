@@ -1,5 +1,6 @@
-"""Golden output hashes: `ghost-report`, `solve`, `psp` and `eval` JSON and
-`verify --suite all` text must stay byte-identical.
+"""Golden output hashes: `ghost-report`, `solve`, `psp` and `eval` JSON,
+`verify --suite all` text, `elim-trace` CSV and the elimination proof's
+summary must stay byte-identical.
 
 Each entry is the sha256 of the bytes the CLI writes to stdout.  The inputs
 derive from the plain set whose per-point bits are drawn as
@@ -9,12 +10,13 @@ polynomial.
 """
 
 import hashlib
+import json
 import random
 
 import numpy as np
 import pytest
 
-from psghost import ghost
+from psghost import elim, ghost
 from psghost.cli import main
 from psghost.field import FieldSpec
 from psghost.msets import PointMultiset, mset_to_text, phi
@@ -216,3 +218,44 @@ def test_verify_failure_text_golden(monkeypatch, capsys, forced, field, seed):
     digest = _stdout_sha256(
         capsys, ["verify", "--field", field, "--seed", str(seed)], code=1)
     assert digest == VERIFY_FORCED_SHA256[(forced, field, seed)]
+
+
+# `elim-trace --field p` CSV: every state of the interior block, step 0 on.
+ELIM_TRACE_SHA256 = {
+    3: "c2384cb3ebc2713e76425cca3af6b1a615f496387922512bf48ea0e7ea071b74",
+    5: "96d55ed49ed9fe53854e378f26a87506e55c49f74025e0dd56680ce18c23d1d4",
+    7: "810b93dce6373153bb8850a3493810a33287e8bd78d1e789d65b1bc253fbdd44",
+    13: "178d328b889b4eb5feb2a742c10a1c445b8423d86c1aca814b756814fbe75230",
+}
+
+# `elim.verify_procedure(p).summary()`: the checks in their order.
+ELIM_SUMMARY_SHA256 = {
+    5: "6f8ceb9b20c0051c7e62c8ecd28c34897b32f681a02bd52bf79798d530978744",
+    7: "9f99263618f510a19e1633c3d75328ec15bdfcbbcafbb07f3b01efacaebe4cfe",
+    13: "042b368097b22899b4ba72a1d4d6d3cfa7bce08f4f36c6653ec4c2a5163cbc45",
+}
+
+# Closed-form cells the elimination proof compares, by p: every entry of the
+# rows with c >= n+1 after each step n; p = 3 has no such row.
+ELIM_CELLS_CHECKED = {3: 0, 5: 24, 7: 300, 11: 5400, 13: 14520}
+
+
+@pytest.mark.parametrize("p", sorted(ELIM_TRACE_SHA256))
+def test_elim_trace_csv_golden(capsys, p):
+    digest = _stdout_sha256(capsys, ["elim-trace", "--field", str(p)])
+    assert digest == ELIM_TRACE_SHA256[p]
+
+
+@pytest.mark.parametrize("p", sorted(ELIM_SUMMARY_SHA256))
+def test_elim_summary_golden(p):
+    summary = elim.verify_procedure(p).summary()
+    assert hashlib.sha256(summary.encode()).hexdigest() == ELIM_SUMMARY_SHA256[p]
+
+
+@pytest.mark.parametrize("p", sorted(ELIM_CELLS_CHECKED))
+def test_elim_cells_checked_golden(capsys, p):
+    assert main(["verify", "--field", str(p), "--suite", "elim",
+                 "--format", "json"]) == 0
+    suites = json.loads(capsys.readouterr().out)["suites"]
+    assert [(s["name"], s["status"], s["checked"]) for s in suites] == [
+        ("elim", "pass", ELIM_CELLS_CHECKED[p])]
