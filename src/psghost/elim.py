@@ -144,14 +144,16 @@ def initial_state(p: int) -> StepState:
 def elimination_step(state: StepState) -> StepState:
     """One pivotal step: rows with c = n stay fixed, rows with c >= n+1
     are divided elementwise by c-(n-1) (exactly, n >= 2) and the pivotal
-    row with the same b is subtracted."""
+    row with the same b is subtracted.  Fixed rows are shared, not copied."""
     p, n = state.p, state.n + 1
+    pivots = {b: row for (b, c), row in zip(state.row_labels, state.matrix)
+              if c == n}
     new_rows = []
     for (b, c), row in zip(state.row_labels, state.matrix):
         if c <= n:
-            new_rows.append(list(row))
+            new_rows.append(row)
             continue
-        pivot = state.row(b, n)
+        pivot = pivots[b]
         if n == 1:
             new_rows.append([x - y for x, y in zip(row, pivot)])
             continue
@@ -233,23 +235,24 @@ class ElimReport:
         return "\n".join(lines)
 
 
-def _vandermonde_pivot_block(state: StepState, n: int) -> list[list[int]]:
-    """Pivotal rows of step n (c = n) in the columns b^lam c^(n-1)."""
-    p = state.p
-    bs = range(1, p - n)
-    lams = range(p - 1 - n)
-    cols = [state.col_labels.index((lam, n - 1)) for lam in lams]
-    return [[state.row(b, n)[ci] for ci in cols] for b in bs]
+def _vandermonde_pivot_block(state: StepState) -> list[list[int]]:
+    """Pivotal rows of the next step n (c = n) in the columns b^lam c^(n-1),
+    b = 1 .. p-1-n in row order."""
+    n = state.n + 1
+    cols = [state.col_labels.index((lam, n - 1))
+            for lam in range(state.p - 1 - n)]
+    return [[row[ci] for ci in cols]
+            for (_, c), row in zip(state.row_labels, state.matrix) if c == n]
 
 
 def verify_procedure(p: int) -> ElimReport:
     """Run all p-2 steps and check every exactness claim.
 
     Checks: closed forms equal direct elimination on every cell, the
-    divisibility claims hold over the integers, each pivotal block is a
-    nonsingular Vandermonde block mod p, the outer blocks are nonsingular
-    mod p, and the multinomial-weighted image matrix has full rank mod p
-    by independent generic elimination.
+    divisibility claims hold over the integers (elimination_step raises
+    otherwise), each pivotal block is a nonsingular Vandermonde block mod
+    p, the outer blocks are nonsingular mod p, and the multinomial-weighted
+    image matrix has full rank mod p by independent generic elimination.
     """
     if not is_prime(p) or p < 3:
         raise ValueError("verify_procedure requires an odd prime")
@@ -257,9 +260,13 @@ def verify_procedure(p: int) -> ElimReport:
     disc: list[str] = []
     cells = 0
 
-    states = run_elimination(p)
-    for state in states[1:]:
-        n = state.n
+    # One state at a time: step n holds the rows c = n of state n-1 fixed
+    # and changes the rows c >= n+1, which the closed forms describe.
+    blocks = []
+    state = initial_state(p)
+    for n in range(1, p - 1):
+        blocks.append(_vandermonde_pivot_block(state))
+        state = elimination_step(state)
         for (b, c), row in zip(state.row_labels, state.matrix):
             if c < n + 1:
                 continue  # pivotal or already frozen rows
@@ -270,21 +277,14 @@ def verify_procedure(p: int) -> ElimReport:
                     disc.append(
                         f"step {n} row (1,{b},{c}) col b^{lam}c^{mu}: "
                         f"closed form {cf} != eliminated {x}")
-            div = c - n
-            if any(x % div for x in row):
-                disc.append(
-                    f"step {n} row (1,{b},{c}): not divisible by {div}")
     if not disc:
         checks.append("closed forms match direct elimination on every cell")
         checks.append("integer divisibility by c-n holds at every step")
 
-    # Pivotal Vandermonde blocks: step n holds rows c = n of state n-1
-    # fixed; in the columns b^lam c^(n-1) they are b^lam times a common
-    # scalar factor, a scaled Vandermonde block.
-    for n in range(1, p - 1):
-        block = _vandermonde_pivot_block(states[n - 1], n)
-        if not block:
-            continue
+    # Pivotal Vandermonde blocks: in the columns b^lam c^(n-1) the rows
+    # c = n are b^lam times a common scalar factor, a scaled Vandermonde
+    # block.
+    for n, block in enumerate(blocks, 1):
         f = block[0][0]
         expected = [[b**lam * f for lam in range(len(block))]
                     for b in range(1, p - n)]
@@ -306,8 +306,7 @@ def verify_procedure(p: int) -> ElimReport:
     # Independent cross-check: multinomial-weighted image matrix has full
     # rank mod p via generic elimination, and column stripping is a pure
     # scaling that cannot change singularity.
-    W = weighted_image_rows(p)
-    full = linalg.rank(W, p)
+    full = linalg.rank(weighted_image_rows(p), p)
     dim = p * (p + 1) // 2
     if full == dim:
         checks.append(f"weighted image matrix has full rank {dim} mod {p}")
@@ -317,14 +316,13 @@ def verify_procedure(p: int) -> ElimReport:
         checks.append("stripped multinomial column factors all nonzero mod p")
     else:
         disc.append("a stripped multinomial column factor vanishes mod p")
-    S = initial_matrix(p)
-    if linalg.rank(S, p) == dim:
+    if linalg.rank(initial_matrix(p), p) == dim:
         checks.append("stripped matrix nonsingular mod p (agrees with "
                       "weighted matrix)")
     else:
         disc.append("stripped matrix singular mod p")
 
-    return ElimReport(p, not disc, len(states) - 1, checks, disc, cells)
+    return ElimReport(p, not disc, state.n, checks, disc, cells)
 
 
 def det_nonzero_mod_p(M, p: int) -> bool:

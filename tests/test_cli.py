@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -288,6 +289,40 @@ def test_elim_trace(capsys):
     code, out, _ = run(capsys, "elim-trace", "--field", "5")
     assert code == 0
     assert "# step 0" in out and "# step 3" in out
+
+
+def test_elim_trace_beyond_bound_is_input_error(monkeypatch, capsys):
+    # the trace at p = 41 would print 347 MiB from a 1.1 GB process; the
+    # bound refuses it before any elimination runs
+    monkeypatch.setattr(elim, "run_elimination", _refuse)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "elim-trace", "--field", "41")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert out == "" and err.startswith("error:") and "37" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_elim_trace_json_is_input_error(monkeypatch, capsys):
+    # elim-trace writes CSV only; --format json used to print CSV, exit 0
+    monkeypatch.setattr(elim, "run_elimination", _refuse)
+    code, out, err = run(capsys, "elim-trace", "--field", "5",
+                         "--format", "json")
+    assert code == 3
+    assert out == "" and err.startswith("error:") and "json" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("suite,field", [("elim", "3^2"), ("elim", "2"),
+                                         ("union_counterexample", "3")])
+def test_verify_suite_off_its_field_is_input_error(monkeypatch, capsys,
+                                                   suite, field):
+    # asked for by name, a suite with nothing to check there must not pass
+    monkeypatch.setattr(elim, "verify_procedure", _refuse)
+    code, out, err = run(capsys, "verify", "--field", field, "--suite", suite)
+    assert code == 3
+    assert out == "" and err.startswith("error:") and suite in err
+    assert len(err.splitlines()) == 1
 
 
 def test_bad_field_is_input_error(capsys):
