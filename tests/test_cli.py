@@ -292,7 +292,7 @@ def test_elim_trace(capsys):
 
 
 def test_elim_trace_beyond_bound_is_input_error(monkeypatch, capsys):
-    # the trace at p = 41 would print 347 MiB from a 1.1 GB process; the
+    # the trace at p = 41 would print 347 MiB from a 1.5 GB process; the
     # bound refuses it before any elimination runs
     monkeypatch.setattr(elim, "run_elimination", _refuse)
     t0 = time.perf_counter()
