@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 verification failure, 2 inconsistent solve,
 3 input error (bad flags, unreadable or malformed input, an unwritable
 --out file, a file header naming another field than --field, a verify
 suite or an elim-trace asked for on a field it does not cover), 4 internal
-error.  Output is deterministic given the same flags and seed, apart from
-the per-suite seconds in `verify --format json`.
+error.  `elim-trace` writes each state as it is made, so an exit 4 from it
+may follow partial output.  Output is deterministic given the same flags
+and seed, apart from the per-suite seconds in `verify --format json`.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ EXIT_INTERNAL = 4
 MAX_CLI_Q = 64
 
 # Largest p `elim-trace` accepts.  It prints every state of the interior
-# block, so its memory and output grow about as p^5: 0.73 GB peak RSS and
-# 179 MiB of CSV at p = 37, 1.49 GB and 347 MiB at p = 41.
+# block, one at a time, and its output grows about as p^5: 179 MiB of CSV
+# at p = 37, 347 MiB at p = 41.
 MAX_ELIM_TRACE_P = 37
 
 
@@ -66,12 +67,14 @@ def _read(path):
 
 
 def _write(path, text):
+    """Write `text`, a string or strings written as they come."""
+    chunks = (text,) if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(path, "w") as f:
-            f.write(text)
+            f.writelines(chunks)
     except OSError as e:
         raise InputError(str(e)) from e
 
@@ -159,11 +162,7 @@ def cmd_solve(args) -> int:
         return EXIT_INCONSISTENT
     if args.sets:
         sols = tomo.enumerate_set_solutions(G, args.limit)
-        # Complete: every candidate was examined (exhaustive search, or a
-        # coset within the walk budget) and --limit did not cut it off.
-        examined_all = (spec.q <= 3
-                        or spec.p**coset.exponent <= tomo.WALK_BUDGET)
-        complete = examined_all and len(sols) < args.limit
+        complete = tomo.set_search_exhaustive(coset) and len(sols) < args.limit
         if args.format == "json":
             _write(args.out, json.dumps(
                 {"q": str(spec), "complete": complete,
@@ -311,11 +310,8 @@ def cmd_elim_trace(args) -> int:
                          f"{MAX_ELIM_TRACE_P}, the largest trace it prints "
                          f"(output grows as p^5)")
     from . import elim
-    states = elim.run_elimination(spec.p)
-    chunks = []
-    for state in states:
-        chunks.append(f"# step {state.n}\n{state.to_csv()}")
-    _write(args.out, "\n".join(chunks))
+    _write(args.out, ((f"\n# step {s.n}\n" if s.n else "# step 0\n")
+                      + s.to_csv() for s in elim.elimination_states(spec.p)))
     return EXIT_OK
 
 

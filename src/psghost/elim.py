@@ -10,12 +10,13 @@ block is reduced by a recursive pivotal elimination over exact integers:
     step n:  row(b,c) <- row(b,c) / (c-(n-1)) - row(b,n)           c >= n+1
 
 where the division is elementwise and exact over the integers.  Closed-form
-nested-summation formulas give every entry at every step; this module
-implements both routes and compares them cell by cell.
+nested-summation formulas give every row at every step; this module
+implements both routes and compares them row by row.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -136,11 +137,6 @@ class StepState:
         return "\n".join(lines) + "\n"
 
 
-def initial_state(p: int) -> StepState:
-    return StepState(p, 0, fourth_block(p),
-                     fourth_block_row_labels(p), fourth_block_col_labels(p))
-
-
 def elimination_step(state: StepState) -> StepState:
     """One pivotal step: rows with c = n stay fixed, rows with c >= n+1
     are divided elementwise by c-(n-1) (exactly, n >= 2) and the pivotal
@@ -169,37 +165,42 @@ def elimination_step(state: StepState) -> StepState:
     return StepState(p, n, new_rows, state.row_labels, state.col_labels)
 
 
+def elimination_states(p: int) -> Iterator[StepState]:
+    """The interior block, then its state after each of the p-2 steps,
+    each made once the previous one is consumed."""
+    state = StepState(p, 0, fourth_block(p), fourth_block_row_labels(p),
+                      fourth_block_col_labels(p))
+    yield state
+    for _ in range(p - 2):
+        state = elimination_step(state)
+        yield state
+
+
 def run_elimination(p: int) -> list[StepState]:
     """All states from the initial block through step p-2."""
-    states = [initial_state(p)]
-    for _ in range(p - 2):
-        states.append(elimination_step(states[-1]))
-    return states
+    return list(elimination_states(p))
 
 
-# -- closed-form entries ----------------------------------------------
+# -- closed-form rows -------------------------------------------------
 
-def closed_form_entry(n: int, b: int, c: int, lam: int, mu: int) -> int:
-    """Entry of row (1,b,c) at column b^lam c^mu after n steps.
+def closed_form_factor(n: int, c: int, cols) -> list[int]:
+    """Row (1,b,c) after n >= 1 steps is b^lam * f(n, c, mu) at column
+    b^lam c^mu; this returns f for each column of `cols`, shared by all b.
 
-    Nested summations with index gaps >= 2; for mu < n every summation is
-    empty and the entry is zero.  The odd case's innermost index starts at
-    1, the even case's at 0 (with an extra (c-n) * c^i factor).
+    f is c^mu - 1 for n = 1, else nested summations with index gaps >= 2,
+    all empty (f = 0) for mu < n.  The odd case's innermost index starts
+    at 1, the even case's at 0 (with an extra (c-n) * c^i factor).
     """
     if n < 1:
         raise ValueError("closed forms are defined for steps n >= 1")
     if n == 1:
-        return b**lam * (c**mu - 1)
-    return b**lam * _nested_sum(n, c, 1, mu)
+        return [c**mu - 1 for _, mu in cols]
+    return [_nested_sum(n, c, 1, mu) for _, mu in cols]
 
 
 @lru_cache(maxsize=None)
 def _nested_sum(n: int, c: int, k: int, prev: int) -> int:
-    """Level k of the nested summation for step n >= 2 and row c.
-
-    It does not depend on b or lam, so each value is computed once and
-    shared by every cell of the rows with this c.
-    """
+    """Level k of the nested summation for step n >= 2 and row c."""
     nprime, odd = divmod(n, 2)
     if k == nprime:
         lo = 1 if odd else 0
@@ -235,20 +236,10 @@ class ElimReport:
         return "\n".join(lines)
 
 
-def _vandermonde_pivot_block(state: StepState) -> list[list[int]]:
-    """Pivotal rows of the next step n (c = n) in the columns b^lam c^(n-1),
-    b = 1 .. p-1-n in row order."""
-    n = state.n + 1
-    cols = [state.col_labels.index((lam, n - 1))
-            for lam in range(state.p - 1 - n)]
-    return [[row[ci] for ci in cols]
-            for (_, c), row in zip(state.row_labels, state.matrix) if c == n]
-
-
 def verify_procedure(p: int) -> ElimReport:
     """Run all p-2 steps and check every exactness claim.
 
-    Checks: closed forms equal direct elimination on every cell, the
+    Checks: closed forms equal direct elimination on every row, the
     divisibility claims hold over the integers (elimination_step raises
     otherwise), each pivotal block is a nonsingular Vandermonde block mod
     p, the outer blocks are nonsingular mod p, and the multinomial-weighted
@@ -260,23 +251,29 @@ def verify_procedure(p: int) -> ElimReport:
     disc: list[str] = []
     cells = 0
 
-    # One state at a time: step n holds the rows c = n of state n-1 fixed
-    # and changes the rows c >= n+1, which the closed forms describe.
+    # One state at a time.  Step n passes the rows c <= n on unchanged, so
+    # its pivotal rows (c = n) are read from state n; it changes c >= n+1.
     blocks = []
-    state = initial_state(p)
-    for n in range(1, p - 1):
-        blocks.append(_vandermonde_pivot_block(state))
-        state = elimination_step(state)
+    for state in elimination_states(p):
+        n, cols = state.n, state.col_labels
+        if n == 0:
+            continue
+        pivot_cols = [cols.index((lam, n - 1)) for lam in range(p - 1 - n)]
+        factors = {c: closed_form_factor(n, c, cols)
+                   for c in range(n + 1, p - 1)}
+        blocks.append([])
         for (b, c), row in zip(state.row_labels, state.matrix):
-            if c < n + 1:
-                continue  # pivotal or already frozen rows
+            if c == n:
+                blocks[-1].append([row[i] for i in pivot_cols])
+            if c <= n:
+                continue
             cells += len(row)
-            for (lam, mu), x in zip(state.col_labels, row):
-                cf = closed_form_entry(n, b, c, lam, mu)
-                if cf != x:
-                    disc.append(
-                        f"step {n} row (1,{b},{c}) col b^{lam}c^{mu}: "
-                        f"closed form {cf} != eliminated {x}")
+            expected = [b**lam * f for (lam, _), f in zip(cols, factors[c])]
+            if expected != row:
+                disc += [f"step {n} row (1,{b},{c}) col b^{lam}c^{mu}: "
+                         f"closed form {cf} != eliminated {x}"
+                         for (lam, mu), cf, x in zip(cols, expected, row)
+                         if cf != x]
     if not disc:
         checks.append("closed forms match direct elimination on every cell")
         checks.append("integer divisibility by c-n holds at every step")

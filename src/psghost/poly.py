@@ -196,6 +196,8 @@ def poly_from_text(text: str, spec: FieldSpec) -> HomPoly:
             raise ValueError(f"line {lineno}: expected 'i j coeff', got {raw!r}")
         try:
             i, j, enc = (int(x) for x in parts)
+            if (i, j) in terms:
+                raise ValueError(f"monomial {i} {j} repeated")
             terms[(i, j)] = spec.element(enc)
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e}") from e

@@ -84,6 +84,11 @@ def enumerate_set_solutions(G: HomPoly, limit: int) -> list[PointMultiset]:
     return _coset_walk_set_solutions(G, limit)
 
 
+def set_search_exhaustive(coset: SolutionCoset) -> bool:
+    """True iff enumerate_set_solutions examines every candidate."""
+    return coset.spec.q <= 3 or coset.spec.p**coset.exponent <= WALK_BUDGET
+
+
 def _exhaustive_set_solutions(G: HomPoly, limit: int) -> list[PointMultiset]:
     spec = G.spec
     n = spec.q**2 + spec.q + 1

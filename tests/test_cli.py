@@ -1,6 +1,7 @@
 import json
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,7 +295,7 @@ def test_elim_trace(capsys):
 def test_elim_trace_beyond_bound_is_input_error(monkeypatch, capsys):
     # the trace at p = 41 would print 347 MiB from a 1.5 GB process; the
     # bound refuses it before any elimination runs
-    monkeypatch.setattr(elim, "run_elimination", _refuse)
+    monkeypatch.setattr(elim, "elimination_step", _refuse)
     t0 = time.perf_counter()
     code, out, err = run(capsys, "elim-trace", "--field", "41")
     assert time.perf_counter() - t0 < 1.0
@@ -305,12 +306,25 @@ def test_elim_trace_beyond_bound_is_input_error(monkeypatch, capsys):
 
 def test_elim_trace_json_is_input_error(monkeypatch, capsys):
     # elim-trace writes CSV only; --format json used to print CSV, exit 0
-    monkeypatch.setattr(elim, "run_elimination", _refuse)
+    monkeypatch.setattr(elim, "elimination_step", _refuse)
     code, out, err = run(capsys, "elim-trace", "--field", "5",
                          "--format", "json")
     assert code == 3
     assert out == "" and err.startswith("error:") and "json" in err
     assert len(err.splitlines()) == 1
+
+
+def test_elim_trace_holds_one_state(tmp_path):
+    # Each state is written as it is made; keeping all 16 states and
+    # joining their CSV peaked at 5.5 MiB here.
+    tracemalloc.start()
+    try:
+        assert main(["elim-trace", "--field", "17",
+                     "--out", str(tmp_path / "trace.csv")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("suite,field", [("elim", "3^2"), ("elim", "2"),
@@ -391,6 +405,15 @@ def test_psp_header_other_field_is_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "solve", "--field", "3", "--in", str(f))
     assert code == 3
     assert out == "" and "q=3^2" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "eval"])
+def test_repeated_monomial_is_input_error(tmp_path, capsys, command):
+    f = tmp_path / "z.psp"
+    f.write_text("# psp q=3\n0 0 1\n0 0 2\n")
+    code, out, err = run(capsys, command, "--field", "3", "--in", str(f))
+    assert code == 3
+    assert out == "" and err == "error: line 3: monomial 0 0 repeated\n"
 
 
 def test_solve_sets_nonpositive_limit_is_input_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import pytest
@@ -106,21 +107,23 @@ def test_example7_step_fixtures(n, fixture, tail):
         assert row[-tail:] == expected, f"row (1,{b},{c}) at step {n}"
 
 
+# The paper's examples are rows with b = 1, where b^lam = 1 and the entry
+# is the closed-form factor itself.
+
 def test_closed_form_examples():
-    assert elim.closed_form_entry(1, 1, 2, 0, 4) == 15
-    assert elim.closed_form_entry(2, 1, 3, 0, 3) == 6
-    assert elim.closed_form_entry(2, 1, 3, 0, 1) == 0  # empty summation
+    assert elim.closed_form_factor(1, 2, [(0, 4)]) == [15]
+    # the column b^0 c^1 has an empty summation
+    assert elim.closed_form_factor(2, 3, [(0, 3), (0, 1)]) == [6, 0]
 
 
 def test_closed_form_step3_step4():
-    assert elim.closed_form_entry(3, 1, 4, 0, 4) == 10
-    assert elim.closed_form_entry(3, 1, 5, 0, 4) == 22
-    assert elim.closed_form_entry(4, 1, 5, 0, 4) == 1
-    assert elim.closed_form_entry(4, 1, 5, 0, 3) == 0
+    assert elim.closed_form_factor(3, 4, [(0, 4)]) == [10]
+    assert elim.closed_form_factor(3, 5, [(0, 4)]) == [22]
+    assert elim.closed_form_factor(4, 5, [(0, 4), (0, 3)]) == [1, 0]
 
 
 def test_division_exactness_enforced():
-    state = elim.initial_state(7)
+    state = next(elim.elimination_states(7))
     bad = elim.StepState(7, 1, [[x + 1 for x in row] for row in state.matrix],
                          state.row_labels, state.col_labels)
     with pytest.raises(elim.IntegrityError):
@@ -155,6 +158,49 @@ def test_verify_procedure_holds_one_state():
     assert peak < 4 * 2**20
 
 
+def _corrupt_step_2(monkeypatch, target, corrupt):
+    """Make elimination_step hand back state 2 with row `target` changed."""
+    step = elim.elimination_step
+
+    def corrupted(state):
+        new = step(state)
+        if new.n == 2:
+            new.matrix = [corrupt(row) if label == target else row
+                          for label, row in zip(new.row_labels, new.matrix)]
+        return new
+    monkeypatch.setattr(elim, "elimination_step", corrupted)
+
+
+def test_verify_reports_a_corrupted_cell(monkeypatch):
+    # +2 in the last column of row (1,1,4) keeps step 3's division by 2
+    # exact; the error then flows into step 3 and, through the pivot
+    # (1,1,4), into step 4 and its pivotal block
+    _corrupt_step_2(monkeypatch, (1, 4), lambda row: row[:-1] + [row[-1] + 2])
+    assert elim.verify_procedure(7).discrepancies == [
+        "step 2 row (1,1,4) col b^0c^4: closed form 70 != eliminated 72",
+        "step 3 row (1,1,4) col b^0c^4: closed form 10 != eliminated 11",
+        "step 4 row (1,1,5) col b^0c^4: closed form 1 != eliminated 0",
+        "step 5: pivotal block singular mod 7",
+    ]
+
+
+def test_verify_reports_a_corrupted_row_cell_by_cell(monkeypatch):
+    # +1 on every cell of the pivot (1,2,3) of step 3: 15 mismatches at
+    # step 2, 15 at step 3 in row (1,2,4), then both pivotal blocks it
+    # reaches; each cell is worded in column order
+    _corrupt_step_2(monkeypatch, (2, 3), lambda row: [x + 1 for x in row])
+    disc = elim.verify_procedure(7).discrepancies
+    assert len(disc) == 32
+    assert disc[0] == ("step 2 row (1,2,3) col b^0c^0: closed form 0 != "
+                       "eliminated 1")
+    assert disc[29] == ("step 3 row (1,2,4) col b^0c^4: closed form 10 != "
+                        "eliminated 9")
+    assert disc[30:] == ["step 3: pivotal block is not Vandermonde",
+                         "step 4: pivotal block is not Vandermonde"]
+    assert hashlib.sha256("\n".join(disc).encode()).hexdigest() == (
+        "59f8c264202bf94fbfa3ef05a55a89636294c93f2001afb6edeefcb7e7437d0e")
+
+
 def test_verify_rejects_bad_p():
     with pytest.raises(ValueError):
         elim.verify_procedure(4)
@@ -163,6 +209,6 @@ def test_verify_rejects_bad_p():
 
 
 def test_trace_csv_has_labels():
-    csv = elim.initial_state(5).to_csv()
+    csv = next(elim.elimination_states(5)).to_csv()
     assert csv.splitlines()[0].startswith("row,b^0c^0")
     assert "(1;1;1)^(0)" in csv

@@ -1,6 +1,7 @@
 """The process entry point: `python -m psghost.cli` and the installed script."""
 
 import gc
+import hashlib
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 import psghost
 from psghost import cli
+from test_golden import ELIM_TRACE_SHA256
 
 SRC = Path(psghost.__file__).resolve().parent.parent
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -63,6 +65,16 @@ def test_elim_commands_import_it_themselves(argv, first_line):
     proc = _process(*argv)
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout.splitlines()[0] == first_line
+
+
+def test_piped_elim_trace_equals_its_pin():
+    # the trace is written state by state to a pipe, not to a terminal
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "psghost.cli", "elim-trace", "--field", "13"],
+        env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == ELIM_TRACE_SHA256[13]
 
 
 def test_main_leaves_the_collector_alone(capsys):

@@ -226,6 +226,7 @@ ELIM_TRACE_SHA256 = {
     5: "96d55ed49ed9fe53854e378f26a87506e55c49f74025e0dd56680ce18c23d1d4",
     7: "810b93dce6373153bb8850a3493810a33287e8bd78d1e789d65b1bc253fbdd44",
     13: "178d328b889b4eb5feb2a742c10a1c445b8423d86c1aca814b756814fbe75230",
+    17: "7b4bd56b5e42522bcac11dc05d2b355a176afdbd6009cbfd8ecbaa3c50ab56f6",
 }
 
 # `elim.verify_procedure(p).summary()`: the checks in their order.
@@ -244,6 +245,15 @@ ELIM_CELLS_CHECKED = {3: 0, 5: 24, 7: 300, 11: 5400, 13: 14520}
 def test_elim_trace_csv_golden(capsys, p):
     digest = _stdout_sha256(capsys, ["elim-trace", "--field", str(p)])
     assert digest == ELIM_TRACE_SHA256[p]
+
+
+@pytest.mark.parametrize("p", sorted(ELIM_TRACE_SHA256))
+def test_elim_trace_out_file_golden(tmp_path, capsys, p):
+    # --out is the second route the trace is written through
+    out = tmp_path / "trace.csv"
+    assert main(["elim-trace", "--field", str(p), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ELIM_TRACE_SHA256[p]
 
 
 @pytest.mark.parametrize("p", sorted(ELIM_SUMMARY_SHA256))

@@ -149,6 +149,12 @@ def test_poly_text_parse_error_line_number():
         poly_from_text("# psp q=2\n0 garbage\n", GF2)
 
 
+def test_poly_text_repeated_monomial_is_an_error():
+    # keeping the last of the two lines solved for another polynomial
+    with pytest.raises(ValueError, match="line 3: monomial 0 0 repeated"):
+        poly_from_text("# psp q=3\n0 0 1\n0 0 2\n", FieldSpec.of(3))
+
+
 def test_monomial_values_zero_to_the_zero():
     # q = 4: monomials Z^i Y^j X^(3-i-j); 0^0 = 1 and 0^e = 0 for e > 0
     spec = FieldSpec.of(2, 2)
