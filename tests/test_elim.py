@@ -173,8 +173,8 @@ def _corrupt_step_2(monkeypatch, target, corrupt):
 
 def test_verify_reports_a_corrupted_cell(monkeypatch):
     # +2 in the last column of row (1,1,4) keeps step 3's division by 2
-    # exact; the error then flows into step 3 and, through the pivot
-    # (1,1,4), into step 4 and its pivotal block
+    # exact; the error flows into step 3 and, through the pivot (1,1,4),
+    # into row (1,1,5) at step 4 and so into step 5's pivotal block
     _corrupt_step_2(monkeypatch, (1, 4), lambda row: row[:-1] + [row[-1] + 2])
     assert elim.verify_procedure(7).discrepancies == [
         "step 2 row (1,1,4) col b^0c^4: closed form 70 != eliminated 72",
