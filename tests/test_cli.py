@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -81,6 +82,8 @@ def test_ghost_report_field32(capsys):
     data = json.loads(out)
     assert data["rank"] == 243 == 3**5  # C(3,2)^5
     assert data["exponent"] == 814
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "31eba6cbcb35d16f86e1f905ce454d43e9b34e3cbeef8601cfdc32ead7ab6a67")
 
 
 def test_ghost_report_h2_flagged(capsys):

@@ -1,5 +1,5 @@
 """Golden output hashes: `ghost-report`, `solve`, `psp` and `eval` JSON,
-`verify --suite all` text, `elim-trace` CSV and the elimination proof's
+`solve` text, `verify --suite all` text, `elim-trace` CSV and the elimination proof's
 summary must stay byte-identical.
 
 Each entry is the sha256 of the bytes the CLI writes to stdout.  The inputs
@@ -24,9 +24,10 @@ from psghost.poly import poly_to_text
 
 FIELDS = ["2", "3", "2^2", "5", "7", "2^3", "3^2", "13"]
 
-# `ghost-report` is also pinned at the benchmark's larger fields, and at 5^2
-# and 29, whose eliminations gain most from delaying the reduction mod p.
-REPORT_FIELDS = FIELDS + ["23", "2^4", "5^2", "29"]
+# `ghost-report` is also pinned at the benchmark's larger fields, at 5^2
+# and 29, whose eliminations gain most from delaying the reduction mod p,
+# and at 31 and 3^3, the largest prime and odd-characteristic planes.
+REPORT_FIELDS = FIELDS + ["23", "2^4", "5^2", "29", "31", "3^3"]
 
 GHOST_REPORT_SHA256 = {
     "2":
@@ -53,7 +54,15 @@ GHOST_REPORT_SHA256 = {
         "aabea5fafc1824aff3dafe98e849439c811de84062c363ad9e66fd95616f4d2d",
     "29":
         "4b12654dfe4c538e69aecd3f3b890b162d4ed81cb3d235749e9e49b216cbe708",
+    "31":
+        "1bb9390d0383387e76e1d73e569116a07340243b8ee149f9e7059fee5639da4a",
+    "3^3":
+        "cdd0da7a9fa4171c908b46699d7e93d8f2cb1e4750d2588a3702437230547e98",
 }
+
+# `solve` is also pinned at two benchmark fields, in JSON and in text: both
+# list the kernel basis as `# mset` blocks.
+SOLVE_FIELDS = FIELDS + ["23", "2^4"]
 
 SOLVE_SHA256 = {
     "2":
@@ -72,6 +81,45 @@ SOLVE_SHA256 = {
         "5bced455942dfe94779f0554208c24395e90e13804227e8ff1d37368108c81d3",
     "13":
         "611305b56cc5a98ad6d9d276b45b7d7d32f74418fc555dceb31d1f86fc0b7ee9",
+    "23":
+        "ef382eb167f762ced7f2f9fa0abffd3d2c7773bcaf5c6f3dd2a3162186e211d7",
+    "2^4":
+        "9b33ef86fdd06bae9b5d66f144a102472e3b60898c9fe99d3b463096931c6b1a",
+}
+
+SOLVE_TEXT_SHA256 = {
+    "2":
+        "adc8cd33b1b5e914f636e79a46cf8f50ce523c52ee1428fdae7bcaabccc9fbce",
+    "3":
+        "2d8ab12ca40b421dc716c24c3a6815cc557b127bc9e99eb6a84e754d490dccb1",
+    "2^2":
+        "74ff7b6c7990a791a152282c4e102ccb8e3f8adc4b6f09b89745aa39fade0762",
+    "5":
+        "82ccbf79bc845f653288b6b1741557d98447327877f693e377f640b5d823746f",
+    "7":
+        "ddca6a385454efd390604e12fe3137a413f554e7936b9aae739cdce70d99decd",
+    "2^3":
+        "1686e868331f0d130270d653ac42822e7d518f67710a3495f5c4dcb2d9ff2efc",
+    "3^2":
+        "91befa2e93f282f1ffe48d652bda7c5c9ad68e31c2f71fa6b950c457aaa25d97",
+    "13":
+        "6563fc0d271f6fd1cbee719f795cbf85939e872bd4255293dc9bab06c64bb9aa",
+    "23":
+        "94ffc134d176e0f01134f851fc712149d6c4b63b3146bafb1a6fefa86b3b0ae4",
+    "2^4":
+        "542955b73d3d5f9779fbe57d7c6452df2ebbe0fa8c828ffd0c5313bc879d08ce",
+}
+
+# `solve --sets` at the exhaustive fields, keyed by (field, format).
+SOLVE_SETS_SHA256 = {
+    ("2", "json"):
+        "e4d291455e3b19ef2678378ac02e3a0288c9695dc7689b9b227ec4e0d580b51d",
+    ("2", "text"):
+        "78bbfb55c1ceb50a7dedf103d671ff2ff79e8f7e86603c58ad25e96fba8e1552",
+    ("3", "json"):
+        "7ccf90ad449b5b26cc8af439d6e1e3325de3d2a5c24e52a4cb31f3fba023b4bc",
+    ("3", "text"):
+        "8ab4914fce1f730df4f7ddddb6462936c2ca69e1ce58c95958439d040ba1e6f5",
 }
 
 PSP_SHA256 = {
@@ -168,11 +216,11 @@ def _random_set_poly(spec):
     return poly_to_text(phi(_random_set(spec)))
 
 
-def _cli_json_sha256(tmp_path, capsys, command, field, text):
+def _cli_sha256(tmp_path, capsys, command, field, text, fmt="json", *flags):
     f = tmp_path / "in.txt"
     f.write_text(text)
-    return _stdout_sha256(
-        capsys, [command, "--field", field, "--in", str(f), "--format", "json"])
+    return _stdout_sha256(capsys, [command, "--field", field, "--in", str(f),
+                                   "--format", fmt, *flags])
 
 
 @pytest.mark.parametrize("field", REPORT_FIELDS)
@@ -182,24 +230,38 @@ def test_ghost_report_json_golden(capsys, field):
     assert digest == GHOST_REPORT_SHA256[field]
 
 
-@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("field", SOLVE_FIELDS)
 def test_solve_json_golden(tmp_path, capsys, field):
     text = _random_set_poly(FieldSpec.parse(field))
-    assert (_cli_json_sha256(tmp_path, capsys, "solve", field, text)
+    assert (_cli_sha256(tmp_path, capsys, "solve", field, text)
             == SOLVE_SHA256[field])
+
+
+@pytest.mark.parametrize("field", SOLVE_FIELDS)
+def test_solve_text_golden(tmp_path, capsys, field):
+    text = _random_set_poly(FieldSpec.parse(field))
+    assert (_cli_sha256(tmp_path, capsys, "solve", field, text, "text")
+            == SOLVE_TEXT_SHA256[field])
+
+
+@pytest.mark.parametrize("field,fmt", sorted(SOLVE_SETS_SHA256))
+def test_solve_sets_golden(tmp_path, capsys, field, fmt):
+    text = _random_set_poly(FieldSpec.parse(field))
+    assert (_cli_sha256(tmp_path, capsys, "solve", field, text, fmt, "--sets")
+            == SOLVE_SETS_SHA256[(field, fmt)])
 
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_psp_json_golden(tmp_path, capsys, field):
     text = mset_to_text(_random_set(FieldSpec.parse(field)))
-    assert (_cli_json_sha256(tmp_path, capsys, "psp", field, text)
+    assert (_cli_sha256(tmp_path, capsys, "psp", field, text)
             == PSP_SHA256[field])
 
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_eval_json_golden(tmp_path, capsys, field):
     text = _random_set_poly(FieldSpec.parse(field))
-    assert (_cli_json_sha256(tmp_path, capsys, "eval", field, text)
+    assert (_cli_sha256(tmp_path, capsys, "eval", field, text)
             == EVAL_SHA256[field])
 
 
