@@ -79,6 +79,23 @@ def _write(path, text):
         raise InputError(str(e)) from e
 
 
+def _json_lines(chunks):
+    """The pieces of a JSON document, then the newline that ends it."""
+    yield from chunks
+    yield "\n"
+
+
+def _blocks(head, *groups):
+    """`head`, then the texts of each group in turn, a blank line between
+    any two texts."""
+    yield head
+    sep = ""
+    for texts in groups:
+        for text in texts:
+            yield sep + text
+            sep = "\n"
+
+
 def _field(args) -> FieldSpec:
     try:
         spec = FieldSpec.parse(args.field)
@@ -144,7 +161,7 @@ def cmd_ghost_report(args) -> int:
                  f"note: {report.note}"]
         _write(args.out, "\n".join(lines) + "\n")
     else:
-        _write(args.out, report.to_json() + "\n")
+        _write(args.out, _json_lines(report.json_chunks()))
     return EXIT_OK
 
 
@@ -163,29 +180,25 @@ def cmd_solve(args) -> int:
     if args.sets:
         sols = tomo.enumerate_set_solutions(G, args.limit)
         complete = tomo.set_search_exhaustive(coset) and len(sols) < args.limit
+        texts = map(mset_to_text, sols)
         if args.format == "json":
-            _write(args.out, json.dumps(
-                {"q": str(spec), "complete": complete,
-                 "solutions": [mset_to_text(S) for S in sols]},
-                indent=2) + "\n")
+            _write(args.out, _json_lines(ghost.json_chunks(
+                {"q": str(spec), "complete": complete}, "solutions", texts)))
         else:
-            _write(args.out, f"# {len(sols)} plain-set solutions, complete: "
-                   f"{json.dumps(complete)}\n"
-                   + "\n".join(mset_to_text(S) for S in sols))
+            _write(args.out, _blocks(f"# {len(sols)} plain-set solutions, "
+                                     f"complete: {json.dumps(complete)}\n",
+                                     texts))
         return EXIT_OK
+    particular = mset_to_text(coset.particular)
+    kernel = msets.mset_texts(spec, ghost.ghost_report(spec).kernel)
     if args.format == "json":
-        _write(args.out, json.dumps({
-            "q": str(spec),
-            "particular": mset_to_text(coset.particular),
-            "exponent": coset.exponent,
-            "kernel_basis": [mset_to_text(S) for S in coset.kernel_basis],
-        }, indent=2) + "\n")
+        _write(args.out, _json_lines(ghost.json_chunks(
+            {"q": str(spec), "particular": particular,
+             "exponent": coset.exponent}, "kernel_basis", kernel)))
     else:
-        blocks = [mset_to_text(coset.particular)]
-        blocks += [mset_to_text(S) for S in coset.kernel_basis]
-        _write(args.out, f"# particular + {len(coset.kernel_basis)} kernel "
-               f"basis elements (coset size {spec.p}^{coset.exponent})\n"
-               + "\n".join(blocks))
+        _write(args.out, _blocks(
+            f"# particular + {len(coset.kernel_basis)} kernel basis elements "
+            f"(coset size {spec.p}^{coset.exponent})\n", [particular], kernel))
     return EXIT_OK
 
 
@@ -216,7 +229,7 @@ def _suite_pencils(spec, rng, failures):
 def _suite_complements(spec, rng, failures):
     # Full plane minus a basis element, mod p: for a plain set this is its
     # complement, for higher multiplicities the mod-p complement.
-    B = np.array([S.mult for S in ghost.ghost_report(spec).kernel_basis])
+    B = ghost.ghost_report(spec).kernel.astype(np.int64)
     ok = ghost.is_ghost_stack(spec, (1 - B) % spec.p)
     failures.extend("complement of a kernel basis element"
                     for good in ok.tolist() if not good)

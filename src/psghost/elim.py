@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 
 from . import linalg
 from .field import is_prime, multinomial_int
@@ -189,18 +188,23 @@ def closed_form_factor(n: int, c: int, cols) -> list[int]:
 
     f is c^mu - 1 for n = 1, else nested summations with index gaps >= 2,
     all empty (f = 0) for mu < n.  The odd case's innermost index starts
-    at 1, the even case's at 0 (with an extra (c-n) * c^i factor).
+    at 1, the even case's at 0 (with an extra (c-n) * c^i factor).  The
+    columns share their inner levels through a memo that lives for this
+    call only.
     """
     if n < 1:
         raise ValueError("closed forms are defined for steps n >= 1")
     if n == 1:
         return [c**mu - 1 for _, mu in cols]
-    return [_nested_sum(n, c, 1, mu) for _, mu in cols]
+    memo: dict[tuple[int, int], int] = {}
+    return [_nested_sum(n, c, 1, mu, memo) for _, mu in cols]
 
 
-@lru_cache(maxsize=None)
-def _nested_sum(n: int, c: int, k: int, prev: int) -> int:
-    """Level k of the nested summation for step n >= 2 and row c."""
+def _nested_sum(n: int, c: int, k: int, prev: int, memo: dict) -> int:
+    """Level k of the nested summation for step n >= 2 and row c; `memo`
+    holds the levels already summed for this (n, c)."""
+    if (k, prev) in memo:
+        return memo[k, prev]
     nprime, odd = divmod(n, 2)
     if k == nprime:
         lo = 1 if odd else 0
@@ -211,9 +215,12 @@ def _nested_sum(n: int, c: int, k: int, prev: int) -> int:
                 total += f * (c**i - n**i)
             else:
                 total += (c - n) * f * c**i
-        return total
-    return sum(((2 * k)**(prev - 1 - i) - (2 * k - 1)**(prev - 1 - i))
-               * _nested_sum(n, c, k + 1, i) for i in range(0, prev - 1))
+    else:
+        total = sum(((2 * k)**(prev - 1 - i) - (2 * k - 1)**(prev - 1 - i))
+                    * _nested_sum(n, c, k + 1, i, memo)
+                    for i in range(0, prev - 1))
+    memo[k, prev] = total
+    return total
 
 
 # -- verification -----------------------------------------------------

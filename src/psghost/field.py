@@ -28,6 +28,8 @@ DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
     (3, 2): (2, 2, 1),        # x^2 + 2x + 2
     (3, 3): (1, 2, 0, 1),     # x^3 + 2x + 1
     (5, 2): (2, 4, 1),        # x^2 + 4x + 2
+    (7, 2): (3, 6, 1),        # x^2 + 6x + 3
+    (2, 6): (1, 1, 0, 1, 1, 0, 1),  # x^6 + x^4 + x^3 + x + 1
 }
 
 

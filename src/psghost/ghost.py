@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import field, linalg
 from .field import FieldSpec
-from .msets import PointMultiset, mset_to_text
+from .msets import PointMultiset, mset_texts
 from .plane import (ProjLine, ProjPoint, canonical_triples, incidence_matrix,
                     line_points, point_index)
 from .poly import monomial_values, point_matrix_fp
@@ -35,14 +35,16 @@ def line_evaluation_matrix_fp(spec: FieldSpec) -> np.ndarray:
     polynomial evaluated at that line.  Built by composing the point-image
     matrix with the (F_p-linear) monomial evaluation map at each line, which
     sends coordinate k of a coefficient (x^k, encoding p^k) to the digits of
-    x^k times the monomial's value.
+    x^k times the monomial's value.  Read-only.
     """
     values = monomial_values(spec, canonical_triples(spec))  # lines x monos
     basis = spec.p ** np.arange(spec.h)
     D = field.digits(spec, field.mul(spec, values[:, :, None], basis))
     n_lines, n_monos = values.shape
     E = D.transpose(1, 2, 0, 3).reshape(n_monos * spec.h, n_lines * spec.h)
-    return point_matrix_fp(spec) @ E % spec.p
+    L = point_matrix_fp(spec) @ E % spec.p
+    L.flags.writeable = False
+    return L
 
 
 def product_mod_p(V, matrix: np.ndarray, p: int) -> np.ndarray:
@@ -149,25 +151,61 @@ def punctured_pencil_ghost(P: ProjPoint, lam: int, spec: FieldSpec) -> PointMult
     return PointMultiset(spec, tuple(mult.tolist()))
 
 
-@dataclass(frozen=True)
-class GhostReport:
-    """Computed dimensions and a kernel basis for the ghost subgroup."""
+def json_chunks(members: dict, key: str, texts):
+    """json.dumps(members | {key: list(texts)}, indent=2), piece by piece.
 
-    q: int
-    p: int
-    h: int
+    The list is the last member; each of its texts is one piece, escaped
+    when it is reached.
+    """
+    head = json.dumps({**members, key: []}, indent=2)
+    yield head[:-len("[]\n}")]
+    sep = "[\n    "
+    for text in texts:
+        yield sep + json.dumps(text)
+        sep = ",\n    "
+    yield "[]\n}" if sep == "[\n    " else "\n  ]\n}"
+
+
+@dataclass(frozen=True, eq=False)
+class GhostReport:
+    """Computed dimensions and a kernel basis for the ghost subgroup.
+
+    `kernel` holds the basis as one read-only (exponent, q^2+q+1) array of
+    residues mod p, in reduced echelon form.
+    """
+
+    spec: FieldSpec
     rank_phi: int
     ghost_exponent: int
-    kernel_basis: tuple[PointMultiset, ...]
+    kernel: np.ndarray
     note: str
+
+    @property
+    def q(self) -> int:
+        return self.spec.q
+
+    @property
+    def p(self) -> int:
+        return self.spec.p
+
+    @property
+    def h(self) -> int:
+        return self.spec.h
+
+    @cached_property
+    def kernel_basis(self) -> tuple[PointMultiset, ...]:
+        """The rows of `kernel` as multisets, built on first use."""
+        return tuple(PointMultiset(self.spec, tuple(row))
+                     for row in self.kernel.tolist())
 
     def ghost_count(self):
         """p^exponent as an integer when it fits 128 bits, else None."""
         n = self.p**self.ghost_exponent
         return n if n < 2**128 else None
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def json_chunks(self):
+        """to_json() piece by piece, one piece per kernel row."""
+        return json_chunks({
             "q": self.q,
             "p": self.p,
             "h": self.h,
@@ -175,26 +213,31 @@ class GhostReport:
             "exponent": self.ghost_exponent,
             "count": self.ghost_count(),
             "note": self.note,
-            "kernel_basis": [mset_to_text(S) for S in self.kernel_basis],
-        }, indent=2)
+        }, "kernel_basis", mset_texts(self.spec, self.kernel))
+
+    def to_json(self) -> str:
+        return "".join(self.json_chunks())
 
 
 @lru_cache(maxsize=None)
 def ghost_report(spec: FieldSpec) -> GhostReport:
-    """Rank of the point-image matrix over F_p, kernel basis, exponent."""
+    """Rank of the point-image matrix over F_p, kernel basis, exponent.
+
+    The basis B is checked against the point matrix M a block of columns
+    at a time.  A block and its product with B hold at most as many
+    entries as B, so the float64 operands of each product stay within
+    twice the size of B.
+    """
     M = point_matrix_fp(spec)
     B = linalg.left_kernel_basis(M, spec.p)
-    if np.any(product_mod_p(B, M, spec.p)):
+    k, n = B.shape
+    step = k * n // (k + n) or M.shape[1]
+    if any(np.any(product_mod_p(B, M[:, j:j + step], spec.p))
+           for j in range(0, M.shape[1], step)):
         raise ArithmeticError(f"kernel basis over GF({spec}) is not in the "
                               "kernel of the point-image matrix")
-    rank_phi = M.shape[0] - B.shape[0]
-    basis = tuple(PointMultiset.from_vector(spec, row) for row in B)
+    B.flags.writeable = False
     note = ("exact for prime fields" if spec.h == 1
             else "computed, no literature value")
-    return GhostReport(
-        q=spec.q, p=spec.p, h=spec.h,
-        rank_phi=rank_phi,
-        ghost_exponent=M.shape[0] - rank_phi,
-        kernel_basis=basis,
-        note=note,
-    )
+    return GhostReport(spec=spec, rank_phi=M.shape[0] - B.shape[0],
+                       ghost_exponent=B.shape[0], kernel=B, note=note)

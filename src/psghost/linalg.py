@@ -1,11 +1,12 @@
 """Exact linear algebra over F_p.
 
-One elimination routine, `rref`, serves rank, left kernel and the
-prefactored solver.  It takes entries reduced to {0,...,p-1} and delays
-the reduction mod p (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008): a row
-update subtracts at most (p-1)^2 from an entry, so it works in int32 (int64
-when p + (p-1)^2 >= 2^31) and reduces the whole matrix only after every
-`room` updates, the number that provably stay in range.  Pivoting is
+One elimination routine serves rank, left kernel and the prefactored
+solver; `rref` returns its echelon form.  It starts from the residues of
+`as_fp`, stored in the smallest unsigned dtype, and delays the reduction
+mod p (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008): a row update
+subtracts at most (p-1)^2 from an entry, so it works in int32 (int64 when
+p + (p-1)^2 >= 2^31) and reduces the whole matrix only after every `room`
+updates, the number that provably stay in range.  Pivoting is
 deterministic (first nonzero in column order) so echelon forms and kernel
 bases are byte-reproducible.  The kernel orientation is the left kernel:
 vectors index rows (points), columns index monomial coordinates.
@@ -17,39 +18,37 @@ import numpy as np
 
 
 def as_fp(M, p: int) -> np.ndarray:
-    """M reduced mod p as an int64 array.
+    """M reduced mod p, as a new array in the smallest unsigned dtype that
+    holds p-1 (uint8 for p <= 256).
 
-    Integers that do not fit int64 are reduced exactly before the cast
-    (numpy reads such Python integers as object or float64 arrays).
+    Bool and fixed-width integer arrays are reduced by numpy, in their own
+    dtype when p fits it.  Anything else is reduced exactly, as Python
+    integers, before the cast: numpy reads integers beyond int64 as object,
+    uint64 or float64 arrays, and mixes uint64 with signed integers through
+    float64.
     """
     A = np.asarray(M)
-    if A.dtype != np.int64:
-        A = np.array(M, dtype=object) % p
-    A = np.array(A, dtype=np.int64, order="C")
-    A %= p
     if A.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    return A
+    residues = np.min_scalar_type(p - 1)
+    if A.dtype.kind not in "biu" or A.dtype == np.uint64 or p >= 2**63:
+        return (np.array(M, dtype=object) % p).astype(residues)
+    if A.dtype.kind == "b":
+        return A.astype(residues)
+    if p > np.iinfo(A.dtype).max:
+        A = A.astype(np.int64)
+    return (A % A.dtype.type(p)).astype(residues, copy=False)
 
 
-def rref(M, p: int, ncols: int | None = None):
-    """Reduced row-echelon form over F_p, returned as int64.
-
-    Returns (R, pivots): pivots are the pivot column indices.  Pivots are
-    searched only in the first ncols columns (all columns by default); the
-    remaining columns take part in every row operation.
-
-    The pivot column and the pivot row are reduced when read, so each update
-    subtracts products in [0, (p-1)^2] and entries stay in
-    [-room * (p-1)^2, p-1] between full reductions.  ArithmeticError when
-    not even one update fits int64.
-    """
+def _eliminate(M, p: int, ncols: int | None = None):
+    """The work of rref: (R, pivots) with R in the int32 or int64 work
+    dtype, every entry reduced to {0,...,p-1}."""
     if p + (p - 1)**2 >= 2**63:
         raise ArithmeticError(f"products of residues mod {p} would overflow "
                               "int64")
     dtype = np.int32 if p + (p - 1)**2 < 2**31 else np.int64
     room = (int(np.iinfo(dtype).max) - p) // (p - 1)**2
-    A = as_fp(M, p).astype(dtype, copy=False)
+    A = np.array(as_fp(M, p), dtype=dtype, order="C")
     rows, cols = A.shape
     pivots: list[int] = []
     r = updates = 0
@@ -76,29 +75,46 @@ def rref(M, p: int, ncols: int | None = None):
         pivots.append(c)
         r += 1
     A %= p
-    return A.astype(np.int64, copy=False), pivots
+    return A, pivots
+
+
+def rref(M, p: int, ncols: int | None = None):
+    """Reduced row-echelon form over F_p, returned as int64.
+
+    Returns (R, pivots): pivots are the pivot column indices.  Pivots are
+    searched only in the first ncols columns (all columns by default); the
+    remaining columns take part in every row operation.
+
+    The work array starts from the residues of M in int32 (int64 when
+    p + (p-1)^2 >= 2^31).  The pivot column and the pivot row are reduced
+    when read, so each update subtracts products in [0, (p-1)^2] and
+    entries stay in [-room * (p-1)^2, p-1] between full reductions.
+    ArithmeticError when not even one update fits int64.
+    """
+    R, pivots = _eliminate(M, p, ncols)
+    return R.astype(np.int64, copy=False), pivots
 
 
 def rank(M, p: int) -> int:
-    return len(rref(M, p)[1])
+    return len(_eliminate(M, p)[1])
 
 
 def left_kernel_basis(M, p: int) -> np.ndarray:
     """Echelonized basis of {x : x @ M = 0 (mod p)}.
 
     Rows of the returned array are the basis vectors, with leading-one
-    pivots, deterministic across runs.  It is the kernel's reduced echelon
+    pivots, deterministic across runs, in the dtype of as_fp.  It is the kernel's reduced echelon
     form, read off one elimination of M^T with its columns reversed: each
     free column f gives the vector with 1 at f, 0 at the other free columns
     and -R[k, f] at the pivot column of row k.
     """
-    R, pivots = rref(as_fp(M, p).T[:, ::-1], p)
+    R, pivots = _eliminate(as_fp(M, p).T[:, ::-1], p)
     n = R.shape[1]
     is_free = np.ones(n, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)[::-1]
     # Column j of the reversed system is column n-1-j of x.
-    B = np.zeros((free.size, n), dtype=np.int64)
+    B = np.zeros((free.size, n), dtype=np.min_scalar_type(p - 1))
     B[np.arange(free.size), n - 1 - free] = 1
     B[:, n - 1 - np.asarray(pivots, dtype=np.int64)] = (
         -R[:len(pivots), free].T % p)
@@ -118,7 +134,7 @@ class PrefactoredLeftSystem:
         self.p = p
         A = as_fp(M, p).T  # solve A y = t with y = x
         m, self.n_unknowns = A.shape
-        R, self.pivots = rref(np.hstack([A, np.eye(m, dtype=np.int64)]), p,
+        R, self.pivots = rref(np.hstack([A, np.eye(m, dtype=A.dtype)]), p,
                               ncols=self.n_unknowns)
         self.T = np.ascontiguousarray(R[:, self.n_unknowns:])
 

@@ -143,17 +143,39 @@ def _point_labels(spec: FieldSpec) -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def _multiplicity_suffixes(p: int) -> tuple[str, ...]:
-    """The text after a point label, indexed by its multiplicity m < p."""
-    return ("", "") + tuple(f" : {m}" for m in range(2, p))
+    """The rest of a point's line after its label, indexed by its
+    multiplicity m < p."""
+    return ("\n", "\n") + tuple(f" : {m}\n" for m in range(2, p))
+
+
+def mset_texts(spec: FieldSpec, V):
+    """The `# mset` text of each row of V, an (m, q^2+q+1) stack of
+    multiplicities in {0,...,p-1}: one line per point with nonzero
+    multiplicity, "a b c" for 1 and "a b c : m" otherwise.
+
+    Yields the texts in row order.  One np.flatnonzero pass over the stack
+    finds every line; each text is made when it is asked for.
+    """
+    V = np.asarray(V)
+    n = V.shape[1]
+    labels = _point_labels(spec)
+    suffix = _multiplicity_suffixes(spec.p)
+    head = f"# mset q={spec}\n"
+    flat = np.flatnonzero(V)
+    mults = V.ravel()[flat]
+    ends = np.searchsorted(flat, n * np.arange(1, len(V) + 1)).tolist()
+    start = 0
+    for r, end in enumerate(ends):
+        cols = (flat[start:end] - r * n).tolist()
+        yield head + "".join([labels[c] + suffix[m]
+                              for c, m in zip(cols,
+                                              mults[start:end].tolist())])
+        start = end
 
 
 def mset_to_text(S: PointMultiset) -> str:
-    """One line per point with nonzero multiplicity: "a b c : m"."""
-    suffix = _multiplicity_suffixes(S.spec.p)
-    lines = [f"# mset q={S.spec}"]
-    lines += [label + suffix[m]
-              for label, m in zip(_point_labels(S.spec), S.mult) if m]
-    return "\n".join(lines) + "\n"
+    """The `# mset` text of one multiset; see mset_texts."""
+    return next(mset_texts(S.spec, [S.mult]))
 
 
 def mset_from_text(text: str, spec: FieldSpec) -> PointMultiset:

@@ -56,11 +56,14 @@ ProjLine = ProjPoint
 
 @lru_cache(maxsize=None)
 def canonical_triples(spec: FieldSpec) -> np.ndarray:
-    """(q^2+q+1, 3) encodings of the normalized triples in enumeration order."""
+    """(q^2+q+1, 3) encodings of the normalized triples in enumeration
+    order; read-only."""
     q = spec.q
-    return np.array([(0, 0, 1)] + [(0, 1, c) for c in range(q)]
-                    + [(1, b, c) for b in range(q) for c in range(q)],
-                    dtype=np.int64)
+    T = np.array([(0, 0, 1)] + [(0, 1, c) for c in range(q)]
+                 + [(1, b, c) for b in range(q) for c in range(q)],
+                 dtype=np.int64)
+    T.flags.writeable = False
+    return T
 
 
 @lru_cache(maxsize=None)
@@ -109,8 +112,11 @@ def incidence_matrix(spec: FieldSpec) -> np.ndarray:
     """0/1 matrix, rows = points, columns = lines, in enumeration order.
 
     Points and lines share the canonical triples, so it is symmetric.
+    Read-only.
     """
     T = canonical_triples(spec)
     terms = [field.mul(spec, T[:, None, k], T[None, :, k]) for k in range(3)]
     dot = field.add(spec, field.add(spec, terms[0], terms[1]), terms[2])
-    return (dot == 0).astype(np.int64)
+    inc = (dot == 0).astype(np.int64)
+    inc.flags.writeable = False
+    return inc

@@ -114,10 +114,19 @@ def point_image_rows(spec: FieldSpec) -> np.ndarray:
 
     Entry at (i, j) is C(q-1; i, j) * a^(q-1-i-j) * b^j * c^i; the
     multinomial lies in the prime subfield, so its encoding is its residue.
+    Read-only, in the smallest unsigned dtype that holds q-1, and built a
+    block of m points at a time (m monomials), so that the int64 values
+    of monomial_values never span the whole matrix.
     """
     multinomials = [multinomial_int(spec.q - 1, i, j) % spec.p
                     for i, j in monomial_indices(spec)]
-    return monomial_values(spec, canonical_triples(spec), multinomials)
+    T = canonical_triples(spec)
+    m = len(multinomials)
+    rows = np.empty((len(T), m), dtype=np.min_scalar_type(spec.q - 1))
+    for k in range(0, len(T), m):
+        rows[k:k + m] = monomial_values(spec, T[k:k + m], multinomials)
+    rows.flags.writeable = False
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -126,9 +135,17 @@ def point_matrix_fp(spec: FieldSpec) -> np.ndarray:
 
     Each entry becomes its h base-p digits, so the shape is
     (q^2+q+1, h*C(q+1,2)); a multiset maps to mult @ matrix mod p.
+    Read-only, in the smallest unsigned dtype that holds p-1; for h = 1 it
+    is point_image_rows itself.  Products must be taken in a wider dtype.
     """
     rows = point_image_rows(spec)
-    return field.digits(spec, rows).reshape(rows.shape[0], -1)
+    if spec.h == 1:
+        return rows
+    M = np.empty(rows.shape + (spec.h,), dtype=np.min_scalar_type(spec.p - 1))
+    for k in range(spec.h):  # p^k < q, so digits stay in the rows' dtype
+        M[:, :, k] = rows // spec.p**k % spec.p
+    M.flags.writeable = False
+    return M.reshape(rows.shape[0], -1)
 
 
 def power_sum(S: "PointMultiset") -> HomPoly:

@@ -86,6 +86,15 @@ def test_ghost_report_field32(capsys):
         "31eba6cbcb35d16f86e1f905ce454d43e9b34e3cbeef8601cfdc32ead7ab6a67")
 
 
+@pytest.mark.parametrize("field", ["7^2", "2^6"])
+def test_largest_extension_fields_have_a_modulus(tmp_path, capsys, field):
+    # both pass MAX_CLI_Q; they used to exit 3 asking for a modulus
+    f = tmp_path / "x.psp"
+    f.write_text(f"# psp q={field}\n0 0 1\n")  # X^(q-1)
+    assert run(capsys, "eval", "--field", field, "--in", str(f),
+               "--line", "1 0 0") == (0, "1\n", "")
+
+
 def test_ghost_report_h2_flagged(capsys):
     code, out, _ = run(capsys, "ghost-report", "--field", "3^2",
                        "--format", "json")
@@ -318,16 +327,16 @@ def test_elim_trace_json_is_input_error(monkeypatch, capsys):
 
 
 def test_elim_trace_holds_one_state(tmp_path):
-    # Each state is written as it is made; keeping all 16 states and
-    # joining their CSV peaked at 5.5 MiB here.
+    # Each state is written as it is made; keeping all 12 states and
+    # joining their CSV peaked at 1.22 MiB here, one state at 0.45.
     tracemalloc.start()
     try:
-        assert main(["elim-trace", "--field", "17",
+        assert main(["elim-trace", "--field", "13",
                      "--out", str(tmp_path / "trace.csv")]) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20
+    assert peak < 0.8 * 2**20
 
 
 @pytest.mark.parametrize("suite,field", [("elim", "3^2"), ("elim", "2"),

@@ -147,15 +147,30 @@ def test_verify_procedure(p):
 
 def test_verify_procedure_holds_one_state():
     # Only the current state of the interior block is alive at a time; the
-    # list of all p-1 states peaked at 5.7 MiB here.
-    elim._nested_sum.cache_clear()
+    # list of all p-1 states peaked at 1.48 MiB here, one state at 0.53.
     tracemalloc.start()
     try:
-        assert elim.verify_procedure(17).ok
+        assert elim.verify_procedure(13).ok
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak < 2**20
+
+
+def test_closed_forms_keep_no_memo():
+    # The nested sums are shared within one closed_form_factor call and
+    # freed with it; a process-wide cache held 13 MiB after p = 37.
+    cols = elim.fourth_block_col_labels(29)
+    elim.closed_form_factor(6, 14, cols)  # first-call allocations
+    tracemalloc.start()
+    try:
+        factor = elim.closed_form_factor(6, 15, cols)
+        with_result, _ = tracemalloc.get_traced_memory()
+        del factor
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert with_result > 2048 > kept  # 12 KiB stayed with that cache
 
 
 def _corrupt_step_2(monkeypatch, target, corrupt):

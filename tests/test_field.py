@@ -309,3 +309,25 @@ def test_oversized_p_rejected_before_trial_division(monkeypatch):
     monkeypatch.setattr(field, "is_prime", no_trial_division)
     with pytest.raises(ValueError, match="exceeds"):
         FieldSpec.of(2**61 - 1)
+
+
+def test_every_cli_field_parses():
+    # every prime power up to the CLI's largest plane has a modulus;
+    # 7^2 and 2^6 used to ask for one the CLI cannot pass
+    from psghost.cli import MAX_CLI_Q
+    for q in range(2, MAX_CLI_Q + 1):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        h = 1
+        while p**h < q:
+            h += 1
+        if p**h != q:
+            continue
+        spec = FieldSpec.parse(str(q) if h == 1 else f"{p}^{h}")
+        assert (spec.p, spec.h, spec.q) == (p, h, q)
+
+
+@pytest.mark.parametrize("p,h", [(7, 2), (2, 6)])
+def test_new_default_moduli_make_fields(p, h):
+    spec = FieldSpec.of(p, h)
+    assert spec.modulus == field.DEFAULT_MODULI[(p, h)]
+    _check_against_schoolbook(spec)

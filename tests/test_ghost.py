@@ -303,3 +303,12 @@ def test_one_multiset_predicates_return_bool():
                    all_line_evaluations_zero(S)]
         assert all(type(a) is bool for a in answers)
         json.dumps(answers)
+
+
+@pytest.mark.parametrize("texts", [[], ["# mset q=2\n0 0 1\n"],
+                                   ["a\tb \"c\"\\", "é\n", ""]])
+def test_json_chunks_equal_one_dumps(texts):
+    from psghost.ghost import json_chunks
+    members = {"q": "2", "count": None, "complete": True}
+    assert "".join(json_chunks(members, "list", iter(texts))) == json.dumps(
+        {**members, "list": texts}, indent=2)

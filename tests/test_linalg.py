@@ -312,3 +312,43 @@ def test_elimination_matches_python_integer_reference(p):
         assert (R.tolist(), piv) == _ref_rref(A, p, ncols=ncols)
         B = linalg.left_kernel_basis(np.array(A, dtype=np.int64), p)
         assert B.tolist() == _ref_left_kernel(A, p)
+
+
+def test_as_fp_is_exact_on_uint64_beyond_int64():
+    # uint64 values >= 2^63 have no int64 form; they are reduced as Python
+    # integers
+    A = np.array([[2**63, 2**64 - 1], [2**63 + 5, 7]], dtype=np.uint64)
+    for p in (3, 251, 65521, 2**61 - 1):
+        R = linalg.as_fp(A, p)
+        assert R.tolist() == [[int(v) % p for v in row] for row in A.tolist()]
+        assert R.dtype == np.min_scalar_type(p - 1)
+    assert linalg.rank(A, 3) == 2  # [[2, 0], [1, 1]] mod 3
+
+
+def test_as_fp_on_bool_object_and_narrow_arrays():
+    B = np.array([[True, False], [False, True]])
+    assert linalg.as_fp(B, 2).tolist() == [[1, 0], [0, 1]]
+    assert linalg.as_fp(B, 2).dtype == np.uint8
+    obj = np.array([[2**70 + 1, -(2**65)], [-1, 5]], dtype=object)
+    assert linalg.as_fp(obj, 7).tolist() == [
+        [(2**70 + 1) % 7, -(2**65) % 7], [6, 5]]
+    # narrow dtypes: negatives, and a p the dtype cannot hold
+    for dtype in (np.int8, np.int16, np.int32, np.uint8, np.uint16):
+        A = np.array([[0, 1, 100], [127, 5, 3]], dtype=dtype)
+        if np.issubdtype(dtype, np.signedinteger):
+            A[1, 1] = -100
+        for p in (2, 13, 257, 70001):
+            assert linalg.as_fp(A, p).tolist() == [
+                [int(v) % p for v in row] for row in A.tolist()]
+    # a fresh array each time: the caller's matrix is never the result
+    M = np.array([[1, 2]], dtype=np.uint8)
+    assert not np.shares_memory(linalg.as_fp(M, 5), M)
+
+
+def test_left_kernel_basis_in_the_residue_dtype():
+    B = linalg.left_kernel_basis(np.zeros((3, 2), dtype=np.int64), 251)
+    assert B.dtype == np.uint8 and B.tolist() == np.eye(3).tolist()
+    B = linalg.left_kernel_basis([[1, 1], [1, 1], [2, 2]], 257)
+    assert B.dtype == np.uint16
+    assert not (B.astype(np.int64) @ np.array([[1, 1], [1, 1], [2, 2]])
+                % 257).any()
