@@ -154,10 +154,10 @@ def cmd_ghost_report(args) -> int:
     spec = _field(args)
     report = ghost.ghost_report(spec)
     if args.format == "text":
-        lines = [f"q = {report.q} (p = {report.p}, h = {report.h})",
+        lines = [f"q = {spec.q} (p = {spec.p}, h = {spec.h})",
                  f"rank = {report.rank_phi}",
                  f"ghost exponent = {report.ghost_exponent}",
-                 f"ghost count = {report.ghost_count() or f'{report.p}^{report.ghost_exponent}'}",
+                 f"ghost count = {report.ghost_count() or f'{spec.p}^{report.ghost_exponent}'}",
                  f"note: {report.note}"]
         _write(args.out, "\n".join(lines) + "\n")
     else:

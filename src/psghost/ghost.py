@@ -180,18 +180,6 @@ class GhostReport:
     kernel: np.ndarray
     note: str
 
-    @property
-    def q(self) -> int:
-        return self.spec.q
-
-    @property
-    def p(self) -> int:
-        return self.spec.p
-
-    @property
-    def h(self) -> int:
-        return self.spec.h
-
     @cached_property
     def kernel_basis(self) -> tuple[PointMultiset, ...]:
         """The rows of `kernel` as multisets, built on first use."""
@@ -200,15 +188,15 @@ class GhostReport:
 
     def ghost_count(self):
         """p^exponent as an integer when it fits 128 bits, else None."""
-        n = self.p**self.ghost_exponent
+        n = self.spec.p**self.ghost_exponent
         return n if n < 2**128 else None
 
     def json_chunks(self):
         """to_json() piece by piece, one piece per kernel row."""
         return json_chunks({
-            "q": self.q,
-            "p": self.p,
-            "h": self.h,
+            "q": self.spec.q,
+            "p": self.spec.p,
+            "h": self.spec.h,
             "rank": self.rank_phi,
             "exponent": self.ghost_exponent,
             "count": self.ghost_count(),
