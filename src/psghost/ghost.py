@@ -211,16 +211,17 @@ class GhostReport:
 def ghost_report(spec: FieldSpec) -> GhostReport:
     """Rank of the point-image matrix over F_p, kernel basis, exponent.
 
-    The basis B is checked against the point matrix M a block of columns
-    at a time.  A block and its product with B hold at most as many
-    entries as B, so the float64 operands of each product stay within
-    twice the size of B.
+    The basis B is checked against the point matrix M in float64, a block
+    of M's columns at a time.  A block and its product with B hold at most
+    half as many entries as B, so the check holds at most 1.5 times B's
+    size in float64.
     """
     M = point_matrix_fp(spec)
     B = linalg.left_kernel_basis(M, spec.p)
     k, n = B.shape
-    step = k * n // (k + n) or M.shape[1]
-    if any(np.any(product_mod_p(B, M[:, j:j + step], spec.p))
+    step = k * n // (2 * (k + n)) or M.shape[1]
+    Bf = B.astype(np.float64)
+    if any(np.any(product_mod_p(Bf, M[:, j:j + step], spec.p))
            for j in range(0, M.shape[1], step)):
         raise ArithmeticError(f"kernel basis over GF({spec}) is not in the "
                               "kernel of the point-image matrix")
