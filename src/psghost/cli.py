@@ -154,10 +154,11 @@ def cmd_ghost_report(args) -> int:
     spec = _field(args)
     report = ghost.ghost_report(spec)
     if args.format == "text":
+        count = report.ghost_count() or f"{spec.p}^{report.ghost_exponent}"
         lines = [f"q = {spec.q} (p = {spec.p}, h = {spec.h})",
                  f"rank = {report.rank_phi}",
                  f"ghost exponent = {report.ghost_exponent}",
-                 f"ghost count = {report.ghost_count() or f'{spec.p}^{report.ghost_exponent}'}",
+                 f"ghost count = {count}",
                  f"note: {report.note}"]
         _write(args.out, "\n".join(lines) + "\n")
     else:

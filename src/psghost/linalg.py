@@ -103,10 +103,11 @@ def left_kernel_basis(M, p: int) -> np.ndarray:
     """Echelonized basis of {x : x @ M = 0 (mod p)}.
 
     Rows of the returned array are the basis vectors, with leading-one
-    pivots, deterministic across runs, in the dtype of as_fp.  It is the kernel's reduced echelon
-    form, read off one elimination of M^T with its columns reversed: each
-    free column f gives the vector with 1 at f, 0 at the other free columns
-    and -R[k, f] at the pivot column of row k.
+    pivots, deterministic across runs, in the residue dtype of as_fp.  It
+    is the kernel's reduced echelon form, read off one elimination of M^T
+    with its columns reversed: each free column f gives the vector with 1
+    at f, 0 at the other free columns and -R[k, f] at the pivot column of
+    row k.
     """
     R, pivots = _eliminate(as_fp(M, p).T[:, ::-1], p)
     n = R.shape[1]

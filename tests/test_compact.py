@@ -14,6 +14,7 @@ from psghost import ghost, linalg, msets, poly, tomo
 from psghost.cli import main
 from psghost.field import FieldSpec
 from psghost.msets import PointMultiset, mset_texts, mset_to_text
+from psghost.plane import enumerate_points
 
 GF13 = FieldSpec.of(13)
 
@@ -46,7 +47,8 @@ def test_report_arrays_are_residues_of_the_smallest_dtype(field):
     assert M.max() < spec.p and report.kernel.max() < spec.p
     assert report.kernel.shape == (report.ghost_exponent,
                                    spec.q**2 + spec.q + 1)
-    assert [list(S.mult) for S in report.kernel_basis] == report.kernel.tolist()
+    rows = report.kernel.tolist()
+    assert [list(S.mult) for S in report.kernel_basis] == rows
 
 
 def _random_stack(spec, rows, seed):
@@ -88,7 +90,8 @@ def test_prefactored_solve_matches_int64_reference():
 def test_exhaustive_set_search_matches_int64_reference():
     spec = FieldSpec.of(3)
     M64 = poly.point_matrix_fp(spec).astype(np.int64)
-    S = PointMultiset.from_vector(spec, [1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0])
+    S = PointMultiset.from_vector(spec, [1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 1, 0,
+                                         0])
     target = np.array(S.mult) @ M64 % 3
     bits = (np.arange(2**13)[:, None] >> np.arange(13)) & 1
     want = sorted(map(tuple, bits[(bits @ M64 % 3 == target).all(1)].tolist()))
@@ -96,12 +99,23 @@ def test_exhaustive_set_search_matches_int64_reference():
     assert [T.mult for T in got] == want and S.mult in want
 
 
-def test_kernel_texts_equal_per_row_texts():
-    spec = FieldSpec.parse("23")
-    report = ghost.ghost_report(spec)
-    texts = list(mset_texts(spec, report.kernel))
-    assert texts == [mset_to_text(S) for S in report.kernel_basis]
-    assert list(mset_texts(spec, np.zeros((0, 553), dtype=np.uint8))) == []
+def _reference_text(spec, mult):
+    """The `# mset` text of one row, point by point."""
+    pts = enumerate_points(spec)
+    lines = [f"# mset q={spec}"]
+    lines += [str(pts[k]) if m == 1 else f"{pts[k]} : {m}"
+              for k, m in enumerate(mult) if m]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("field", ["23", "2^4"])
+def test_kernel_texts_equal_per_point_reference(field):
+    spec = FieldSpec.parse(field)
+    kernel = ghost.ghost_report(spec).kernel
+    assert list(mset_texts(spec, kernel)) == [
+        _reference_text(spec, row) for row in kernel.tolist()]
+    n = spec.q**2 + spec.q + 1
+    assert list(mset_texts(spec, np.zeros((0, n), dtype=np.uint8))) == []
 
 
 def test_mset_texts_of_a_stack_with_empty_rows():
@@ -109,9 +123,10 @@ def test_mset_texts_of_a_stack_with_empty_rows():
     V = _random_stack(spec, 4, 4)
     V[[0, 2]] = 0
     V[3, -1] = 0
-    want = [mset_to_text(PointMultiset.from_vector(spec, v)) for v in V]
+    want = [_reference_text(spec, row) for row in V.tolist()]
     assert list(mset_texts(spec, V)) == want
     assert want[0] == "# mset q=5\n"
+    assert mset_to_text(PointMultiset.from_vector(spec, V[1])) == want[1]
 
 
 def test_ghost_report_holds_compact_arrays(tmp_path):

@@ -1,6 +1,6 @@
 """Golden output hashes: `ghost-report`, `solve`, `psp` and `eval` JSON,
-`solve` text, `verify --suite all` text, `elim-trace` CSV and the elimination proof's
-summary must stay byte-identical.
+`ghost-report`, `solve` and `verify --suite all` text, `elim-trace` CSV
+and the elimination proof's summary must stay byte-identical.
 
 Each entry is the sha256 of the bytes the CLI writes to stdout.  The inputs
 derive from the plain set whose per-point bits are drawn as
@@ -58,6 +58,23 @@ GHOST_REPORT_SHA256 = {
         "1bb9390d0383387e76e1d73e569116a07340243b8ee149f9e7059fee5639da4a",
     "3^3":
         "cdd0da7a9fa4171c908b46699d7e93d8f2cb1e4750d2588a3702437230547e98",
+}
+
+# `ghost-report` text: the count is an integer below 2^128 (2, 7, 2^3, 3^2)
+# and p^exponent from there on (13, 23).
+GHOST_REPORT_TEXT_SHA256 = {
+    "2":
+        "d60bb2f3426150619ec3f415c2a6c1e3f3f95113bb96e60917c4d7f346ba5a3b",
+    "7":
+        "f1497c95872fa1e45a89f8aebab6223e8b97370f10025fda630b3df69762dbae",
+    "2^3":
+        "9a55d34537119ab96064a3a3f41717da775999afa63a97337aa87cb5fb4d9939",
+    "3^2":
+        "f5038076583be1f29d6ae423f2e4f5c83734dd02b83ee256873acff79c00d6e1",
+    "13":
+        "02b0fdd495e54369403ec75620a8ca6070b95b63047dc17f53a452bd77568d01",
+    "23":
+        "c1c654ff9104354ae38004bd8a3770cfcae5bc14908d38d503459c9c27c5ed47",
 }
 
 # `solve` is also pinned at two benchmark fields, in JSON and in text: both
@@ -228,6 +245,12 @@ def test_ghost_report_json_golden(capsys, field):
     digest = _stdout_sha256(
         capsys, ["ghost-report", "--field", field, "--format", "json"])
     assert digest == GHOST_REPORT_SHA256[field]
+
+
+@pytest.mark.parametrize("field", sorted(GHOST_REPORT_TEXT_SHA256))
+def test_ghost_report_text_golden(capsys, field):
+    digest = _stdout_sha256(capsys, ["ghost-report", "--field", field])
+    assert digest == GHOST_REPORT_TEXT_SHA256[field]
 
 
 @pytest.mark.parametrize("field", SOLVE_FIELDS)
