@@ -8,24 +8,19 @@ suite or an elim-trace asked for on a field it does not cover), 4 internal
 error.  `elim-trace` writes each state as it is made, so an exit 4 from it
 may follow partial output.  Output is deterministic given the same flags
 and seed, apart from the per-suite seconds in `verify --format json`.
+
+Each command imports the modules it runs when it runs, so a cold process
+loads only those: `elim-trace` runs without numpy, and only `solve`
+loads `tomo`.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
-import random
 import sys
-import time
 
-import numpy as np
-
-from . import ghost, msets, poly, tomo
 from .field import FieldSpec
-from .msets import PointMultiset, mset_from_text, mset_to_text
-from .plane import ProjLine, enumerate_points, enumerate_lines
-from .poly import poly_from_text, poly_to_text
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -98,50 +93,50 @@ def _blocks(head, *groups):
 
 def _field(args) -> FieldSpec:
     try:
-        spec = FieldSpec.parse(args.field)
+        return FieldSpec.parse(args.field, max_q=MAX_CLI_Q)
     except (ValueError, TypeError) as e:
         raise InputError(f"bad field {args.field!r}: {e}") from e
-    if spec.q > MAX_CLI_Q:
-        raise InputError(f"bad field {args.field!r}: q = {spec.q} exceeds "
-                         f"{MAX_CLI_Q}, the largest plane the commands handle")
-    return spec
 
 
 def cmd_psp(args) -> int:
+    from . import msets, poly
     spec = _field(args)
     try:
-        S = mset_from_text(_read(args.infile), spec)
+        S = msets.mset_from_text(_read(args.infile), spec)
     except ValueError as e:
         raise InputError(str(e)) from e
     G = msets.phi(S)
     if args.format == "json":
+        import json
         terms = {f"{i} {j}": c.encoding
                  for (i, j), c in zip(poly.monomial_indices(spec), G.coeffs)
                  if not c.is_zero()}
         _write(args.out, json.dumps({"q": str(spec), "terms": terms},
                                     indent=2) + "\n")
     else:
-        _write(args.out, poly_to_text(G))
+        _write(args.out, poly.poly_to_text(G))
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
+    from . import plane, poly
     spec = _field(args)
     try:
-        G = poly_from_text(_read(args.infile), spec)
+        G = poly.poly_from_text(_read(args.infile), spec)
     except ValueError as e:
         raise InputError(str(e)) from e
     if args.line:
         try:
             u, v, w = (int(x) for x in args.line.split())
-            line = ProjLine.from_encodings(spec, u, v, w)
+            line = plane.ProjLine.from_encodings(spec, u, v, w)
         except ValueError as e:
             raise InputError(f"bad line {args.line!r}: {e}") from e
         _write(args.out, f"{poly.evaluate(G, line).encoding}\n")
         return EXIT_OK
     rows = [(str(l), poly.evaluate(G, l).encoding)
-            for l in enumerate_lines(spec)]
+            for l in plane.enumerate_lines(spec)]
     if args.format == "json":
+        import json
         _write(args.out, json.dumps(
             {"q": str(spec), "values": {k: v for k, v in rows}},
             indent=2) + "\n")
@@ -151,6 +146,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ghost_report(args) -> int:
+    from . import ghost
     spec = _field(args)
     report = ghost.ghost_report(spec)
     if args.format == "text":
@@ -167,11 +163,12 @@ def cmd_ghost_report(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from . import ghost, msets, poly, tomo
     spec = _field(args)
     if args.sets and args.limit <= 0:
         raise InputError(f"--limit must be positive, got {args.limit}")
     try:
-        G = poly_from_text(_read(args.infile), spec)
+        G = poly.poly_from_text(_read(args.infile), spec)
     except ValueError as e:
         raise InputError(str(e)) from e
     coset = tomo.solve(G)
@@ -181,24 +178,24 @@ def cmd_solve(args) -> int:
     if args.sets:
         sols = tomo.enumerate_set_solutions(G, args.limit)
         complete = tomo.set_search_exhaustive(coset) and len(sols) < args.limit
-        texts = map(mset_to_text, sols)
+        texts = map(msets.mset_to_text, sols)
         if args.format == "json":
             _write(args.out, _json_lines(ghost.json_chunks(
                 {"q": str(spec), "complete": complete}, "solutions", texts)))
         else:
             _write(args.out, _blocks(f"# {len(sols)} plain-set solutions, "
-                                     f"complete: {json.dumps(complete)}\n",
+                                     f"complete: {str(complete).lower()}\n",
                                      texts))
         return EXIT_OK
-    particular = mset_to_text(coset.particular)
-    kernel = msets.mset_texts(spec, ghost.ghost_report(spec).kernel)
+    particular = msets.mset_to_text(coset.particular)
+    kernel = msets.mset_texts(spec, coset.kernel)
     if args.format == "json":
         _write(args.out, _json_lines(ghost.json_chunks(
             {"q": str(spec), "particular": particular,
              "exponent": coset.exponent}, "kernel_basis", kernel)))
     else:
         _write(args.out, _blocks(
-            f"# particular + {len(coset.kernel_basis)} kernel basis elements "
+            f"# particular + {len(coset.kernel)} kernel basis elements "
             f"(coset size {spec.p}^{coset.exponent})\n", [particular], kernel))
     return EXIT_OK
 
@@ -208,7 +205,8 @@ def cmd_solve(args) -> int:
 # Suites whose claim lives on some fields only are listed in _off_field.
 
 def _suite_pencils(spec, rng, failures):
-    points = enumerate_points(spec)
+    from . import ghost, plane
+    points = plane.enumerate_points(spec)
     labels, stack = [], []
     for P in [points[0], points[len(points) // 2], points[-1]]:
         for lam in range(spec.p**(spec.h - 1) + 1):
@@ -219,7 +217,7 @@ def _suite_pencils(spec, rng, failures):
             labels.append(f"punctured pencil lam={lam} at {P}")
             stack.append(ghost.punctured_pencil_ghost(P, lam, spec).mult)
             lam += 1
-    for l in enumerate_lines(spec)[:5]:
+    for l in plane.enumerate_lines(spec)[:5]:
         labels.append(f"line ghost {l}")
         stack.append(ghost.line_ghost(l, spec).mult)
     ok = ghost.is_ghost_stack(spec, stack).tolist()
@@ -230,7 +228,8 @@ def _suite_pencils(spec, rng, failures):
 def _suite_complements(spec, rng, failures):
     # Full plane minus a basis element, mod p: for a plain set this is its
     # complement, for higher multiplicities the mod-p complement.
-    B = ghost.ghost_report(spec).kernel.astype(np.int64)
+    from . import ghost
+    B = ghost.ghost_report(spec).kernel.astype("int64")
     ok = ghost.is_ghost_stack(spec, (1 - B) % spec.p)
     failures.extend("complement of a kernel basis element"
                     for good in ok.tolist() if not good)
@@ -238,6 +237,7 @@ def _suite_complements(spec, rng, failures):
 
 
 def _suite_vandermonde(spec, rng, failures):
+    from . import ghost, msets
     V = msets.random_residues(rng, spec.p, (200, spec.q**2 + spec.q + 1))
     a = ghost.is_ghost_stack(spec, V).tolist()
     b = ghost.vandermonde_check_stack(spec, V).tolist()
@@ -247,10 +247,11 @@ def _suite_vandermonde(spec, rng, failures):
 
 
 def _suite_union_counterexample(spec, rng, failures):
-    l1 = ProjLine.from_encodings(spec, 1, 0, 0)  # X = 0
-    l2 = ProjLine.from_encodings(spec, 0, 0, 1)  # Z = 0
-    pts = set(ghost.line_points(l1, spec)) | set(ghost.line_points(l2, spec))
-    S = PointMultiset.from_points(spec, pts)
+    from . import ghost, msets, plane, poly
+    l1 = plane.ProjLine.from_encodings(spec, 1, 0, 0)  # X = 0
+    l2 = plane.ProjLine.from_encodings(spec, 0, 0, 1)  # Z = 0
+    pts = set(plane.line_points(l1, spec)) | set(plane.line_points(l2, spec))
+    S = msets.PointMultiset.from_points(spec, pts)
     G = msets.phi(S)
     Y = poly.HomPoly.from_terms(spec, {(0, 1): 1})
     if G != Y or ghost.is_ghost(S):
@@ -259,7 +260,7 @@ def _suite_union_counterexample(spec, rng, failures):
 
 
 def _suite_elim(spec, rng, failures):
-    from . import elim  # only here and in elim-trace: keeps cold reports lean
+    from . import elim
     report = elim.verify_procedure(spec.p)
     if not report.ok:
         failures.extend(report.discrepancies)
@@ -282,6 +283,8 @@ def _off_field(name, spec):
 
 
 def cmd_verify(args) -> int:
+    import random
+    import time
     spec = _field(args)
     if args.suite != "all" and (why := _off_field(args.suite, spec)):
         raise InputError(f"--suite {args.suite} at q = {spec}: {why}")
@@ -303,6 +306,7 @@ def cmd_verify(args) -> int:
             "failures": failures[before:],
         })
     if args.format == "json":
+        import json
         _write(args.out, json.dumps({"q": str(spec), "seed": args.seed,
                                      "suites": results}, indent=2) + "\n")
     else:

@@ -12,6 +12,9 @@ block is reduced by a recursive pivotal elimination over exact integers:
 where the division is elementwise and exact over the integers.  Closed-form
 nested-summation formulas give every row at every step; this module
 implements both routes and compares them row by row.
+
+The elimination itself is pure Python; numpy, through `linalg`, is
+imported only by the rank checks of `verify_procedure`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
 
-from . import linalg
 from .field import is_prime, multinomial_int
 
 
@@ -252,6 +254,7 @@ def verify_procedure(p: int) -> ElimReport:
     p, the outer blocks are nonsingular mod p, and the multinomial-weighted
     image matrix has full rank mod p by independent generic elimination.
     """
+    from . import linalg
     if not is_prime(p) or p < 3:
         raise ValueError("verify_procedure requires an odd prime")
     checks: list[str] = []
@@ -334,6 +337,7 @@ def det_nonzero_mod_p(M, p: int) -> bool:
 
     That holds exactly when M has full rank over F_p.
     """
+    from . import linalg
     if any(len(row) != len(M) for row in M):
         raise ValueError("determinant requires a square matrix")
     return linalg.rank(M, p) == len(M)

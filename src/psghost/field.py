@@ -4,6 +4,10 @@ An element is its integer encoding: the base-p digit expansion of its
 polynomial-basis coordinates, constant term = lowest digit.  All file
 formats use the encoding.  Products and powers go through log/antilog
 tables of a primitive element, built once per field on first use.
+
+numpy is imported by the functions that build or take arrays, not when
+this module loads, so `FieldSpec` of a prime field and the integer helpers
+that `elim` uses load without it.
 """
 
 from __future__ import annotations
@@ -12,10 +16,10 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .linalg import rank
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_Q = 2**20
 
@@ -44,8 +48,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_order(p: int, h: int, max_q: int = MAX_Q) -> None:
+    """ValueError unless h >= 1, p^h <= max_q and p is prime."""
+    # Size before primality: trial division of a large p would not finish.
+    # p^h >= 2^h, so a large h is refused before p^h is formed.
+    if h < 1:
+        raise ValueError(f"extension degree must be >= 1, got {h}")
+    if p >= 2 and (h >= max_q.bit_length() or p**h > max_q):
+        raise ValueError(f"q = {p}^{h} exceeds {max_q}, the largest field "
+                         "supported")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+
+
 def _multiplication_matrix(v, modulus, p: int) -> np.ndarray:
     """Matrix of y -> v * y on digit vectors mod a monic modulus."""
+    import numpy as np
     cols = [np.asarray(v, dtype=np.int64)]
     for _ in range(len(modulus) - 2):  # times x: shift up, reduce x^h
         c = cols[-1]
@@ -61,6 +79,9 @@ def _rabin_irreducible(modulus, p: int) -> bool:
     dividing h, gcd(x^(p^(h/r)) - x, f) = 1 (Rabin, SIAM J. Comput. 1980).
     The gcd is 1 iff multiplication by x^(p^(h/r)) - x is invertible mod f.
     """
+    import numpy as np
+
+    from .linalg import rank
     h = len(modulus) - 1
     one, x = np.eye(h, dtype=np.int64)[:2]
     times_x = _multiplication_matrix(x, modulus, p)
@@ -88,13 +109,7 @@ class FieldSpec:
     modulus: tuple[int, ...]  # low-order first, monic, degree h
 
     def __post_init__(self):
-        # Size first: trial division of a large p would not finish.
-        if self.h < 1:
-            raise ValueError(f"extension degree must be >= 1, got {self.h}")
-        if self.p**self.h > MAX_Q:
-            raise ValueError(f"q = {self.p}^{self.h} exceeds supported size")
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+        _check_order(self.p, self.h)
         mod = tuple(c % self.p for c in self.modulus)
         if len(mod) != self.h + 1 or mod[-1] != 1:
             raise ValueError("modulus must be monic of degree h")
@@ -116,18 +131,18 @@ class FieldSpec:
             elif (p, h) in DEFAULT_MODULI:
                 modulus = DEFAULT_MODULI[(p, h)]
             else:
+                _check_order(p, h)
                 raise ValueError(
                     f"no built-in modulus for GF({p}^{h}); pass one explicitly")
         return cls(p, h, tuple(modulus))
 
     @classmethod
-    def parse(cls, text: str) -> "FieldSpec":
-        """Parse a field description: "7" or "3^2"."""
-        text = text.strip()
-        if "^" in text:
-            ps, hs = text.split("^", 1)
-            return cls.of(int(ps), int(hs))
-        return cls.of(int(text))
+    def parse(cls, text: str, max_q: int = MAX_Q) -> "FieldSpec":
+        """Parse a field description, "7" or "3^2", of order at most max_q."""
+        ps, caret, hs = text.strip().partition("^")
+        p, h = int(ps), int(hs) if caret else 1
+        _check_order(p, h, max_q)
+        return cls.of(p, h)
 
     def __str__(self):
         return str(self.p) if self.h == 1 else f"{self.p}^{self.h}"
@@ -169,6 +184,7 @@ def _tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
 
     g is primitive iff its powers first return to 1 after q-1 steps.
     """
+    import numpy as np
     p, q = spec.p, spec.q
     for g in range(1, q):
         # e -> g * e is F_p-linear: tabulate it one base-p digit of e at a
@@ -196,12 +212,14 @@ def _tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def digits(spec: FieldSpec, a) -> np.ndarray:
     """Base-p digits of encodings, low first, along a new last axis."""
+    import numpy as np
     a = np.asarray(a, dtype=np.int64)
     return a[..., None] // spec.p**np.arange(spec.h) % spec.p
 
 
 def from_digits(spec: FieldSpec, D) -> np.ndarray:
     """Encodings of digit vectors (each < p) along the last axis."""
+    import numpy as np
     return np.asarray(D, dtype=np.int64) @ spec.p**np.arange(spec.h)
 
 
@@ -219,6 +237,7 @@ def add(spec: FieldSpec, a, b):
 
 def mul(spec: FieldSpec, a, b) -> np.ndarray:
     """Encodings of a * b through the log/antilog tables."""
+    import numpy as np
     a, b = np.asarray(a), np.asarray(b)
     prod = spec.exp[(spec.log[a] + spec.log[b]) % (spec.q - 1)]
     return np.where((a == 0) | (b == 0), 0, prod)
@@ -239,7 +258,8 @@ class FieldElement:
     @property
     def coeffs(self) -> tuple[int, ...]:
         """Polynomial-basis coordinates, low-order first."""
-        return tuple(digits(self.spec, self.encoding).tolist())
+        p = self.spec.p
+        return tuple(self.encoding // p**k % p for k in range(self.spec.h))
 
     def is_zero(self) -> bool:
         return self.encoding == 0

@@ -13,7 +13,6 @@ float64 product; the PointMultiset forms wrap a one-row stack.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -157,6 +156,7 @@ def json_chunks(members: dict, key: str, texts):
     The list is the last member; each of its texts is one piece, escaped
     when it is reached.
     """
+    import json
     head = json.dumps({**members, key: []}, indent=2)
     yield head[:-len("[]\n}")]
     sep = "[\n    "

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -25,14 +25,23 @@ from .poly import HomPoly
 WALK_BUDGET = 400_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionCoset:
-    """particular + <kernel_basis> describes every solution; size p^exponent."""
+    """particular + <kernel rows> describes every solution; size p^exponent.
+
+    `kernel` is the ghost report's read-only residue array.
+    """
 
     spec: FieldSpec
     particular: Optional[PointMultiset]
-    kernel_basis: tuple[PointMultiset, ...]
+    kernel: np.ndarray
     exponent: int
+
+    @cached_property
+    def kernel_basis(self) -> tuple[PointMultiset, ...]:
+        """The rows of `kernel` as multisets, built on first use."""
+        return tuple(PointMultiset(self.spec, tuple(row))
+                     for row in self.kernel.tolist())
 
     def contains(self, S: PointMultiset) -> bool:
         if self.particular is None:
@@ -60,7 +69,7 @@ def solve(G: HomPoly) -> SolutionCoset:
     report = ghost_report(spec)
     x = _solver(spec).solve(_poly_fp(G))
     particular = None if x is None else PointMultiset.from_vector(spec, x)
-    return SolutionCoset(spec, particular, report.kernel_basis,
+    return SolutionCoset(spec, particular, report.kernel,
                          report.ghost_exponent)
 
 
@@ -109,7 +118,7 @@ def _coset_walk_set_solutions(G: HomPoly, limit: int) -> list[PointMultiset]:
     if coset.particular is None:
         return []
     p = spec.p
-    K = np.asarray([S.mult for S in coset.kernel_basis], dtype=np.int64)
+    K = coset.kernel.astype(np.int64)
     base = np.asarray(coset.particular.mult, dtype=np.int64)
     found = []
     walk = itertools.product(range(p), repeat=K.shape[0])

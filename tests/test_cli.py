@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from psghost import elim, poly
+from psghost import elim, plane, poly
 from psghost.cli import main
 from psghost.field import FieldSpec
 from psghost.ghost import ghost_report
@@ -367,14 +367,29 @@ def test_field_beyond_desk_scale_is_input_error(monkeypatch, capsys, command,
                                                 field):
     # Without the guard these would build the point-image rows (about 5e11
     # monomial pairs at q = 1000003) or enumerate the plane; fail fast instead.
-    import psghost.cli as cli
+    # the commands look the plane enumerations up in `plane` when they run
     monkeypatch.setattr(poly, "point_image_rows", _refuse)
     monkeypatch.setattr(elim, "verify_procedure", _refuse)
-    monkeypatch.setattr(cli, "enumerate_points", _refuse)
-    monkeypatch.setattr(cli, "enumerate_lines", _refuse)
+    monkeypatch.setattr(plane, "enumerate_points", _refuse)
+    monkeypatch.setattr(plane, "enumerate_lines", _refuse)
     code, out, err = run(capsys, command, "--field", field)
     assert code == 3
     assert out == "" and err.startswith("error:") and "64" in err
+
+
+@pytest.mark.parametrize("field,reason", [
+    ("11^2", "exceeds 64"),
+    ("2^7", "exceeds 64"),
+    ("2^0", "extension degree must be >= 1"),
+    ("2^-1", "extension degree must be >= 1"),
+    ("1^5", "p = 1 is not prime"),
+])
+def test_field_error_names_the_reason(capsys, field, reason):
+    # these used to report a missing built-in modulus, which the CLI has no
+    # way to pass
+    code, out, err = run(capsys, "ghost-report", "--field", field)
+    assert code == 3 and out == ""
+    assert reason in err and "modulus" not in err
 
 
 def test_verify_elim_field17_big_integers(capsys):

@@ -43,18 +43,62 @@ def test_process_exit_codes(argv, code):
     assert "Traceback" not in proc.stderr
 
 
-def test_cold_report_does_not_import_elim():
-    # elim is imported by the two commands that use it, so a cold report
-    # does not compile and run it.
+# Runs `cli.main` on the command line after its first argument, then
+# writes the exit code and which of the comma-separated modules in that
+# first argument were loaded.
+_IMPORT_PROBE = """import sys
+from psghost import cli
+try:
+    code = cli.main(sys.argv[2:])
+except SystemExit as e:
+    code = e.code
+loaded = [m for m in sys.argv[1].split(",") if m in sys.modules]
+sys.stderr.write(f"{code} {loaded}\\n")
+"""
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (["elim-trace", "--field", "13"], ["numpy"]),
+    (["--help"], ["numpy"]),
+    (["ghost-report", "--field", "5"], ["psghost.tomo", "psghost.elim"]),
+    (["verify", "--field", "5"], ["psghost.tomo", "json"]),
+], ids=["elim-trace", "help", "ghost-report", "verify"])
+def test_cold_command_imports_only_what_it_runs(argv, absent):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    code = ("import sys\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, ",".join(absent), *argv],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines()[-1] == "0 []"
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from psghost import *", namespace)
+    for name in psghost.__all__:
+        assert namespace[name] is getattr(psghost, name)
+        assert namespace[name].__module__.startswith("psghost.")
+    assert set(psghost.__all__) <= set(dir(psghost))
+    with pytest.raises(AttributeError):
+        psghost.no_such_name
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
+def test_openblas_threads_default_and_override(preset, expected):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = ("import os\n"
+            "import psghost\n"
             "from psghost import cli\n"
-            "code = cli.main(['ghost-report', '--field', '5'])\n"
-            "print(code, 'psghost.elim' in sys.modules)\n")
+            "code = cli.main(['ghost-report', '--field', '3'])\n"
+            "print(code, os.environ['OPENBLAS_NUM_THREADS'])\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert proc.stdout.splitlines()[-1] == f"0 {expected}"
 
 
 @pytest.mark.parametrize("argv,first_line", [

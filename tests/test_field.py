@@ -301,6 +301,26 @@ def test_nonprime_p_rejected():
         FieldSpec.of(6)
 
 
+@pytest.mark.parametrize("p,h,reason", [
+    (2, 0, "extension degree"), (2, -1, "extension degree"),
+    (1, 5, "not prime"), (2, 10**9, "exceeds"), (4, 2, "not prime"),
+])
+def test_of_without_modulus_checks_the_order_first(p, h, reason):
+    with pytest.raises(ValueError, match=reason):
+        FieldSpec.of(p, h)
+
+
+def test_of_valid_order_without_modulus_asks_for_one():
+    with pytest.raises(ValueError, match="no built-in modulus for GF"):
+        FieldSpec.of(11, 2)
+
+
+def test_parse_bounds_the_order():
+    assert FieldSpec.parse("2^6", max_q=64) == FieldSpec.of(2, 6)
+    with pytest.raises(ValueError, match="exceeds 64"):
+        FieldSpec.parse("2^7", max_q=64)
+
+
 def test_oversized_p_rejected_before_trial_division(monkeypatch):
     # trial division of the prime 2^61 - 1 would not finish
     def no_trial_division(n):
