@@ -13,20 +13,18 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # Each public name and the module that defines it.
 _MODULE_OF = {
-    **dict.fromkeys(["FieldElement", "FieldSpec", "multinomial_mod_p",
-                     "pow_q_minus_1"], "field"),
+    **dict.fromkeys(["FieldElement", "FieldSpec"], "field"),
     **dict.fromkeys(["ProjLine", "ProjPoint", "enumerate_lines",
-                     "enumerate_points", "incident", "line_points",
-                     "pencil_lines"], "plane"),
-    **dict.fromkeys(["HomPoly", "add_poly", "evaluate", "negate_poly",
-                     "power_sum"], "poly"),
+                     "enumerate_points", "line_points", "pencil_lines"],
+                    "plane"),
+    **dict.fromkeys(["HomPoly", "add_poly", "evaluate", "power_sum"], "poly"),
     **dict.fromkeys(["PointMultiset", "complement", "minverse", "msum",
                      "phi"], "msets"),
     **dict.fromkeys(["GhostReport", "ghost_report", "is_ghost", "line_ghost",
                      "partial_pencil_ghost", "punctured_pencil_ghost",
                      "vandermonde_check"], "ghost"),
-    **dict.fromkeys(["SolutionCoset", "enumerate_set_solutions", "solve",
-                     "verify_solution"], "tomo"),
+    **dict.fromkeys(["SolutionCoset", "enumerate_set_solutions", "solve"],
+                    "tomo"),
 }
 
 __all__ = list(_MODULE_OF)

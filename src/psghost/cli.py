@@ -3,11 +3,12 @@
 Subcommands: psp, eval, ghost-report, solve, verify, elim-trace.
 Exit codes: 0 success, 1 verification failure, 2 inconsistent solve,
 3 input error (bad flags, unreadable or malformed input, an unwritable
---out file, a file header naming another field than --field, a verify
-suite or an elim-trace asked for on a field it does not cover), 4 internal
-error.  `elim-trace` writes each state as it is made, so an exit 4 from it
-may follow partial output.  Output is deterministic given the same flags
-and seed, apart from the per-suite seconds in `verify --format json`.
+--out file or stdout, a file header of the other kind or naming another
+field than --field, a verify suite or an elim-trace asked for on a field
+it does not cover), 4 internal error.  `elim-trace` writes each state as
+it is made, so its errors may follow partial output.  Output is
+deterministic given the same flags, `verify`'s --seed among them, apart
+from the per-suite seconds in `verify --format json`.
 
 Each command imports the modules it runs when it runs, so a cold process
 loads only those: `elim-trace` runs without numpy, and only `solve`
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 
 from .field import FieldSpec
@@ -65,7 +67,16 @@ def _write(path, text):
     """Write `text`, a string or strings written as they come."""
     chunks = (text,) if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except OSError as e:
+            # What stdout still buffers goes nowhere, not into a second
+            # error when the interpreter flushes it at exit.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise InputError(f"cannot write to stdout: {e}") from e
         return
     try:
         with open(path, "w") as f:
@@ -345,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output file (default stdout)")
         sp.add_argument("--format", choices=["text", "json"],
                         default="text")
-        sp.add_argument("--seed", type=int, default=0)
         if infile:
             sp.add_argument("--in", dest="infile", required=True,
                             help='input file ("-" for stdin)')
@@ -373,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a verification suite")
     common(sp)
     sp.add_argument("--suite", default="all", choices=[*SUITES, "all"])
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("elim-trace", help="dump elimination step matrices")

@@ -29,20 +29,7 @@ class IntegrityError(ArithmeticError):
     """An exactness claim (integer divisibility) failed during elimination."""
 
 
-# -- base points and printed matrices ---------------------------------
-
-def base_points(p: int) -> list[tuple[int, int, int]]:
-    """The C(p+1,2) points (1,b,c), b+c <= p-1, whose images form a basis.
-
-    Ordered by b then c.  For p = 2 the conventional basis
-    (1,0,0), (0,1,0), (0,0,1) is returned instead.
-    """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} must be prime")
-    if p == 2:
-        return [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    return [(1, b, c) for b in range(p) for c in range(p - b)]
-
+# -- printed matrices ------------------------------------------------
 
 def table2_row_labels(p: int) -> list[tuple[int, int]]:
     """(b, c) pairs in the printed row order of the initial matrix."""

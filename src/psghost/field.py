@@ -303,18 +303,6 @@ class FieldElement:
         return str(self.encoding)
 
 
-def pow_q_minus_1(a: FieldElement) -> FieldElement:
-    """a^(q-1): zero for a = 0, one otherwise.
-
-    Computed through the log tables and cross-checked against the branch.
-    """
-    r = a ** (a.spec.q - 1)
-    expected = a.spec.zero() if a.is_zero() else a.spec.one()
-    if r != expected:
-        raise ArithmeticError("power map disagrees with the zero/one branch")
-    return r
-
-
 @lru_cache(maxsize=None)
 def multinomial_int(n: int, i: int, j: int) -> int:
     """Exact integer multinomial n! / (i! j! (n-i-j)!)."""
@@ -322,10 +310,3 @@ def multinomial_int(n: int, i: int, j: int) -> int:
         raise ValueError(f"invalid multinomial indices ({i},{j}) for n={n}")
     return math.factorial(n) // (
         math.factorial(i) * math.factorial(j) * math.factorial(n - i - j))
-
-
-def multinomial_mod_p(i: int, j: int, spec: FieldSpec) -> FieldElement:
-    """C(q-1; i, j) over the integers, reduced into the prime subfield."""
-    if i < 0 or j < 0 or i + j > spec.q - 1:
-        raise ValueError(f"require i, j >= 0 and i+j <= q-1, got ({i},{j})")
-    return spec.element(multinomial_int(spec.q - 1, i, j) % spec.p)

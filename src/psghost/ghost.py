@@ -104,11 +104,6 @@ def is_ghost(S: PointMultiset) -> bool:
     return bool(is_ghost_stack(S.spec, [S.mult])[0])
 
 
-def all_line_evaluations_zero(S: PointMultiset) -> bool:
-    """True iff the power sum polynomial evaluates to zero on every line."""
-    return bool(all_line_evaluations_zero_stack(S.spec, [S.mult])[0])
-
-
 def vandermonde_check(S: PointMultiset) -> bool:
     """Constant-intersection characterization of one multiset; see
     vandermonde_check_stack."""

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .field import FieldSpec
-from .plane import ProjPoint, canonical_triples, enumerate_points, point_index
+from .plane import ProjPoint, canonical_triples, point_index
 from . import poly
 
 
@@ -35,10 +35,6 @@ class PointMultiset:
     @classmethod
     def empty(cls, spec: FieldSpec) -> "PointMultiset":
         return cls(spec, (0,) * (spec.q**2 + spec.q + 1))
-
-    @classmethod
-    def full_plane(cls, spec: FieldSpec) -> "PointMultiset":
-        return cls(spec, (1,) * (spec.q**2 + spec.q + 1))
 
     @classmethod
     def from_points(cls, spec: FieldSpec, points) -> "PointMultiset":
@@ -65,19 +61,8 @@ class PointMultiset:
         """Total multiplicity, as a true integer."""
         return sum(self.mult)
 
-    @property
-    def size_mod_p(self) -> int:
-        return self.size % self.spec.p
-
     def multiplicity(self, P: ProjPoint) -> int:
         return self.mult[point_index(self.spec)[P]]
-
-    def support(self) -> list[ProjPoint]:
-        pts = enumerate_points(self.spec)
-        return [pts[k] for k, m in enumerate(self.mult) if m]
-
-    def is_plain_set(self) -> bool:
-        return all(m in (0, 1) for m in self.mult)
 
 
 def msum(A: PointMultiset, B: PointMultiset) -> PointMultiset:
@@ -184,7 +169,7 @@ def mset_from_text(text: str, spec: FieldSpec) -> PointMultiset:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
         if not s or s.startswith("#"):
-            poly.check_header(s, spec)
+            poly.check_header(s, spec, "mset")
             continue
         if ":" in s:
             coords_part, m_part = s.split(":", 1)

@@ -83,16 +83,6 @@ def point_index(spec: FieldSpec) -> dict:
     return {P: i for i, P in enumerate(enumerate_points(spec))}
 
 
-def incident(P: ProjPoint, line: ProjLine) -> bool:
-    """True iff u*a + v*b + w*c = 0."""
-    if P.spec != line.spec:
-        raise ValueError("field mismatch")
-    acc = P.spec.zero()
-    for x, y in zip(P.coords, line.coords):
-        acc = acc + x * y
-    return acc.is_zero()
-
-
 def line_points(line: ProjLine, spec: FieldSpec) -> list[ProjPoint]:
     """The q+1 points on the line, in enumeration order."""
     points = enumerate_points(spec)

@@ -81,10 +81,6 @@ def add_poly(G: HomPoly, H: HomPoly) -> HomPoly:
     return HomPoly(G.spec, tuple(a + b for a, b in zip(G.coeffs, H.coeffs)))
 
 
-def negate_poly(G: HomPoly) -> HomPoly:
-    return HomPoly(G.spec, tuple(-a for a in G.coeffs))
-
-
 def monomial_values(spec: FieldSpec, T, coeffs=None) -> np.ndarray:
     """Encodings of c * u^(q-1-i-j) * v^j * w^i for triples (u, v, w).
 
@@ -177,18 +173,24 @@ def evaluate(G: HomPoly, line) -> FieldElement:
 
 # -- text format ------------------------------------------------------
 
-_HEADER = re.compile(r"#\s*(?:mset|psp)\s+q=(\S+)")
+_HEADER = re.compile(r"#\s*(mset|psp)\s+q=(\S+)")
 
 
-def check_header(line: str, spec: FieldSpec) -> None:
-    """Reject a "# mset q=..." or "# psp q=..." header naming another field.
+def check_header(line: str, spec: FieldSpec, kind: str) -> None:
+    """Reject a "# mset q=..." or "# psp q=..." header of another kind than
+    `kind`, the one its reader expects, or naming another field.
 
     The header must spell the field as the writers do ("7", "3^2"); other
     comment lines pass.
     """
     m = _HEADER.match(line)
-    if m is not None and m.group(1) != str(spec):
-        raise ValueError(f"header says q={m.group(1)}, but the field is "
+    if m is None:
+        return
+    if m.group(1) != kind:
+        raise ValueError(f"header says # {m.group(1)}, but a # {kind} file "
+                         "is expected")
+    if m.group(2) != str(spec):
+        raise ValueError(f"header says q={m.group(2)}, but the field is "
                          f"GF({spec})")
 
 
@@ -202,17 +204,20 @@ def poly_to_text(G: HomPoly) -> str:
 
 
 def poly_from_text(text: str, spec: FieldSpec) -> HomPoly:
+    pos = monomial_position(spec)
     terms = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
         if not s or s.startswith("#"):
-            check_header(s, spec)
+            check_header(s, spec, "psp")
             continue
         parts = s.split()
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'i j coeff', got {raw!r}")
         try:
             i, j, enc = (int(x) for x in parts)
+            if (i, j) not in pos:
+                raise ValueError(f"monomial exponents {(i, j)} out of range")
             if (i, j) in terms:
                 raise ValueError(f"monomial {i} {j} repeated")
             terms[(i, j)] = spec.element(enc)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .field import FieldSpec, digits
 from .ghost import ghost_report, point_matrix_fp
-from .msets import PointMultiset, minverse, msum, phi
+from .msets import PointMultiset
 from .poly import HomPoly
 
 # Cap on kernel combinations examined per coset walk; the full coset has
@@ -36,19 +36,6 @@ class SolutionCoset:
     particular: Optional[PointMultiset]
     kernel: np.ndarray
     exponent: int
-
-    @cached_property
-    def kernel_basis(self) -> tuple[PointMultiset, ...]:
-        """The rows of `kernel` as multisets, built on first use."""
-        return tuple(PointMultiset(self.spec, tuple(row))
-                     for row in self.kernel.tolist())
-
-    def contains(self, S: PointMultiset) -> bool:
-        if self.particular is None:
-            return False
-        from .ghost import is_ghost
-        return is_ghost(msum(S, minverse(self.particular)))
-
 
 @lru_cache(maxsize=None)
 def _solver(spec: FieldSpec) -> linalg.PrefactoredLeftSystem:
@@ -71,11 +58,6 @@ def solve(G: HomPoly) -> SolutionCoset:
     particular = None if x is None else PointMultiset.from_vector(spec, x)
     return SolutionCoset(spec, particular, report.kernel,
                          report.ghost_exponent)
-
-
-def verify_solution(S: PointMultiset, G: HomPoly) -> bool:
-    """True iff the power sum polynomial of S equals G componentwise."""
-    return phi(S) == G
 
 
 def enumerate_set_solutions(G: HomPoly, limit: int) -> list[PointMultiset]:

@@ -434,6 +434,36 @@ def test_psp_header_other_field_is_input_error(tmp_path, capsys):
     assert out == "" and "q=3^2" in err
 
 
+@pytest.mark.parametrize("command,text,found,expected", [
+    ("solve", "# mset q=7\n1 2 3\n", "mset", "psp"),
+    ("eval", "# mset q=7\n1 2 3\n", "mset", "psp"),
+    ("psp", "# psp q=7\n0 0 1\n", "psp", "mset"),
+], ids=["solve", "eval", "psp"])
+def test_file_of_the_other_kind_is_input_error(tmp_path, capsys, command,
+                                               text, found, expected):
+    # the body would parse: "1 2 3" as a monomial, "0 0 1" as a point
+    f = tmp_path / "in.txt"
+    f.write_text(text)
+    code, out, err = run(capsys, command, "--field", "7", "--in", str(f))
+    assert code == 3
+    assert out == "" and err == (f"error: header says # {found}, but a "
+                                 f"# {expected} file is expected\n")
+
+
+@pytest.mark.parametrize("command,code", [
+    ("psp", 3), ("eval", 3), ("ghost-report", 3), ("solve", 3),
+    ("elim-trace", 3), ("verify", 0)])
+def test_seed_only_on_verify(tmp_path, capsys, command, code):
+    # only verify draws random numbers
+    f = tmp_path / "in.txt"
+    f.write_text("")
+    infile = ["--in", str(f)] if command in ("psp", "eval", "solve") else []
+    got, _, err = run(capsys, command, "--field", "7", *infile,
+                      "--seed", "1")
+    assert got == code
+    assert ("unrecognized arguments: --seed 1" in err) == (code == 3)
+
+
 @pytest.mark.parametrize("command", ["solve", "eval"])
 def test_repeated_monomial_is_input_error(tmp_path, capsys, command):
     f = tmp_path / "z.psp"

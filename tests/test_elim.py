@@ -43,19 +43,16 @@ STEP4_P7 = {
 
 
 def test_base_points_p3():
-    assert elim.base_points(3) == [(1, 0, 0), (1, 0, 1), (1, 0, 2),
-                                   (1, 1, 0), (1, 1, 1), (1, 2, 0)]
+    # the rows are the base points (1, b, c), b + c <= p - 1
+    assert sorted(elim.table2_row_labels(3)) == [(0, 0), (0, 1), (0, 2),
+                                                 (1, 0), (1, 1), (2, 0)]
 
 
 def test_base_points_p7():
-    pts = elim.base_points(7)
-    assert len(pts) == 28
-    interior = [(b, c) for (_, b, c) in pts if b >= 1 and c >= 1]
+    rows = elim.table2_row_labels(7)
+    assert sorted(rows) == [(b, c) for b in range(7) for c in range(7 - b)]
+    interior = [(b, c) for (b, c) in rows if b >= 1 and c >= 1]
     assert len(interior) == 15
-
-
-def test_base_points_p2_fallback():
-    assert elim.base_points(2) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def test_initial_matrix_spot_entries():

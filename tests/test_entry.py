@@ -73,6 +73,34 @@ def test_cold_command_imports_only_what_it_runs(argv, absent):
     assert proc.stderr.splitlines()[-1] == "0 []"
 
 
+def test_public_names():
+    # a new public name is a deliberate change to this list
+    assert sorted(psghost.__all__) == [
+        "FieldElement", "FieldSpec", "GhostReport", "HomPoly",
+        "PointMultiset", "ProjLine", "ProjPoint", "SolutionCoset",
+        "add_poly", "complement", "enumerate_lines", "enumerate_points",
+        "enumerate_set_solutions", "evaluate", "ghost_report", "is_ghost",
+        "line_ghost", "line_points", "minverse", "msum",
+        "partial_pencil_ghost", "pencil_lines", "phi", "power_sum",
+        "punctured_pencil_ghost", "solve", "vandermonde_check"]
+
+
+def test_closed_stdout_is_input_error():
+    # like `psghost elim-trace --field 13 | head -1`: 212 KB of trace
+    # against a 64 KiB pipe, so a write meets the closed end
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "psghost.cli", "elim-trace", "--field", "13"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "# step 0\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 3
+    assert err.startswith("error: cannot write to stdout:")
+    assert err.count("\n") == 1
+
+
 def test_star_import_resolves_every_public_name():
     namespace = {}
     exec("from psghost import *", namespace)

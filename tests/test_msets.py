@@ -46,7 +46,7 @@ def test_minverse():
 
 
 def test_complement():
-    full = PointMultiset.full_plane(GF2)
+    full = PointMultiset(GF2, (1,) * 7)
     line = PointMultiset.from_points(
         GF2, line_points(ProjLine.from_encodings(GF2, 1, 0, 0), GF2))
     affine = complement(line, full)
@@ -108,9 +108,9 @@ def test_group_order_formula():
 
 def test_size_reporting():
     S = single(GF3, (0, 0, 1), 2)
-    assert S.size == 2 and S.size_mod_p == 2
-    full = PointMultiset.full_plane(GF3)
-    assert full.size == 13 and full.size_mod_p == 1
+    assert S.size == 2 and S.size % 3 == 2
+    full = PointMultiset(GF3, (1,) * 13)
+    assert full.size == 13 and full.size % 3 == 1
 
 
 def test_text_round_trip():
@@ -173,7 +173,7 @@ def test_text_matches_per_point_reference(field):
     spec = FieldSpec.parse(field)
     rng = random.Random(field)
     n = spec.q**2 + spec.q + 1
-    for S in (PointMultiset.empty(spec), PointMultiset.full_plane(spec),
+    for S in (PointMultiset.empty(spec), PointMultiset(spec, (1,) * n),
               PointMultiset.from_vector(
                   spec, [rng.randrange(spec.p) for _ in range(n)])):
         assert mset_to_text(S) == _text_reference(S)

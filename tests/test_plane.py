@@ -3,8 +3,17 @@ import pytest
 
 from psghost.field import FieldSpec
 from psghost.plane import (ProjLine, ProjPoint, enumerate_lines,
-                           enumerate_points, incidence_matrix, incident,
-                           line_points, pencil_lines)
+                           enumerate_points, incidence_matrix, line_points,
+                           pencil_lines)
+
+
+def incident(P, line):
+    """Reference incidence: u*a + v*b + w*c = 0, one field product at a
+    time."""
+    acc = P.spec.zero()
+    for x, y in zip(P.coords, line.coords):
+        acc = acc + x * y
+    return acc.is_zero()
 
 
 @pytest.mark.parametrize("q,p,h,count", [(2, 2, 1, 7), (3, 3, 1, 13),

@@ -4,12 +4,12 @@ import pytest
 
 import numpy as np
 
-from psghost.field import FieldSpec, multinomial_mod_p
-from psghost.msets import PointMultiset, msum, phi
+from psghost.field import FieldSpec, multinomial_int
+from psghost.msets import PointMultiset, mset_from_text, msum, phi
 from psghost.plane import (ProjLine, ProjPoint, enumerate_lines,
                            enumerate_points, line_points)
 from psghost.poly import (HomPoly, add_poly, evaluate, monomial_indices,
-                          monomial_values, negate_poly, num_monomials,
+                          monomial_values, num_monomials,
                           point_image_rows, poly_from_text, poly_to_text,
                           power_sum)
 
@@ -66,7 +66,7 @@ def test_line_count_identity_exhaustive_lines(p, h):
     msets_ = [PointMultiset.from_vector(spec, [rng.randrange(p) for _ in range(n)])
               for _ in range(5)]
     msets_.append(PointMultiset.empty(spec))
-    msets_.append(PointMultiset.full_plane(spec))
+    msets_.append(PointMultiset(spec, (1,) * n))
     for S in msets_:
         G = phi(S)
         for l in enumerate_lines(spec):
@@ -101,7 +101,7 @@ def test_add_negate():
     G = phi(S)
     zero = HomPoly.zero(spec)
     assert add_poly(G, zero) == G
-    assert add_poly(G, negate_poly(G)).is_zero()
+    assert add_poly(G, HomPoly(spec, tuple(-a for a in G.coeffs))).is_zero()
     Z = HomPoly.from_terms(GF2, {(1, 0): 1})
     Y = HomPoly.from_terms(GF2, {(0, 1): 1})
     assert add_poly(Z, Y) == HomPoly.from_terms(GF2, {(1, 0): 1, (0, 1): 1})
@@ -130,7 +130,7 @@ def test_power_sum_matches_direct_coefficient_formula(p, h):
         for P, m in zip(enumerate_points(spec), S.mult):
             if m:
                 a, b, c = P.coords
-                term = multinomial_mod_p(i, j, spec) * (
+                term = spec.element(multinomial_int(d, i, j) % p) * (
                     a**(d - i - j) * (b**j * c**i))
                 acc = acc + m * term
         assert G.coefficient(i, j) == acc
@@ -147,6 +147,25 @@ def test_poly_text_round_trip():
 def test_poly_text_parse_error_line_number():
     with pytest.raises(ValueError, match="line 2"):
         poly_from_text("# psp q=2\n0 garbage\n", GF2)
+
+
+def test_poly_text_out_of_range_monomial_names_its_line():
+    with pytest.raises(ValueError, match=r"line 2: monomial exponents "
+                                         r"\(9, 9\) out of range"):
+        poly_from_text("# psp q=7\n9 9 1\n", FieldSpec.of(7))
+
+
+def test_a_file_of_the_other_kind_is_refused():
+    # "1 2 3" would parse as the monomial (1, 2) with coefficient 3, and
+    # "0 0 1" as the point (0, 0, 1)
+    gf7 = FieldSpec.of(7)
+    with pytest.raises(ValueError, match="# mset, but a # psp"):
+        poly_from_text("# mset q=7\n1 2 3\n", gf7)
+    with pytest.raises(ValueError, match="# psp, but a # mset"):
+        mset_from_text("# psp q=7\n0 0 1\n", gf7)
+    # headerless files still parse as their reader's kind
+    assert poly_from_text("1 2 3\n", gf7).coefficient(1, 2) == gf7.element(3)
+    assert mset_from_text("0 0 1\n", gf7).size == 1
 
 
 def test_poly_text_repeated_monomial_is_an_error():
@@ -180,8 +199,9 @@ def test_point_image_rows_match_per_entry_formula(p, h):
     spec = FieldSpec.of(p, h)
     rows = point_image_rows(spec)
     for r, P in enumerate(enumerate_points(spec)):
-        expected = [_term(spec, multinomial_mod_p(i, j, spec), P.encodings(),
-                          i, j).encoding
+        expected = [_term(spec,
+                          spec.element(multinomial_int(spec.q - 1, i, j) % p),
+                          P.encodings(), i, j).encoding
                     for i, j in monomial_indices(spec)]
         assert rows[r].tolist() == expected
 
