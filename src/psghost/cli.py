@@ -144,8 +144,8 @@ def cmd_eval(args) -> int:
             raise InputError(f"bad line {args.line!r}: {e}") from e
         _write(args.out, f"{poly.evaluate(G, line).encoding}\n")
         return EXIT_OK
-    rows = [(str(l), poly.evaluate(G, l).encoding)
-            for l in plane.enumerate_lines(spec)]
+    T = plane.canonical_triples(spec)
+    rows = zip(map(" ".join, T.astype(str)), poly.line_values(G, T).tolist())
     if args.format == "json":
         import json
         _write(args.out, json.dumps(
@@ -176,8 +176,11 @@ def cmd_ghost_report(args) -> int:
 def cmd_solve(args) -> int:
     from . import ghost, msets, poly, tomo
     spec = _field(args)
-    if args.sets and args.limit <= 0:
-        raise InputError(f"--limit must be positive, got {args.limit}")
+    if args.limit is not None and not args.sets:
+        raise InputError("--limit bounds the set search; it needs --sets")
+    limit = 1000 if args.limit is None else args.limit
+    if limit <= 0:
+        raise InputError(f"--limit must be positive, got {limit}")
     try:
         G = poly.poly_from_text(_read(args.infile), spec)
     except ValueError as e:
@@ -187,8 +190,8 @@ def cmd_solve(args) -> int:
         _write(args.out, "inconsistent: polynomial not in the image\n")
         return EXIT_INCONSISTENT
     if args.sets:
-        sols = tomo.enumerate_set_solutions(G, args.limit)
-        complete = tomo.set_search_exhaustive(coset) and len(sols) < args.limit
+        sols = tomo.enumerate_set_solutions(G, limit)
+        complete = tomo.set_search_exhaustive(coset) and len(sols) < limit
         texts = map(msets.mset_to_text, sols)
         if args.format == "json":
             _write(args.out, _json_lines(ghost.json_chunks(
@@ -377,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, infile=True)
     sp.add_argument("--sets", action="store_true",
                     help="enumerate plain-set solutions")
-    sp.add_argument("--limit", type=int, default=1000)
+    sp.add_argument("--limit", type=int, help="sets to print (default 1000)")
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("verify", help="run a verification suite")

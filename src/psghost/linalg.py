@@ -40,9 +40,20 @@ def as_fp(M, p: int) -> np.ndarray:
     return (A % A.dtype.type(p)).astype(residues, copy=False)
 
 
-def _eliminate(M, p: int, ncols: int | None = None):
-    """The work of rref: (R, pivots) with R in the int32 or int64 work
-    dtype, every entry reduced to {0,...,p-1}."""
+def rref(M, p: int, ncols: int | None = None):
+    """Reduced row-echelon form over F_p.
+
+    Returns (R, pivots): pivots are the pivot column indices and R is the
+    work array, every entry reduced to {0,...,p-1}.  Pivots are searched
+    only in the first ncols columns (all columns by default); the
+    remaining columns take part in every row operation.
+
+    The work array starts from the residues of M in int32 (int64 when
+    p + (p-1)^2 >= 2^31).  The pivot column and the pivot row are reduced
+    when read, so each update subtracts products in [0, (p-1)^2] and
+    entries stay in [-room * (p-1)^2, p-1] between full reductions.
+    ArithmeticError when not even one update fits int64.
+    """
     if p + (p - 1)**2 >= 2**63:
         raise ArithmeticError(f"products of residues mod {p} would overflow "
                               "int64")
@@ -78,25 +89,8 @@ def _eliminate(M, p: int, ncols: int | None = None):
     return A, pivots
 
 
-def rref(M, p: int, ncols: int | None = None):
-    """Reduced row-echelon form over F_p, returned as int64.
-
-    Returns (R, pivots): pivots are the pivot column indices.  Pivots are
-    searched only in the first ncols columns (all columns by default); the
-    remaining columns take part in every row operation.
-
-    The work array starts from the residues of M in int32 (int64 when
-    p + (p-1)^2 >= 2^31).  The pivot column and the pivot row are reduced
-    when read, so each update subtracts products in [0, (p-1)^2] and
-    entries stay in [-room * (p-1)^2, p-1] between full reductions.
-    ArithmeticError when not even one update fits int64.
-    """
-    R, pivots = _eliminate(M, p, ncols)
-    return R.astype(np.int64, copy=False), pivots
-
-
 def rank(M, p: int) -> int:
-    return len(_eliminate(M, p)[1])
+    return len(rref(M, p)[1])
 
 
 def left_kernel_basis(M, p: int) -> np.ndarray:
@@ -109,7 +103,7 @@ def left_kernel_basis(M, p: int) -> np.ndarray:
     at f, 0 at the other free columns and -R[k, f] at the pivot column of
     row k.
     """
-    R, pivots = _eliminate(as_fp(M, p).T[:, ::-1], p)
+    R, pivots = rref(as_fp(M, p).T[:, ::-1], p)
     n = R.shape[1]
     is_free = np.ones(n, dtype=bool)
     is_free[pivots] = False
@@ -137,7 +131,8 @@ class PrefactoredLeftSystem:
         m, self.n_unknowns = A.shape
         R, self.pivots = rref(np.hstack([A, np.eye(m, dtype=A.dtype)]), p,
                               ncols=self.n_unknowns)
-        self.T = np.ascontiguousarray(R[:, self.n_unknowns:])
+        self.T = np.ascontiguousarray(R[:, self.n_unknowns:],
+                                      dtype=np.int64)
 
     def solve(self, target):
         t = np.asarray(target, dtype=np.int64) % self.p

@@ -157,18 +157,32 @@ def power_sum(S: "PointMultiset") -> HomPoly:
     return HomPoly(spec, tuple(FieldElement(spec, e) for e in encodings.tolist()))
 
 
-def evaluate(G: HomPoly, line) -> FieldElement:
-    """Evaluate G at the coordinates of a line.
+def line_values(G: HomPoly, T) -> np.ndarray:
+    """Encodings of G at each triple of T, an (n, 3) array of encodings.
 
-    Accepts a ProjLine or any nonzero coordinate triple; by degree-(q-1)
-    homogeneity the value does not depend on the chosen representative.
+    The terms are summed digit-wise mod p through a table of digits, a
+    block of about 2^18 terms at a time.
     """
     spec = G.spec
+    T = np.asarray(T)
+    coeffs = [c.encoding for c in G.coeffs]
+    table = field.digits(spec, np.arange(spec.q)).astype(
+        np.min_scalar_type(spec.p - 1))
+    block = max(1, 2**18 // len(coeffs))
+    values = np.empty(len(T), dtype=np.int64)
+    for k in range(0, len(T), block):
+        terms = monomial_values(spec, T[k:k + block], coeffs)
+        values[k:k + block] = field.from_digits(
+            spec, table[terms].sum(axis=1) % spec.p)
+    return values
+
+
+def evaluate(G: HomPoly, line) -> FieldElement:
+    """G at a ProjLine or any nonzero coordinate triple; by degree-(q-1)
+    homogeneity the value does not depend on the chosen representative."""
     coords = line.coords if isinstance(line, ProjLine) else line
-    values = monomial_values(spec, [[c.encoding for c in coords]])[0]
-    terms = field.mul(spec, [c.encoding for c in G.coeffs], values)
-    return FieldElement(spec, int(field.from_digits(
-        spec, field.digits(spec, terms).sum(axis=0) % spec.p)))
+    value = line_values(G, [[c.encoding for c in coords]])[0]
+    return FieldElement(G.spec, int(value))
 
 
 # -- text format ------------------------------------------------------

@@ -1,8 +1,8 @@
 """Inverse solver: all multisets sharing a given power sum polynomial.
 
 The solution set, when nonempty, is a coset of the ghost subgroup: one
-particular solution plus any kernel combination.  For q <= 3 the plain-set
-solutions can also be enumerated exhaustively.
+particular solution plus any kernel combination, so the plain-set
+solutions are the 0/1 vectors of that coset, found by walking it.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .ghost import ghost_report, point_matrix_fp
 from .msets import PointMultiset
 from .poly import HomPoly
 
-# Cap on kernel combinations examined per coset walk; the full coset has
-# p^exponent elements and is far beyond exhaustion for q > 3.
+# Cap on kernel combinations per coset walk.  A coset has p^exponent
+# elements: 16, 2187 and 4096 for q = 2, 3, 4, but 5^16 at q = 5.
 WALK_BUDGET = 400_000
 
 
@@ -63,42 +63,19 @@ def solve(G: HomPoly) -> SolutionCoset:
 def enumerate_set_solutions(G: HomPoly, limit: int) -> list[PointMultiset]:
     """Plain (0/1) sets with the given power sum polynomial.
 
-    Exhaustive over all 2^(q^2+q+1) subsets for q in {2, 3}; otherwise a
-    bounded coset walk that filters kernel combinations for 0/1 vectors.
-    Solutions come in canonical order (lexicographic multiplicity vectors).
+    One walk over particular + kernel combinations keeps the 0/1 vectors.
+    When the coset fits WALK_BUDGET the walk visits all of it and returns
+    the `limit` smallest sets; otherwise it stops at `limit` sets or
+    WALK_BUDGET combinations.  Solutions come in canonical order
+    (lexicographic multiplicity vectors).
     """
     if limit <= 0:
         raise ValueError("limit must be positive")
     spec = G.spec
-    if spec.q <= 3:
-        return _exhaustive_set_solutions(G, limit)
-    return _coset_walk_set_solutions(G, limit)
-
-
-def set_search_exhaustive(coset: SolutionCoset) -> bool:
-    """True iff enumerate_set_solutions examines every candidate."""
-    return coset.spec.q <= 3 or coset.spec.p**coset.exponent <= WALK_BUDGET
-
-
-def _exhaustive_set_solutions(G: HomPoly, limit: int) -> list[PointMultiset]:
-    spec = G.spec
-    n = spec.q**2 + spec.q + 1
-    M = point_matrix_fp(spec)
-    target = _poly_fp(G)
-    codes = np.arange(2**n, dtype=np.int64)
-    bits = (codes[:, None] >> np.arange(n)) & 1  # column k = point k
-    hits = np.all(bits @ M % spec.p == target, axis=1)
-    sols = [PointMultiset.from_vector(spec, bits[k])
-            for k in np.nonzero(hits)[0]]
-    sols.sort(key=lambda S: S.mult)
-    return sols[:limit]
-
-
-def _coset_walk_set_solutions(G: HomPoly, limit: int) -> list[PointMultiset]:
-    spec = G.spec
     coset = solve(G)
     if coset.particular is None:
         return []
+    stop = None if set_search_exhaustive(coset) else limit
     p = spec.p
     K = coset.kernel.astype(np.int64)
     base = np.asarray(coset.particular.mult, dtype=np.int64)
@@ -108,7 +85,12 @@ def _coset_walk_set_solutions(G: HomPoly, limit: int) -> list[PointMultiset]:
         v = (base + np.asarray(combo, dtype=np.int64) @ K) % p
         if np.all(v <= 1):
             found.append(PointMultiset.from_vector(spec, v))
-            if len(found) >= limit:
+            if len(found) == stop:
                 break
     found.sort(key=lambda S: S.mult)
-    return found
+    return found[:limit]
+
+
+def set_search_exhaustive(coset: SolutionCoset) -> bool:
+    """True iff enumerate_set_solutions examines every coset element."""
+    return coset.spec.p**coset.exponent <= WALK_BUDGET

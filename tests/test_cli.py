@@ -482,6 +482,33 @@ def test_solve_sets_nonpositive_limit_is_input_error(tmp_path, capsys):
     assert out == "" and err.startswith("error:") and "--limit" in err
 
 
+def test_limit_without_sets_is_input_error(tmp_path, capsys):
+    # only the set search reads --limit
+    f = tmp_path / "z.psp"
+    f.write_text(Z_POLY_FILE)
+    code, out, err = run(capsys, "solve", "--field", "2", "--in", str(f),
+                         "--limit", "5")
+    assert code == 3
+    assert out == "" and err.startswith("error:") and "--sets" in err
+    assert err.count("\n") == 1
+
+
+def test_sets_without_limit_uses_1000(tmp_path, capsys, monkeypatch):
+    import psghost.tomo as tomo
+    limits = []
+    search = tomo.enumerate_set_solutions
+
+    def spy(G, limit):
+        limits.append(limit)
+        return search(G, limit)
+
+    monkeypatch.setattr(tomo, "enumerate_set_solutions", spy)
+    f = tmp_path / "z.psp"
+    f.write_text(Z_POLY_FILE)
+    code, _, _ = run(capsys, "solve", "--field", "2", "--in", str(f), "--sets")
+    assert code == 0 and limits == [1000]
+
+
 def test_unwritable_out_is_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "ghost-report", "--field", "2",
                          "--out", str(tmp_path / "missing" / "x.json"))

@@ -88,15 +88,19 @@ def test_prefactored_solve_matches_int64_reference():
 
 
 def test_exhaustive_set_search_matches_int64_reference():
-    spec = FieldSpec.of(3)
-    M64 = poly.point_matrix_fp(spec).astype(np.int64)
-    S = PointMultiset.from_vector(spec, [1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 1, 0,
-                                         0])
-    target = np.array(S.mult) @ M64 % 3
-    bits = (np.arange(2**13)[:, None] >> np.arange(13)) & 1
-    want = sorted(map(tuple, bits[(bits @ M64 % 3 == target).all(1)].tolist()))
-    got = tomo.enumerate_set_solutions(poly.power_sum(S), 10**4)
-    assert [T.mult for T in got] == want and S.mult in want
+    # the coset walk against a filter over all 2^n subsets
+    for q, mult in [(2, [1, 0, 1, 1, 0, 0, 1]),
+                    (3, [1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0])]:
+        spec = FieldSpec.of(q)
+        M64 = poly.point_matrix_fp(spec).astype(np.int64)
+        S = PointMultiset.from_vector(spec, mult)
+        n = len(mult)
+        target = np.array(S.mult) @ M64 % q
+        bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        hits = bits[(bits @ M64 % q == target).all(1)]
+        want = sorted(map(tuple, hits.tolist()))
+        got = tomo.enumerate_set_solutions(poly.power_sum(S), 10**4)
+        assert [T.mult for T in got] == want and S.mult in want
 
 
 def _reference_text(spec, mult):

@@ -1,5 +1,6 @@
 """The process entry point: `python -m psghost.cli` and the installed script."""
 
+import ast
 import gc
 import hashlib
 import os
@@ -83,6 +84,15 @@ def test_public_names():
         "line_ghost", "line_points", "minverse", "msum",
         "partial_pencil_ghost", "pencil_lines", "phi", "power_sum",
         "punctured_pencil_ghost", "solve", "vandermonde_check"]
+
+
+def test_no_assert_statements_in_the_package():
+    # invariants are explicit checks: `python -O` strips assert statements
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(psghost.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_closed_stdout_is_input_error():

@@ -304,7 +304,7 @@ def test_elimination_matches_python_integer_reference(p):
             A = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
         R_ref, piv_ref = _ref_rref(A, p)
         R, piv = linalg.rref(np.array(A, dtype=np.int64), p)
-        assert R.dtype == np.int64
+        assert R.dtype == (np.int32 if p + (p - 1)**2 < 2**31 else np.int64)
         assert piv == piv_ref and R.tolist() == R_ref
         assert linalg.rank(A, p) == len(piv_ref)
         ncols = rng.randrange(cols + 1)

@@ -98,6 +98,18 @@ def test_enumerate_walk_round_trip_q5():
     assert is_ghost(sols[0])
 
 
+def test_limit_takes_the_smallest_sets_of_a_walked_coset():
+    # q = 2^2: the whole 2^12-element coset is walked, and every element is
+    # a plain set, so a limit keeps the canonical first sets, not the first
+    # ones the walk meets
+    spec = FieldSpec.parse("2^2")
+    rng = random.Random(4)
+    S = PointMultiset.from_vector(spec, [rng.randrange(2) for _ in range(21)])
+    every = tomo.enumerate_set_solutions(phi(S), 5000)
+    assert len(every) == 4096 and S in every
+    assert tomo.enumerate_set_solutions(phi(S), 1000) == every[:1000]
+
+
 def test_enumerate_limit_validation():
     with pytest.raises(ValueError):
         tomo.enumerate_set_solutions(Z2, 0)
