@@ -190,8 +190,11 @@ def cmd_solve(args) -> int:
         _write(args.out, "inconsistent: polynomial not in the image\n")
         return EXIT_INCONSISTENT
     if args.sets:
-        sols = tomo.enumerate_set_solutions(G, limit)
-        complete = tomo.set_search_exhaustive(coset) and len(sols) < limit
+        # One set beyond the limit tells a whole walk of exactly `limit`
+        # sets from a cut one.
+        sols = tomo.enumerate_set_solutions(G, limit + 1)
+        complete = tomo.set_search_exhaustive(coset) and len(sols) <= limit
+        sols = sols[:limit]
         texts = map(msets.mset_to_text, sols)
         if args.format == "json":
             _write(args.out, _json_lines(ghost.json_chunks(

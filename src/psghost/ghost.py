@@ -89,14 +89,22 @@ def all_line_evaluations_zero_stack(spec: FieldSpec, V) -> np.ndarray:
 def vandermonde_check_stack(spec: FieldSpec, V) -> np.ndarray:
     """Per row of V: the constant-intersection characterization.
 
-    True iff some residue r mod p satisfies: every line meets the multiset
-    in r points (multiplicity-weighted, mod p) and the total multiplicity is
-    r mod p.
+    True iff every line meets the multiset in r points (multiplicity-
+    weighted, mod p), where r is its total multiplicity mod p.  The meets
+    are taken a block of at most 2^20 incidence entries at a time, so no
+    float64 copy of the whole incidence is made.
     """
     V = _mult_stack(spec, V)
-    meets = product_mod_p(V, incidence_matrix(spec), spec.p)
-    r = meets[:, 0]
-    return (meets == r[:, None]).all(axis=1) & (V.sum(axis=1) % spec.p == r)
+    inc = incidence_matrix(spec)
+    n = inc.shape[1]
+    step = max(1, 2**20 // n)
+    Vf = np.asarray(V, dtype=np.float64)
+    r = V.sum(axis=1) % spec.p
+    ok = np.ones(len(V), dtype=bool)
+    for j in range(0, n, step):
+        meets = product_mod_p(Vf, inc[:, j:j + step], spec.p)
+        ok &= (meets == r[:, None]).all(axis=1)
+    return ok
 
 
 def is_ghost(S: PointMultiset) -> bool:

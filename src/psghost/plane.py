@@ -99,14 +99,39 @@ def pencil_lines(P: ProjPoint, spec: FieldSpec) -> list[ProjLine]:
 
 @lru_cache(maxsize=None)
 def incidence_matrix(spec: FieldSpec) -> np.ndarray:
-    """0/1 matrix, rows = points, columns = lines, in enumeration order.
+    """0/1 uint8 matrix, rows = points, columns = lines, in enumeration
+    order.
 
-    Points and lines share the canonical triples, so it is symmetric.
-    Read-only.
+    A line through points A and B holds A and B + tA for t in F_q
+    (Hirschfeld, Projective Geometries over Finite Fields, 1998), so each
+    column is written from its q+1 points.  Points and lines share the
+    canonical triples, so it is symmetric.  Read-only.
     """
-    T = canonical_triples(spec)
-    terms = [field.mul(spec, T[:, None, k], T[None, :, k]) for k in range(3)]
-    dot = field.add(spec, field.add(spec, terms[0], terms[1]), terms[2])
-    inc = (dot == 0).astype(np.int64)
+    p, q = spec.p, spec.q
+    n = q * q + q + 1
+    # Two points A, B of each line, by line type: (0,0,1) through (0,1,0)
+    # and (1,0,0); (0,1,w) through (0,-w,1) and (1,0,0); (1,v,w) through
+    # (-w,0,1) and (-v,1,0).  -a is (p-1)*a.
+    neg = field.mul(spec, canonical_triples(spec), p - 1)
+    A = np.zeros((n, 3), dtype=np.int64)
+    B = np.zeros((n, 3), dtype=np.int64)
+    A[0, 1] = 1
+    A[1:, 2] = 1
+    A[1:q + 1, 1] = neg[1:q + 1, 2]
+    A[q + 1:, 0] = neg[q + 1:, 2]
+    B[:q + 1, 0] = 1
+    B[q + 1:, 0] = neg[q + 1:, 1]
+    B[q + 1:, 1] = 1
+    t = np.arange(q)[None, :, None]
+    pts = np.concatenate([A[:, None], field.add(
+        spec, B[:, None], field.mul(spec, t, A[:, None]))], axis=1)
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    # Divide by the first nonzero coordinate, then read the row index.
+    lead = np.where(x != 0, x, np.where(y != 0, y, z))
+    inv = spec.exp[-spec.log[lead] % (q - 1)]
+    b, c = field.mul(spec, y, inv), field.mul(spec, z, inv)
+    rows = np.where(x != 0, 1 + q + b * q + c, np.where(y != 0, 1 + c, 0))
+    inc = np.zeros((n, n), dtype=np.uint8)
+    inc[rows, np.arange(n)[:, None]] = 1
     inc.flags.writeable = False
     return inc

@@ -137,6 +137,23 @@ def test_solve_sets_complete_when_exhaustive(tmp_path, capsys):
     assert data["complete"] is True and len(data["solutions"]) == 16
 
 
+def test_solve_sets_complete_when_count_equals_limit(tmp_path, capsys):
+    # the 16-element coset at q = 2 is walked whole: a limit of exactly 16
+    # prints every set, so the search is complete; 15 leaves one out
+    spec = FieldSpec.of(2)
+    S = _random_plain_set(spec, 3)
+    for limit, complete in [(16, True), (15, False)]:
+        data = _solve_sets_json(tmp_path, capsys, "2", S, limit)
+        assert data["complete"] is complete
+        assert len(data["solutions"]) == limit
+        code, out, _ = run(capsys, "solve", "--field", "2", "--in",
+                           str(tmp_path / "s.psp"), "--sets", "--limit",
+                           str(limit))
+        assert code == 0 and out.count("# mset") == limit
+        assert out.startswith(f"# {limit} plain-set solutions, complete: "
+                              f"{str(complete).lower()}\n")
+
+
 def test_solve_sets_complete_when_coset_within_budget(tmp_path, capsys):
     # p = 2: every element of the 2^12-element coset is a plain set
     spec = FieldSpec.parse("2^2")
@@ -506,7 +523,8 @@ def test_sets_without_limit_uses_1000(tmp_path, capsys, monkeypatch):
     f = tmp_path / "z.psp"
     f.write_text(Z_POLY_FILE)
     code, _, _ = run(capsys, "solve", "--field", "2", "--in", str(f), "--sets")
-    assert code == 0 and limits == [1000]
+    # 1000 sets to print, and one more to tell a whole walk from a cut one
+    assert code == 0 and limits == [1000 + 1]
 
 
 def test_unwritable_out_is_input_error(tmp_path, capsys):

@@ -13,7 +13,7 @@ from psghost.ghost import (all_line_evaluations_zero_stack, ghost_report,
                            vandermonde_check_stack)
 from psghost.msets import PointMultiset, complement, minverse, msum, phi
 from psghost.plane import (ProjLine, ProjPoint, enumerate_lines,
-                           enumerate_points, line_points)
+                           enumerate_points, incidence_matrix, line_points)
 from psghost.poly import HomPoly, evaluate
 
 GF2 = FieldSpec.of(2)
@@ -262,6 +262,27 @@ def test_stack_predicates_match_loop_reference(p, h):
     for v, row in zip(V.tolist(), want.tolist()):
         S = PointMultiset(spec, tuple(v))
         assert [is_ghost(S), vandermonde_check(S)] == row[:2]
+
+
+def test_vandermonde_check_in_two_column_blocks_at_2_5():
+    # 1057^2 incidence entries exceed 2^20, so the meets come in two blocks
+    spec = FieldSpec.parse("2^5")
+    q, n = spec.q, spec.q**2 + spec.q + 1
+    rng = np.random.default_rng(32)
+    rows = [rng.integers(0, 2, n) for _ in range(6)]
+    rows += [line_ghost(l, spec).mult for l in enumerate_lines(spec)[::150]]
+    # (1,b,0) with b = 1/v lies on the lines (1,v,w) and (0,0,1) only.  For
+    # v = 30 and 31 those lines are columns 992 on, the second block, so
+    # the first block sees every line meet this pair evenly.
+    pair = np.zeros(n, dtype=np.int64)
+    for v in (30, 31):
+        pair[1 + q + spec.element(v).inv().encoding * q] = 1
+    assert not np.any(pair @ incidence_matrix(spec)[:, :992] % 2)
+    rows.append(pair)
+    V = np.array(rows, dtype=np.int64)
+    got = vandermonde_check_stack(spec, V)
+    assert np.array_equal(got, is_ghost_stack(spec, V))
+    assert got.any() and not got[-1]
 
 
 @pytest.mark.parametrize("pred", STACK_PREDICATES)

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from psghost import field
 from psghost.field import FieldSpec
-from psghost.plane import (ProjLine, ProjPoint, enumerate_lines,
-                           enumerate_points, incidence_matrix, line_points,
-                           pencil_lines)
+from psghost.plane import (ProjLine, ProjPoint, canonical_triples,
+                           enumerate_lines, enumerate_points, incidence_matrix,
+                           line_points, pencil_lines)
 
 
 def incident(P, line):
@@ -14,6 +17,15 @@ def incident(P, line):
     for x, y in zip(P.coords, line.coords):
         acc = acc + x * y
     return acc.is_zero()
+
+
+def incidence_reference(spec):
+    """Reference incidence matrix: all (q^2+q+1)^2 dot products at once,
+    through the field's int64 tables."""
+    T = canonical_triples(spec)
+    terms = [field.mul(spec, T[:, None, k], T[None, :, k]) for k in range(3)]
+    dot = field.add(spec, field.add(spec, terms[0], terms[1]), terms[2])
+    return (dot == 0).astype(np.int64)
 
 
 @pytest.mark.parametrize("q,p,h,count", [(2, 2, 1, 7), (3, 3, 1, 13),
@@ -149,3 +161,31 @@ def test_one_type_for_points_and_lines():
     spec = FieldSpec.of(2, 2)
     assert ProjLine is ProjPoint
     assert enumerate_lines(spec) is enumerate_points(spec)
+
+
+@pytest.mark.parametrize("text", ["2", "3", "2^2", "5", "7", "2^3", "3^2",
+                                  "11", "13", "2^4", "17", "19", "23", "5^2",
+                                  "3^3"])
+def test_incidence_matrix_matches_dot_product_reference(text):
+    spec = FieldSpec.parse(text)
+    inc = incidence_matrix(spec)
+    assert inc.dtype == np.uint8 and not inc.flags.writeable
+    assert np.array_equal(inc, incidence_reference(spec))
+    assert np.array_equal(inc, inc.T)
+    assert np.all(inc.sum(axis=0) == spec.q + 1)
+    assert np.all(inc.sum(axis=1) == spec.q + 1)
+
+
+def test_incidence_matrix_is_built_from_the_points_of_each_line():
+    # all 993^2 int64 dot products at q = 31 peaked at 45 MiB; the q+1
+    # points of each line and the uint8 matrix take about 3 MiB
+    spec = FieldSpec.of(31)
+    canonical_triples(spec), spec.exp
+    tracemalloc.start()
+    try:
+        inc = incidence_matrix.__wrapped__(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(inc, incidence_matrix(spec))
+    assert peak < 4 * 2**20
