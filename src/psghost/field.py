@@ -49,7 +49,10 @@ def is_prime(n: int) -> bool:
 
 
 def _check_order(p: int, h: int, max_q: int = MAX_Q) -> None:
-    """ValueError unless h >= 1, p^h <= max_q and p is prime."""
+    """ValueError unless h >= 1, p^h <= max_q and p is prime.
+
+    A prime power r^e given as p = r^e with h = 1 is named as r^e.
+    """
     # Size before primality: trial division of a large p would not finish.
     # p^h >= 2^h, so a large h is refused before p^h is formed.
     if h < 1:
@@ -58,6 +61,10 @@ def _check_order(p: int, h: int, max_q: int = MAX_Q) -> None:
         raise ValueError(f"q = {p}^{h} exceeds {max_q}, the largest field "
                          "supported")
     if not is_prime(p):
+        r = next((d for d in range(2, p) if p % d == 0), 0)
+        e = next((e for e in range(2, p.bit_length()) if r**e == p), 0)
+        if h == 1 and e:
+            raise ValueError(f"{p} is {r}^{e}; write {r}^{e}")
         raise ValueError(f"p = {p} is not prime")
 
 

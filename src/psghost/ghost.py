@@ -8,7 +8,8 @@ The fast paths go through a cached prime-subfield point-image matrix: the
 power sum polynomial of a multiset, in F_p coordinates, is the
 multiplicity vector times that matrix mod p.  Each predicate takes an
 (m, q^2+q+1) stack of multiplicity vectors and answers every row with one
-float64 product; the PointMultiset forms wrap a one-row stack.
+exact product, which rows_congruent takes in float64 blocks; the
+PointMultiset forms wrap a one-row stack.
 """
 
 from __future__ import annotations
@@ -46,19 +47,34 @@ def line_evaluation_matrix_fp(spec: FieldSpec) -> np.ndarray:
     return L
 
 
-def product_mod_p(V, matrix: np.ndarray, p: int) -> np.ndarray:
-    """V @ matrix % p for an (m, n) stack V, as one float64 (BLAS) product.
+def rows_congruent(V, matrix: np.ndarray, p: int, target=0) -> np.ndarray:
+    """Per row of an (m, n) stack V: V @ matrix = target (mod p) in every
+    column, with target broadcast to the product's shape.
 
-    Entries of V and matrix must lie in {0,...,p-1}.  The product is exact
-    while every sum of n such products, at most (p-1)^2 * n, is below 2^53;
-    ArithmeticError otherwise.
+    The product is taken in float64 (BLAS), a block of V's rows by a block
+    of matrix's columns at a time; each factor's block and their product
+    hold at most linalg.block_entries(matrix.size) entries, so no float64
+    copy of a whole factor is made.  Entries of V and matrix must lie in
+    {0,...,p-1}.  The product is exact while every sum of n such products,
+    at most (p-1)^2 * n, is below 2^53; ArithmeticError otherwise.
     """
-    n = matrix.shape[0]
+    V = np.asarray(V)
+    n, width = matrix.shape
     if (p - 1)**2 * n >= 2**53:
         raise ArithmeticError(f"a sum of {n} products mod {p} would not be "
                               "exact in float64")
-    R = np.asarray(V, dtype=np.float64) @ matrix.astype(np.float64)
-    return np.remainder(R, p, out=R)
+    target = np.broadcast_to(target, (len(V), width))
+    block = linalg.block_entries(matrix.size)
+    cols = max(1, min(width, block // n))
+    rows = max(1, block // max(n, cols))
+    ok = np.ones(len(V), dtype=bool)
+    for j in range(0, width, cols):
+        right = matrix[:, j:j + cols].astype(np.float64)
+        for i in range(0, len(V), rows):
+            R = V[i:i + rows].astype(np.float64) @ right
+            np.remainder(R, p, out=R)
+            ok[i:i + rows] &= (R == target[i:i + rows, j:j + cols]).all(axis=1)
+    return ok
 
 
 def _mult_stack(spec: FieldSpec, V) -> np.ndarray:
@@ -76,35 +92,24 @@ def _mult_stack(spec: FieldSpec, V) -> np.ndarray:
 def is_ghost_stack(spec: FieldSpec, V) -> np.ndarray:
     """Per row of V: every coefficient of the power sum polynomial is zero."""
     V = _mult_stack(spec, V)
-    return ~product_mod_p(V, point_matrix_fp(spec), spec.p).any(axis=1)
+    return rows_congruent(V, point_matrix_fp(spec), spec.p)
 
 
 def all_line_evaluations_zero_stack(spec: FieldSpec, V) -> np.ndarray:
     """Per row of V: the power sum polynomial is zero on every line."""
     V = _mult_stack(spec, V)
-    return ~product_mod_p(V, line_evaluation_matrix_fp(spec),
-                          spec.p).any(axis=1)
+    return rows_congruent(V, line_evaluation_matrix_fp(spec), spec.p)
 
 
 def vandermonde_check_stack(spec: FieldSpec, V) -> np.ndarray:
     """Per row of V: the constant-intersection characterization.
 
     True iff every line meets the multiset in r points (multiplicity-
-    weighted, mod p), where r is its total multiplicity mod p.  The meets
-    are taken a block of at most 2^20 incidence entries at a time, so no
-    float64 copy of the whole incidence is made.
+    weighted, mod p), where r is its total multiplicity mod p.
     """
     V = _mult_stack(spec, V)
-    inc = incidence_matrix(spec)
-    n = inc.shape[1]
-    step = max(1, 2**20 // n)
-    Vf = np.asarray(V, dtype=np.float64)
-    r = V.sum(axis=1) % spec.p
-    ok = np.ones(len(V), dtype=bool)
-    for j in range(0, n, step):
-        meets = product_mod_p(Vf, inc[:, j:j + step], spec.p)
-        ok &= (meets == r[:, None]).all(axis=1)
-    return ok
+    return rows_congruent(V, incidence_matrix(spec), spec.p,
+                          (V.sum(axis=1) % spec.p)[:, None])
 
 
 def is_ghost(S: PointMultiset) -> bool:
@@ -214,18 +219,30 @@ class GhostReport:
 def ghost_report(spec: FieldSpec) -> GhostReport:
     """Rank of the point-image matrix over F_p, kernel basis, exponent.
 
-    The basis B is checked against the point matrix M in float64, a block
-    of M's columns at a time.  A block and its product with B hold at most
-    half as many entries as B, so the check holds at most 1.5 times B's
-    size in float64.
+    The basis B is checked in two steps.  First it must be in reduced
+    echelon form: each row has a leading 1, the leads strictly increase,
+    and every other row is 0 at each lead column, so its rows are
+    independent.  Then, with B[:, leads] the identity, B @ M = 0 (mod p)
+    for the point matrix M reads B[:, rest] @ M[rest] = -M[leads], rest
+    being the other columns.  B is read a block of rows at a time.
     """
     M = point_matrix_fp(spec)
-    B = linalg.left_kernel_basis(M, spec.p)
+    p = spec.p
+    B = linalg.left_kernel_basis(M, p)
     k, n = B.shape
-    step = k * n // (2 * (k + n)) or M.shape[1]
-    Bf = B.astype(np.float64)
-    if any(np.any(product_mod_p(Bf, M[:, j:j + step], spec.p))
-           for j in range(0, M.shape[1], step)):
+    step = max(1, linalg.block_entries(B.size) // n)
+    leads = np.empty(k, dtype=np.intp)
+    for i in range(0, k, step):
+        leads[i:i + step] = (B[i:i + step] != 0).argmax(axis=1)
+    at_leads = sum(np.count_nonzero(B[i:i + step, leads])
+                   for i in range(0, k, step))
+    if (np.any(B[np.arange(k), leads] != 1) or np.any(np.diff(leads) <= 0)
+            or at_leads != k):
+        raise ArithmeticError(f"kernel basis over GF({spec}) is not in "
+                              "reduced echelon form")
+    rest = np.ones(n, dtype=bool)
+    rest[leads] = False
+    if not rows_congruent(B[:, rest], M[rest], p, (p - M[leads]) % p).all():
         raise ArithmeticError(f"kernel basis over GF({spec}) is not in the "
                               "kernel of the point-image matrix")
     B.flags.writeable = False

@@ -6,15 +6,25 @@ solver; `rref` returns its echelon form.  It starts from the residues of
 mod p (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008): a row update
 subtracts at most (p-1)^2 from an entry, so it works in int32 (int64 when
 p + (p-1)^2 >= 2^31) and reduces the whole matrix only after every `room`
-updates, the number that provably stay in range.  Pivoting is
-deterministic (first nonzero in column order) so echelon forms and kernel
-bases are byte-reproducible.  The kernel orientation is the left kernel:
-vectors index rows (points), columns index monomial coordinates.
+updates, the number that provably stay in range.  Each update runs over
+row slices of the rows it changes, so its temporaries stay within
+`block_entries` of the work array.  Pivoting is deterministic (first
+nonzero in column order) so echelon forms and kernel bases are
+byte-reproducible.  The kernel orientation is the left kernel: vectors
+index rows (points), columns index monomial coordinates.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def block_entries(size: int) -> int:
+    """Entries in one block of a temporary made from an operand of `size`
+    entries: a sixteenth of it, so that a large operand still goes in a
+    few large steps, and at least 2^14 (128 KiB in float64), so that a
+    small one goes in few steps without raising a small report's peak."""
+    return max(2**14, size // 16)
 
 
 def as_fp(M, p: int) -> np.ndarray:
@@ -52,7 +62,10 @@ def rref(M, p: int, ncols: int | None = None):
     p + (p-1)^2 >= 2^31).  The pivot column and the pivot row are reduced
     when read, so each update subtracts products in [0, (p-1)^2] and
     entries stay in [-room * (p-1)^2, p-1] between full reductions.
-    ArithmeticError when not even one update fits int64.
+    A pivot updates the rows with a nonzero in its column a slice of rows
+    at a time, each slice and its outer product at most
+    block_entries(A.size) entries.  ArithmeticError when not even one
+    update fits int64.
     """
     if p + (p - 1)**2 >= 2**63:
         raise ArithmeticError(f"products of residues mod {p} would overflow "
@@ -61,24 +74,32 @@ def rref(M, p: int, ncols: int | None = None):
     room = (int(np.iinfo(dtype).max) - p) // (p - 1)**2
     A = np.array(as_fp(M, p), dtype=dtype, order="C")
     rows, cols = A.shape
+    block = block_entries(A.size)
     pivots: list[int] = []
     r = updates = 0
     for c in range(cols if ncols is None else ncols):
         if r == rows:
             break
         col = A[:, c] % p
-        nz = np.flatnonzero(col[r:])
+        nz = col[r:].nonzero()[0]
         if nz.size == 0:
             continue
         k = r + int(nz[0])
+        inverse = pow(int(col[k]), -1, p)
         if k != r:
             A[[r, k]] = A[[k, r]]
-            col[[r, k]] = col[[k, r]]
+            col[k] = col[r]
+        col[r] = 0
         # Rows at or below r are 0 mod p left of c, so the update starts at c.
-        A[r, c:] = A[r, c:] % p * pow(int(col[r]), -1, p) % p
-        others = np.flatnonzero(col)
-        others = others[others != r]
-        A[others, c:] -= np.outer(col[others], A[r, c:])
+        pivot_row = A[r, c:]
+        pivot_row %= p
+        pivot_row *= inverse
+        pivot_row %= p
+        others = col.nonzero()[0]
+        step = max(1, block // pivot_row.size)
+        for i in range(0, others.size, step):
+            part = others[i:i + step]
+            A[part, c:] -= col[part, None] * pivot_row
         updates += 1
         if updates == room:
             A %= p
@@ -103,7 +124,10 @@ def left_kernel_basis(M, p: int) -> np.ndarray:
     at f, 0 at the other free columns and -R[k, f] at the pivot column of
     row k.
     """
-    R, pivots = rref(as_fp(M, p).T[:, ::-1], p)
+    # rref reduces an array itself; numpy would read a list of big
+    # integers inexactly, so only a list is reduced here.
+    A = M if isinstance(M, np.ndarray) else as_fp(M, p)
+    R, pivots = rref(A.T[:, ::-1], p)
     n = R.shape[1]
     is_free = np.ones(n, dtype=bool)
     is_free[pivots] = False
@@ -111,8 +135,9 @@ def left_kernel_basis(M, p: int) -> np.ndarray:
     # Column j of the reversed system is column n-1-j of x.
     B = np.zeros((free.size, n), dtype=np.min_scalar_type(p - 1))
     B[np.arange(free.size), n - 1 - free] = 1
-    B[:, n - 1 - np.asarray(pivots, dtype=np.int64)] = (
-        -R[:len(pivots), free].T % p)
+    np.subtract(p, R, out=R)
+    R %= p
+    B[:, n - 1 - np.asarray(pivots, dtype=np.int64)] = R[:len(pivots), free].T
     return B
 
 

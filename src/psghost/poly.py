@@ -19,6 +19,7 @@ import numpy as np
 
 from . import field
 from .field import FieldElement, FieldSpec, multinomial_int
+from .linalg import block_entries
 from .plane import ProjLine, canonical_triples
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -111,16 +112,17 @@ def point_image_rows(spec: FieldSpec) -> np.ndarray:
     Entry at (i, j) is C(q-1; i, j) * a^(q-1-i-j) * b^j * c^i; the
     multinomial lies in the prime subfield, so its encoding is its residue.
     Read-only, in the smallest unsigned dtype that holds q-1, and built a
-    block of m points at a time (m monomials), so that the int64 values
-    of monomial_values never span the whole matrix.
+    block of rows at a time, each block at most block_entries of the
+    matrix, so that the int64 values of monomial_values never span it.
     """
     multinomials = [multinomial_int(spec.q - 1, i, j) % spec.p
                     for i, j in monomial_indices(spec)]
     T = canonical_triples(spec)
-    m = len(multinomials)
-    rows = np.empty((len(T), m), dtype=np.min_scalar_type(spec.q - 1))
-    for k in range(0, len(T), m):
-        rows[k:k + m] = monomial_values(spec, T[k:k + m], multinomials)
+    rows = np.empty((len(T), len(multinomials)),
+                    dtype=np.min_scalar_type(spec.q - 1))
+    step = max(1, block_entries(rows.size) // rows.shape[1])
+    for k in range(0, len(T), step):
+        rows[k:k + step] = monomial_values(spec, T[k:k + step], multinomials)
     rows.flags.writeable = False
     return rows
 

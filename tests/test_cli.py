@@ -400,10 +400,14 @@ def test_field_beyond_desk_scale_is_input_error(monkeypatch, capsys, command,
     ("2^0", "extension degree must be >= 1"),
     ("2^-1", "extension degree must be >= 1"),
     ("1^5", "p = 1 is not prime"),
+    ("6", "p = 6 is not prime"),
+    ("4", "4 is 2^2; write 2^2"),
+    ("64", "64 is 2^6; write 2^6"),
 ])
 def test_field_error_names_the_reason(capsys, field, reason):
     # these used to report a missing built-in modulus, which the CLI has no
-    # way to pass
+    # way to pass; a prime power written as an integer (4, 64) read "p = 64
+    # is not prime", although 2^6 is a supported field
     code, out, err = run(capsys, "ghost-report", "--field", field)
     assert code == 3 and out == ""
     assert reason in err and "modulus" not in err

@@ -8,13 +8,13 @@ import pytest
 from psghost.field import FieldSpec
 from psghost.ghost import (all_line_evaluations_zero_stack, ghost_report,
                            is_ghost, is_ghost_stack, line_ghost,
-                           partial_pencil_ghost, product_mod_p,
-                           punctured_pencil_ghost, vandermonde_check,
-                           vandermonde_check_stack)
+                           line_evaluation_matrix_fp, partial_pencil_ghost,
+                           punctured_pencil_ghost, rows_congruent,
+                           vandermonde_check, vandermonde_check_stack)
 from psghost.msets import PointMultiset, complement, minverse, msum, phi
 from psghost.plane import (ProjLine, ProjPoint, enumerate_lines,
                            enumerate_points, incidence_matrix, line_points)
-from psghost.poly import HomPoly, evaluate
+from psghost.poly import HomPoly, evaluate, point_matrix_fp
 
 GF2 = FieldSpec.of(2)
 
@@ -211,6 +211,85 @@ def test_ghost_report_rejects_a_basis_outside_the_kernel(monkeypatch):
         ghost_report.cache_clear()
 
 
+def _basis_variants(B, p):
+    """Four corruptions of a reduced echelon kernel basis B: all but the
+    last stay in the kernel."""
+    B = B.astype(np.int64)
+    leads = (B != 0).argmax(axis=1)
+    doubled, mixed, broken = B.copy(), B.copy(), B.copy()
+    doubled[1] = 2 * B[1] % p               # lead entry 2
+    mixed[0] = (B[0] + B[1]) % p            # nonzero at row 1's lead
+    free = np.setdiff1d(np.arange(B.shape[1]), leads)
+    broken[0, free[-1]] = (B[0, free[-1]] + 1) % p  # a non-lead entry
+    return {"repeated row": np.insert(B, 2, B[1], axis=0),
+            "lead entry 2": doubled, "nonzero at another lead": mixed,
+            "non-lead entry": broken}
+
+
+@pytest.mark.parametrize("field", ["3", "3^2"])
+@pytest.mark.parametrize("how", ["repeated row", "lead entry 2",
+                                 "nonzero at another lead", "non-lead entry"])
+def test_ghost_report_rejects_a_basis_that_is_not_reduced(monkeypatch,
+                                                          field, how):
+    # B @ M = 0 alone accepted a repeated row: at q = 3 it read rank 5 and
+    # exponent 8 where the truth is 6 and 7
+    from psghost import linalg
+    spec = FieldSpec.parse(field)
+    bad = _basis_variants(ghost_report(spec).kernel, spec.p)[how]
+    monkeypatch.setattr(linalg, "left_kernel_basis", lambda M, p: bad)
+    ghost_report.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            ghost_report(spec)
+    finally:
+        ghost_report.cache_clear()
+
+
+def _product_operands(caller, spec, m):
+    """(V, matrix) as the caller passes them to rows_congruent."""
+    if caller == "ghost_report":
+        B = ghost_report(spec).kernel
+        rest = np.ones(B.shape[1], dtype=bool)
+        rest[(B != 0).argmax(axis=1)] = False
+        return B[:, rest], point_matrix_fp(spec)[rest]
+    matrix = {"is_ghost_stack": point_matrix_fp,
+              "all_line_evaluations_zero_stack": line_evaluation_matrix_fp,
+              "vandermonde_check_stack": incidence_matrix}[caller](spec)
+    rng = np.random.default_rng(spec.q)
+    return rng.integers(0, spec.p, (m, matrix.shape[0])), matrix
+
+
+@pytest.mark.parametrize("caller,field,m", [
+    ("is_ghost_stack", "5", 3), ("is_ghost_stack", "23", 70),
+    ("all_line_evaluations_zero_stack", "5", 3),
+    ("all_line_evaluations_zero_stack", "3^2", 100),
+    ("vandermonde_check_stack", "5", 3),
+    ("vandermonde_check_stack", "13", 100),
+    ("ghost_report", "5", None), ("ghost_report", "23", None)])
+def test_rows_congruent_matches_int64_product(caller, field, m):
+    from psghost.linalg import block_entries
+    spec = FieldSpec.parse(field)
+    p = spec.p
+    V, matrix = _product_operands(caller, spec, m)
+    n, width = matrix.shape
+    cols = min(width, block_entries(matrix.size) // n)
+    rows = block_entries(matrix.size) // max(n, cols)
+    if spec.q == 5:  # one block
+        assert width == cols and len(V) <= rows
+    else:  # several blocks each way, the last one ragged
+        assert width > cols and width % cols
+        assert len(V) > rows and len(V) % rows
+    want = V.astype(np.int64) @ matrix.astype(np.int64) % p
+    assert rows_congruent(V, matrix, p, want).all()
+    # one wrong entry, in the first, a middle or the last block, flags
+    # its row alone
+    for i, j in [(0, 0), (len(V) // 2, width // 2), (len(V) - 1, width - 1)]:
+        target = want.copy()
+        target[i, j] = (target[i, j] + 1) % p
+        got = rows_congruent(V, matrix, p, target)
+        assert got.tolist() == [k != i for k in range(len(V))]
+
+
 STACK_PREDICATES = [is_ghost_stack, vandermonde_check_stack,
                     all_line_evaluations_zero_stack]
 
@@ -264,8 +343,9 @@ def test_stack_predicates_match_loop_reference(p, h):
         assert [is_ghost(S), vandermonde_check(S)] == row[:2]
 
 
-def test_vandermonde_check_in_two_column_blocks_at_2_5():
-    # 1057^2 incidence entries exceed 2^20, so the meets come in two blocks
+def test_vandermonde_check_in_column_blocks_at_2_5():
+    # the meets come in column blocks; the pair below is told from a
+    # ghost only by columns 992 on, in the last blocks
     spec = FieldSpec.parse("2^5")
     q, n = spec.q, spec.q**2 + spec.q + 1
     rng = np.random.default_rng(32)
@@ -308,10 +388,11 @@ def test_product_mod_p_guard():
     # (p-1)^2 * n must stay below 2^53 for the float64 sums to be exact
     p = 2**26 + 1
     V = np.array([[p - 1]])
-    assert product_mod_p(V, np.array([[p - 1]]), p).tolist() == [[1.0]]
+    assert rows_congruent(V, np.array([[p - 1]]), p, 1).tolist() == [True]
+    assert rows_congruent(V, np.array([[p - 1]]), p).tolist() == [False]
     with pytest.raises(ArithmeticError):
-        product_mod_p(np.array([[p - 1, p - 1]]), np.array([[p - 1], [p - 1]]),
-                      p)
+        rows_congruent(np.array([[p - 1, p - 1]]),
+                       np.array([[p - 1], [p - 1]]), p)
 
 
 def test_one_multiset_predicates_return_bool():
