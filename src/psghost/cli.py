@@ -142,10 +142,14 @@ def cmd_eval(args) -> int:
             line = plane.ProjLine.from_encodings(spec, u, v, w)
         except ValueError as e:
             raise InputError(f"bad line {args.line!r}: {e}") from e
-        _write(args.out, f"{poly.evaluate(G, line).encoding}\n")
-        return EXIT_OK
-    T = plane.canonical_triples(spec)
-    rows = zip(map(" ".join, T.astype(str)), poly.line_values(G, T).tolist())
+        rows = [(str(line), poly.evaluate(G, line).encoding)]
+        if args.format != "json":
+            _write(args.out, f"{rows[0][1]}\n")
+            return EXIT_OK
+    else:
+        T = plane.canonical_triples(spec)
+        rows = zip(map(" ".join, T.astype(str)),
+                   poly.line_values(G, T).tolist())
     if args.format == "json":
         import json
         _write(args.out, json.dumps(

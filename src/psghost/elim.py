@@ -10,17 +10,20 @@ block is reduced by a recursive pivotal elimination over exact integers:
     step n:  row(b,c) <- row(b,c) / (c-(n-1)) - row(b,n)           c >= n+1
 
 where the division is elementwise and exact over the integers.  Closed-form
-nested-summation formulas give every row at every step; this module
-implements both routes and compares them row by row.
+nested-summation formulas give every row at every step, each level summed
+for every upper index in one pass of running sums; this module implements
+both routes and compares them row by row.
 
 The elimination itself is pure Python; numpy, through `linalg`, is
-imported only by the rank checks of `verify_procedure`.
+imported only by the rank checks of `verify_procedure`, which build the
+witness matrices as residues mod p.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
+from operator import mul
 
 from .field import is_prime, multinomial_int
 
@@ -49,35 +52,10 @@ def table2_col_labels(p: int) -> list[tuple[int, int]]:
     return cols
 
 
-def initial_matrix(p: int) -> list[list[int]]:
-    """The stripped C(p+1,2) x C(p+1,2) witness matrix (integer entries).
-
-    Entry at row (1,b,c), column b^j c^i is the integer b^j * c^i; the
-    multinomial coefficients are stripped (recorded separately as a column
-    scaling, see column_scaling()).
-    """
-    if p < 3:
-        raise ValueError("initial_matrix requires an odd prime")
-    rows = table2_row_labels(p)
-    cols = table2_col_labels(p)
-    return [[b**j * c**i for (j, i) in cols] for (b, c) in rows]
-
-
 def column_scaling(p: int) -> list[int]:
-    """Multinomial coefficient stripped from each column of the matrix."""
+    """Multinomial coefficient stripped from each column of the witness
+    matrix: the coefficient of b^j c^i in (X+bY+cZ)^(p-1)."""
     return [multinomial_int(p - 1, i, j) for (j, i) in table2_col_labels(p)]
-
-
-def weighted_image_rows(p: int) -> list[list[int]]:
-    """Actual coefficient rows of (X+bY+cZ)^(p-1) for the base points.
-
-    Same row/column orders as initial_matrix; entry is
-    C(p-1; i, j) * b^j * c^i over the integers.
-    """
-    rows = table2_row_labels(p)
-    cols = table2_col_labels(p)
-    return [[multinomial_int(p - 1, i, j) * b**j * c**i for (j, i) in cols]
-            for (b, c) in rows]
 
 
 def fourth_block_row_labels(p: int) -> list[tuple[int, int]]:
@@ -175,41 +153,32 @@ def closed_form_factor(n: int, c: int, cols) -> list[int]:
     """Row (1,b,c) after n >= 1 steps is b^lam * f(n, c, mu) at column
     b^lam c^mu; this returns f for each column of `cols`, shared by all b.
 
-    f is c^mu - 1 for n = 1, else nested summations with index gaps >= 2,
-    all empty (f = 0) for mu < n.  The odd case's innermost index starts
-    at 1, the even case's at 0 (with an extra (c-n) * c^i factor).  The
-    columns share their inner levels through a memo that lives for this
-    call only.
+    f is c^mu - 1 for n = 1, else level k = 1 at prev = mu of n//2 nested
+    sums S_k(prev) = sum_{i < prev-1} (a^(prev-1-i) - b^(prev-1-i)) g(i),
+    a = 2k, b = 2k-1, with g = S_{k+1}, and for k = n//2 g(i) = c^i - n^i
+    (odd n) or (c-n) * c^i (even n).  Each level is built for every prev in
+    one pass of running sums A(prev+1) = a * (A(prev) + g(prev-1)), B alike.
     """
     if n < 1:
         raise ValueError("closed forms are defined for steps n >= 1")
+    mus = [mu for _, mu in cols]
     if n == 1:
-        return [c**mu - 1 for _, mu in cols]
-    memo: dict[tuple[int, int], int] = {}
-    return [_nested_sum(n, c, 1, mu, memo) for _, mu in cols]
-
-
-def _nested_sum(n: int, c: int, k: int, prev: int, memo: dict) -> int:
-    """Level k of the nested summation for step n >= 2 and row c; `memo`
-    holds the levels already summed for this (n, c)."""
-    if (k, prev) in memo:
-        return memo[k, prev]
-    nprime, odd = divmod(n, 2)
-    if k == nprime:
-        lo = 1 if odd else 0
-        total = 0
-        for i in range(lo, prev - 1):
-            f = (2 * k)**(prev - 1 - i) - (2 * k - 1)**(prev - 1 - i)
-            if odd:
-                total += f * (c**i - n**i)
-            else:
-                total += (c - n) * f * c**i
+        return [c**mu - 1 for mu in mus]
+    size = max(mus, default=-1) + 1
+    if n % 2:
+        g = [c**i - n**i for i in range(size)]
     else:
-        total = sum(((2 * k)**(prev - 1 - i) - (2 * k - 1)**(prev - 1 - i))
-                    * _nested_sum(n, c, k + 1, i, memo)
-                    for i in range(0, prev - 1))
-    memo[k, prev] = total
-    return total
+        g = [(c - n) * c**i for i in range(size)]
+    for k in range(n // 2, 0, -1):
+        a, b = 2 * k, 2 * k - 1
+        A = B = 0
+        level = [0, 0]
+        for x in g[:-2]:
+            A = a * (A + x)
+            B = b * (B + x)
+            level.append(A - B)
+        g = level[:size]
+    return [g[mu] for mu in mus]
 
 
 # -- verification -----------------------------------------------------
@@ -241,6 +210,8 @@ def verify_procedure(p: int) -> ElimReport:
     p, the outer blocks are nonsingular mod p, and the multinomial-weighted
     image matrix has full rank mod p by independent generic elimination.
     """
+    import numpy as np
+
     from . import linalg
     if not is_prime(p) or p < 3:
         raise ValueError("verify_procedure requires an odd prime")
@@ -249,7 +220,10 @@ def verify_procedure(p: int) -> ElimReport:
     cells = 0
 
     # One state at a time.  Step n passes the rows c <= n on unchanged, so
-    # its pivotal rows (c = n) are read from state n; it changes c >= n+1.
+    # its pivotal rows (c = n) are read from state n; it changes c >= n+1,
+    # row (1,b,c) to b^lam times the closed form, by column.
+    scale = {b: [b**lam for lam, _ in fourth_block_col_labels(p)]
+             for b in range(1, p - 1)}
     blocks = []
     for state in elimination_states(p):
         n, cols = state.n, state.col_labels
@@ -265,7 +239,7 @@ def verify_procedure(p: int) -> ElimReport:
             if c <= n:
                 continue
             cells += len(row)
-            expected = [b**lam * f for (lam, _), f in zip(cols, factors[c])]
+            expected = list(map(mul, scale[b], factors[c]))
             if expected != row:
                 disc += [f"step {n} row (1,{b},{c}) col b^{lam}c^{mu}: "
                          f"closed form {cf} != eliminated {x}"
@@ -299,18 +273,25 @@ def verify_procedure(p: int) -> ElimReport:
 
     # Independent cross-check: multinomial-weighted image matrix has full
     # rank mod p via generic elimination, and column stripping is a pure
-    # scaling that cannot change singularity.
-    full = linalg.rank(weighted_image_rows(p), p)
+    # scaling that cannot change singularity.  Both matrices are built as
+    # residues mod p: entry b^j c^i of the stripped witness matrix at row
+    # (1,b,c), times the multinomial of column b^j c^i when weighted.
+    power = np.array([[pow(x, e, p) for e in range(p)] for x in range(p)])
+    b, c = np.array(table2_row_labels(p)).T[:, :, None]
+    j, i = np.array(table2_col_labels(p)).T
+    stripped = power[b, j] * power[c, i] % p
+    scaling = np.array([s % p for s in column_scaling(p)])
+    full = linalg.rank(stripped * scaling % p, p)
     dim = p * (p + 1) // 2
     if full == dim:
         checks.append(f"weighted image matrix has full rank {dim} mod {p}")
     else:
         disc.append(f"weighted image matrix rank {full} != {dim} mod {p}")
-    if all(s % p for s in column_scaling(p)):
+    if scaling.all():
         checks.append("stripped multinomial column factors all nonzero mod p")
     else:
         disc.append("a stripped multinomial column factor vanishes mod p")
-    if linalg.rank(initial_matrix(p), p) == dim:
+    if linalg.rank(stripped, p) == dim:
         checks.append("stripped matrix nonsingular mod p (agrees with "
                       "weighted matrix)")
     else:

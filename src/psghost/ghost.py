@@ -56,7 +56,9 @@ def rows_congruent(V, matrix: np.ndarray, p: int, target=0) -> np.ndarray:
     hold at most linalg.block_entries(matrix.size) entries, so no float64
     copy of a whole factor is made.  Entries of V and matrix must lie in
     {0,...,p-1}.  The product is exact while every sum of n such products,
-    at most (p-1)^2 * n, is below 2^53; ArithmeticError otherwise.
+    at most (p-1)^2 * n, is below 2^53; ArithmeticError otherwise.  A block
+    R is reduced as R - p * floor(R / p) in one temporary: R / p rounds by
+    at most half an ulp, less than 1/p, so its floor is exact.
     """
     V = np.asarray(V)
     n, width = matrix.shape
@@ -72,7 +74,8 @@ def rows_congruent(V, matrix: np.ndarray, p: int, target=0) -> np.ndarray:
         right = matrix[:, j:j + cols].astype(np.float64)
         for i in range(0, len(V), rows):
             R = V[i:i + rows].astype(np.float64) @ right
-            np.remainder(R, p, out=R)
+            F = R / p
+            R -= np.multiply(np.floor(F, out=F), p, out=F)
             ok[i:i + rows] &= (R == target[i:i + rows, j:j + cols]).all(axis=1)
     return ok
 

@@ -1,8 +1,8 @@
 """Exact linear algebra over F_p.
 
 One elimination routine serves rank, left kernel and the prefactored
-solver; `rref` returns its echelon form.  It starts from the residues of
-`as_fp`, stored in the smallest unsigned dtype, and delays the reduction
+solver; `rref` returns its echelon form.  It fills its work array with
+the residues of `as_fp` a block of rows at a time, and delays the reduction
 mod p (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008): a row update
 subtracts at most (p-1)^2 from an entry, so it works in int32 (int64 when
 p + (p-1)^2 >= 2^31) and reduces the whole matrix only after every `room`
@@ -59,9 +59,10 @@ def rref(M, p: int, ncols: int | None = None):
     remaining columns take part in every row operation.
 
     The work array starts from the residues of M in int32 (int64 when
-    p + (p-1)^2 >= 2^31).  The pivot column and the pivot row are reduced
-    when read, so each update subtracts products in [0, (p-1)^2] and
-    entries stay in [-room * (p-1)^2, p-1] between full reductions.
+    p + (p-1)^2 >= 2^31), read from an array a block of rows at a time.
+    The pivot column and the pivot row are reduced when read, so each
+    update subtracts products in [0, (p-1)^2] and entries stay in
+    [-room * (p-1)^2, p-1] between full reductions.
     A pivot updates the rows with a nonzero in its column a slice of rows
     at a time, each slice and its outer product at most
     block_entries(A.size) entries.  ArithmeticError when not even one
@@ -72,9 +73,14 @@ def rref(M, p: int, ncols: int | None = None):
                               "int64")
     dtype = np.int32 if p + (p - 1)**2 < 2**31 else np.int64
     room = (int(np.iinfo(dtype).max) - p) // (p - 1)**2
-    A = np.array(as_fp(M, p), dtype=dtype, order="C")
+    # numpy reads big integers in a list inexactly: a list is reduced whole
+    M = M if isinstance(M, np.ndarray) and M.ndim == 2 else as_fp(M, p)
+    A = np.empty(M.shape, dtype=dtype)
     rows, cols = A.shape
     block = block_entries(A.size)
+    step = max(1, block // max(1, cols))
+    for i in range(0, rows, step):
+        A[i:i + step] = as_fp(M[i:i + step], p)
     pivots: list[int] = []
     r = updates = 0
     for c in range(cols if ncols is None else ncols):

@@ -226,6 +226,22 @@ def test_eval_at_line(tmp_path, capsys):
     assert out.strip() == "1"
 
 
+def test_eval_at_line_json(tmp_path, capsys):
+    # the all-lines JSON shape with one entry, keyed by the normalized
+    # line; --line used to print a bare value whatever --format said
+    f = tmp_path / "g.psp"
+    f.write_text("# psp q=7\n0 0 1\n2 3 4\n1 1 5\n")
+    code, out, _ = run(capsys, "eval", "--field", "7", "--in", str(f),
+                       "--format", "json")
+    assert code == 0
+    value = json.loads(out)["values"]["1 2 3"]
+    code, out, _ = run(capsys, "eval", "--field", "7", "--in", str(f),
+                       "--line", "2 4 6", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"q": "7", "values": {"1 2 3": value}}
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_verify_all_field2(capsys):
     code, out, _ = run(capsys, "verify", "--field", "2", "--suite", "all")
     assert code == 0

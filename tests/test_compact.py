@@ -165,6 +165,22 @@ def test_left_kernel_basis_updates_in_row_slices():
     assert peak < 2 * work
 
 
+def test_rref_fills_its_work_array_in_blocks():
+    # rref read a whole uint8 residue copy of M into its int32 work array;
+    # it set the 13.31 MiB peak of left_kernel_basis at 2^5: the 10.64 MiB
+    # work array plus 2.66 MiB of copy.  ncols=0 runs the fill alone.
+    spec = FieldSpec.parse("2^5")
+    M = poly.point_matrix_fp(spec)
+    work = M.size * np.dtype(np.int32).itemsize
+    tracemalloc.start()
+    try:
+        linalg.rref(M.T, spec.p, ncols=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < work + M.nbytes / 4
+
+
 def test_is_ghost_stack_makes_no_float64_copy_of_the_point_matrix():
     # the whole point matrix in float64 is 8 times its uint8 size
     spec = FieldSpec.parse("3^3")

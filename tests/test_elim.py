@@ -55,16 +55,6 @@ def test_base_points_p7():
     assert len(interior) == 15
 
 
-def test_initial_matrix_spot_entries():
-    p = 7
-    M = elim.initial_matrix(p)
-    rows = elim.table2_row_labels(p)
-    cols = elim.table2_col_labels(p)
-    assert M[rows.index((2, 0))][cols.index((2, 0))] == 4      # row (1,2,0), b^2
-    assert M[rows.index((0, 0))] == [1] + [0] * (len(cols) - 1)
-    assert M[rows.index((5, 1))][cols.index((1, 1))] == 5      # row (1,p-2,1), bc
-
-
 def test_fourth_block_shapes():
     assert len(elim.fourth_block(7)) == 15
     assert len(elim.fourth_block(7)[0]) == 15
@@ -119,6 +109,33 @@ def test_closed_form_step3_step4():
     assert elim.closed_form_factor(4, 5, [(0, 4), (0, 3)]) == [1, 0]
 
 
+def _paper_nested_sum(n, c, mu):
+    """The paper's closed form f(n, c, mu), summed literally level by level
+    with no sharing: the oracle for closed_form_factor."""
+    if n == 1:
+        return c**mu - 1
+    nprime, odd = divmod(n, 2)
+
+    def level(k, prev):
+        def f(i):
+            return (2 * k)**(prev - 1 - i) - (2 * k - 1)**(prev - 1 - i)
+        if k < nprime:
+            return sum(f(i) * level(k + 1, i) for i in range(prev - 1))
+        if odd:
+            return sum(f(i) * (c**i - n**i) for i in range(1, prev - 1))
+        return sum((c - n) * f(i) * c**i for i in range(prev - 1))
+    return level(1, mu)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_closed_forms_match_the_paper_sums(p):
+    cols = elim.fourth_block_col_labels(p)
+    for n in range(1, p - 1):
+        for c in range(n + 1, p - 1):
+            assert elim.closed_form_factor(n, c, cols) == [
+                _paper_nested_sum(n, c, mu) for _, mu in cols], (n, c)
+
+
 def test_division_exactness_enforced():
     state = next(elim.elimination_states(7))
     bad = elim.StepState(7, 1, [[x + 1 for x in row] for row in state.matrix],
@@ -155,8 +172,8 @@ def test_verify_procedure_holds_one_state():
 
 
 def test_closed_forms_keep_no_memo():
-    # The nested sums are shared within one closed_form_factor call and
-    # freed with it; a process-wide cache held 13 MiB after p = 37.
+    # The levels of the nested sums live only within one
+    # closed_form_factor call; a process-wide cache held 13 MiB after p = 37.
     cols = elim.fourth_block_col_labels(29)
     elim.closed_form_factor(6, 14, cols)  # first-call allocations
     tracemalloc.start()

@@ -252,10 +252,12 @@ def _product_operands(caller, spec, m):
         rest = np.ones(B.shape[1], dtype=bool)
         rest[(B != 0).argmax(axis=1)] = False
         return B[:, rest], point_matrix_fp(spec)[rest]
+    rng = np.random.default_rng(spec.q)
     matrix = {"is_ghost_stack": point_matrix_fp,
               "all_line_evaluations_zero_stack": line_evaluation_matrix_fp,
-              "vandermonde_check_stack": incidence_matrix}[caller](spec)
-    rng = np.random.default_rng(spec.q)
+              "vandermonde_check_stack": incidence_matrix,
+              "residues": lambda spec: rng.integers(0, spec.p, (500, 300)),
+              }[caller](spec)
     return rng.integers(0, spec.p, (m, matrix.shape[0])), matrix
 
 
@@ -265,7 +267,8 @@ def _product_operands(caller, spec, m):
     ("all_line_evaluations_zero_stack", "3^2", 100),
     ("vandermonde_check_stack", "5", 3),
     ("vandermonde_check_stack", "13", 100),
-    ("ghost_report", "5", None), ("ghost_report", "23", None)])
+    ("ghost_report", "5", None), ("ghost_report", "23", None),
+    ("residues", "61", 70)])
 def test_rows_congruent_matches_int64_product(caller, field, m):
     from psghost.linalg import block_entries
     spec = FieldSpec.parse(field)

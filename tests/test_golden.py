@@ -319,11 +319,14 @@ ELIM_SUMMARY_SHA256 = {
     5: "6f8ceb9b20c0051c7e62c8ecd28c34897b32f681a02bd52bf79798d530978744",
     7: "9f99263618f510a19e1633c3d75328ec15bdfcbbcafbb07f3b01efacaebe4cfe",
     13: "042b368097b22899b4ba72a1d4d6d3cfa7bce08f4f36c6653ec4c2a5163cbc45",
+    17: "a8cfc714da5a8e8f464a602f924f3a66218e4d441fd74bb60f51dd0761aedccc",
+    19: "8d7ddbebdf320cb8ce618ae0a6ccf9229b85314ae214f8feefa4c8035297effe",
 }
 
 # Closed-form cells the elimination proof compares, by p: every entry of the
 # rows with c >= n+1 after each step n; p = 3 has no such row.
-ELIM_CELLS_CHECKED = {3: 0, 5: 24, 7: 300, 11: 5400, 13: 14520}
+ELIM_CELLS_CHECKED = {3: 0, 5: 24, 7: 300, 11: 5400, 13: 14520, 17: 67200,
+                      19: 124848}
 
 
 @pytest.mark.parametrize("p", sorted(ELIM_TRACE_SHA256))

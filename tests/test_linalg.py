@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from psghost import elim, field, linalg
-from psghost.field import FieldSpec
+from psghost.field import FieldSpec, multinomial_int
 from psghost.ghost import point_matrix_fp
 
 
@@ -189,8 +189,14 @@ def test_solver_prefactored_matches_direct():
 
 
 def test_rank_reduces_big_integers_exactly():
-    # entries of the weighted image matrix at p = 17 overflow int64
-    assert linalg.rank(elim.weighted_image_rows(17), 17) == 153
+    # entries of the weighted image matrix at p = 17, the coefficients
+    # C(p-1; i, j) * b^j * c^i of (X+bY+cZ)^(p-1), overflow int64
+    p = 17
+    weighted = [[multinomial_int(p - 1, i, j) * b**j * c**i
+                 for (j, i) in elim.table2_col_labels(p)]
+                for (b, c) in elim.table2_row_labels(p)]
+    assert max(map(max, weighted)) >= 2**63
+    assert linalg.rank(weighted, p) == 153
     # numpy reads this list as float64, rounding 2^63 + 1 to an even number
     assert linalg.rank([[2**63 + 1, 1], [1, 1]], 2) == 1
 
