@@ -565,3 +565,44 @@ def test_unexpected_exception_exits_internal(capsys, monkeypatch):
     code, out, err = run(capsys, "ghost-report", "--field", "2")
     assert code == 4
     assert out == "" and err == "error: internal: RuntimeError: boom\n"
+
+
+BIG = 10**30  # beyond int64
+
+
+@pytest.mark.parametrize("command,text,message", [
+    # two faulty lines of different kinds: the first one is named
+    ("psp", "0 0 1\n0 0 0\n0 0\n",
+     "line 2: projective coordinates cannot be all zero"),
+    ("psp", "0 0 1\n0 0\n0 0 0\n",
+     "line 2: expected 'a b c [: m]', got '0 0'"),
+    ("solve", "0 0 1\n0 0 2\n0 9 1\n", "line 2: monomial 0 0 repeated"),
+    ("eval", "0 0 1\n0 9 1\n0 0 2\n",
+     "line 2: monomial exponents (0, 9) out of range"),
+    # values beyond int64 are out of range, not an internal error
+    ("psp", f"0 0 1\n{BIG} 1 1\n", f"line 2: encoding {BIG} out of range "
+                                   "for GF(7)"),
+    ("psp", f"0 0 1 : {BIG}\n0 {2**64} 1\n",
+     f"line 2: encoding {2**64} out of range for GF(7)"),
+    ("solve", f"{BIG} 0 1\n", f"line 1: monomial exponents ({BIG}, 0) out "
+                              "of range"),
+    ("eval", f"0 0 {-BIG}\n", f"line 1: encoding {-BIG} out of range for "
+                              "GF(7)"),
+])
+def test_reader_errors_name_the_first_bad_line(tmp_path, capsys, command,
+                                               text, message):
+    f = tmp_path / "in.txt"
+    f.write_text(text)
+    code, out, err = run(capsys, command, "--field", "7", "--in", str(f))
+    assert code == 3
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_psp_multiplicity_beyond_int64_is_reduced(tmp_path, capsys):
+    # 10**30 = 1 (mod 3): the file holds the point (0, 0, 1) once
+    big, one = tmp_path / "big.mset", tmp_path / "one.mset"
+    big.write_text(f"# mset q=3\n0 0 2 : {BIG}\n")
+    one.write_text("# mset q=3\n0 0 1\n")
+    want = run(capsys, "psp", "--field", "3", "--in", str(one))
+    assert want[0] == 0
+    assert run(capsys, "psp", "--field", "3", "--in", str(big)) == want

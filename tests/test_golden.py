@@ -1,6 +1,7 @@
 """Golden output hashes: `ghost-report`, `solve`, `psp` and `eval` JSON,
-`ghost-report`, `solve` and `verify --suite all` text, `elim-trace` CSV
-and the elimination proof's summary must stay byte-identical.
+`ghost-report`, `solve`, `psp`, `eval --line` and `verify --suite all`
+text, `elim-trace` CSV and the elimination proof's summary must stay
+byte-identical.
 
 Each entry is the sha256 of the bytes the CLI writes to stdout.  The inputs
 derive from the plain set whose per-point bits are drawn as
@@ -16,11 +17,12 @@ import random
 import numpy as np
 import pytest
 
-from psghost import elim, ghost
+from psghost import elim, field, ghost
 from psghost.cli import main
 from psghost.field import FieldSpec
 from psghost.msets import PointMultiset, mset_to_text, phi
-from psghost.poly import poly_to_text
+from psghost.plane import canonical_triples
+from psghost.poly import monomial_indices, poly_to_text
 
 FIELDS = ["2", "3", "2^2", "5", "7", "2^3", "3^2", "13"]
 
@@ -286,6 +288,151 @@ def test_eval_json_golden(tmp_path, capsys, field):
     text = _random_set_poly(FieldSpec.parse(field))
     assert (_cli_sha256(tmp_path, capsys, "eval", field, text)
             == EVAL_SHA256[field])
+
+
+# Input shapes the pins above do not reach, pinned before the readers and
+# `HomPoly` moved to encoding arrays.  `psp --format text` reads the same
+# `# mset` text as `test_psp_json_golden`.
+PSP_TEXT_SHA256 = {
+    "2":
+        "feca46a65eb0f28c5c37ef62337ff9a2c30610757c352583ff6d8a8cac9962f6",
+    "3":
+        "a3080b28483d53ef3b4d8f34e6402ac371d5ceaa0a29d8c276ba32b0b39bd9a9",
+    "2^2":
+        "8f0872c76cc6f9fdc141c2020213268a833a2be5c740b8821fddaf96de33e1c1",
+    "5":
+        "9162ee5f176c21a30fa614e0a027c9f2efe447099d063eb524237e905456dbc2",
+    "7":
+        "fad612297c6737370a092fbbdd1c565e9db9b517928860a0a563bf6b4237d7d1",
+    "2^3":
+        "0315c45889552f040bf19a2c95d6a766e2808a037b02c616f6a36b1215ce23e7",
+    "3^2":
+        "0481cf69ef453d2ac8e22fdba37f38dfbb434ca036fd2481fdd697ac2d7df739",
+    "13":
+        "dee7cc1a6a74b9001c154b8efa4c26fc76bd0994cd2bd2053989f7fce4fef34e",
+}
+
+# `psp --format json` of a `# mset` file that writes every point as a
+# nonzero multiple of its canonical triple, lists some points twice and
+# uses the multiplicities p, -1 and 10**30: see _scaled_mset_text.
+PSP_SCALED_SHA256 = {
+    "2":
+        "d1ddf02947f4ccecd50fc7494e99152ce7e2e18d13f159e42d5996945b8ccc87",
+    "3":
+        "b1284e91d4609e9f8c5a67bedae84a689a8c514c2fa59ab5abd41f61a1ff7e4b",
+    "2^2":
+        "6f0bc3953b9829204113e727f0ab9cea495690e59dcdf5b66484de8eed116911",
+    "5":
+        "006c8a9175babd5589bca124df6f270f8c28a2752e285f2a4276572820741936",
+    "7":
+        "984c6e207dc9cf265ffb98e6143c45002aa1cbeb4bdbe1c580653f65c854d334",
+    "2^3":
+        "dadb1704fca864e89abbb25e456d3520d9dc3eb3d25bce336977def3efceb381",
+    "3^2":
+        "9d8e1e4cc9b47bc8bd43ffe710679b858c92a0bf794c2fdf7b2e0c75daae61cc",
+    "13":
+        "56db443a78f8204ef44820fc3a8c8283b1f454eca61a9a524a1eb5b207785e4c",
+}
+
+# `eval --line` at a nonzero multiple of a canonical line, keyed by
+# (field, format).
+EVAL_LINE_SHA256 = {
+    ("2", "text"):
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    ("2", "json"):
+        "c40266e2374c6ef0d54ce68574a1b6bf573d1ae87007aa145b105feea7501d41",
+    ("3", "text"):
+        "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+    ("3", "json"):
+        "713c22b8a5c7592cbdedc12e7b1782588aa9e7d868d5b5abead93ea8f78c2da8",
+    ("2^2", "text"):
+        "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+    ("2^2", "json"):
+        "499ea549debad648d6b00b5f38d76c1807bce8734a95e8bc2f59a755f5249a46",
+    ("5", "text"):
+        "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    ("5", "json"):
+        "052d77cf7865109bb340526457f06751011f5721c68924e23d71ca4fc486ae92",
+    ("7", "text"):
+        "f0b5c2c2211c8d67ed15e75e656c7862d086e9245420892a7de62cd9ec582a06",
+    ("7", "json"):
+        "5920426df970184d483ab1307eee4295866a269127f891584f43b9265358cd66",
+    ("2^3", "text"):
+        "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+    ("2^3", "json"):
+        "7cc9e6572eff21f28f79ddf88cb246cbda134c2a104bdc7b69b4870df694bc19",
+    ("3^2", "text"):
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    ("3^2", "json"):
+        "8eae53370fbc699e753e8b4216af573eda27e1edc9799acbf4502f37446b040c",
+    ("13", "text"):
+        "06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7",
+    ("13", "json"):
+        "7f72732879861d6cb0cc985503fef57f0bff504cd36a7f98cf709b8e1715fc89",
+}
+
+
+def _scaled_mset_text(spec):
+    rng = random.Random(11)
+    T = canonical_triples(spec)
+    lines = [f"# mset q={spec}"]
+    ks = rng.sample(range(len(T)), min(len(T), 12))
+    for k in ks + ks[:3] + [0]:
+        scaled = field.mul(spec, T[k], rng.randrange(1, spec.q)).tolist()
+        m = rng.choice([None, spec.p, -1, 10**30, rng.randrange(2, 100)])
+        lines.append(" ".join(map(str, scaled))
+                     + ("" if m is None else f" : {m}"))
+    return "\n".join(lines) + "\n"
+
+
+def _shuffled_psp_text(spec):
+    rng = random.Random(13)
+    header, *body = _random_set_poly(spec).splitlines()
+    written = {tuple(line.split()[:2]) for line in body}
+    body += [f"{i} {j} 0" for i, j in monomial_indices(spec)
+             if (str(i), str(j)) not in written and rng.random() < 0.3]
+    rng.shuffle(body)
+    return "\n".join([header, *body]) + "\n"
+
+
+def _scaled_line(spec):
+    T = canonical_triples(spec)
+    line = field.mul(spec, T[len(T) // 3], spec.q - 1).tolist()
+    return " ".join(map(str, line))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_psp_text_golden(tmp_path, capsys, field):
+    text = mset_to_text(_random_set(FieldSpec.parse(field)))
+    assert (_cli_sha256(tmp_path, capsys, "psp", field, text, "text")
+            == PSP_TEXT_SHA256[field])
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_psp_scaled_mset_golden(tmp_path, capsys, field):
+    text = _scaled_mset_text(FieldSpec.parse(field))
+    assert (_cli_sha256(tmp_path, capsys, "psp", field, text)
+            == PSP_SCALED_SHA256[field])
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("field", FIELDS)
+def test_eval_line_golden(tmp_path, capsys, field, fmt):
+    spec = FieldSpec.parse(field)
+    text = _random_set_poly(spec)
+    assert (_cli_sha256(tmp_path, capsys, "eval", field, text, fmt,
+                        "--line", _scaled_line(spec))
+            == EVAL_LINE_SHA256[(field, fmt)])
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_solve_shuffled_psp_golden(tmp_path, capsys, field):
+    # the same polynomial as test_solve_json_golden reads, in another order
+    # and with a zero coefficient written for some of the monomials it
+    # leaves out
+    text = _shuffled_psp_text(FieldSpec.parse(field))
+    assert (_cli_sha256(tmp_path, capsys, "solve", field, text)
+            == SOLVE_SHA256[field])
 
 
 @pytest.mark.parametrize("seed", [0, 1])

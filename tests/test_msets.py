@@ -197,3 +197,57 @@ def test_random_residues_reject_p_beyond_32_bits():
     for p in (1, 2**32 + 15):
         with pytest.raises(ValueError):
             random_residues(random.Random(0), p, (2, 2))
+
+
+GF7 = FieldSpec.of(7)
+BIG = 10**30  # beyond int64
+
+
+@pytest.mark.parametrize("text,message", [
+    # a range fault before a syntax fault, and the other way round
+    ("0 0 9\n0 0\n", "line 1: encoding 9 out of range for GF(7)"),
+    ("0 0\n0 0 9\n", "line 1: expected 'a b c [: m]', got '0 0'"),
+    ("0 0 0\n1 2 3 : x\n", "line 1: projective coordinates cannot be all "
+                           "zero"),
+    ("1 2 3 : x\n0 0 0\n", "line 1: bad multiplicity ' x'"),
+    ("0 1 2\n0 x 1\n0 0 0\n",
+     "line 2: invalid literal for int() with base 10: 'x'"),
+    # a zero triple before a bad header, a bad header before a zero triple
+    ("0 0 1\n0 0 0\n# mset q=5\n",
+     "line 2: projective coordinates cannot be all zero"),
+    ("0 0 1\n# psp q=7\n0 0 0\n",
+     "header says # psp, but a # mset file is expected"),
+    # within one line: the multiplicity, the fields, each coordinate in
+    # turn, then the zero triple
+    ("0 0 0 : x\n", "line 1: bad multiplicity ' x'"),
+    ("0 0 : 1\n", "line 1: expected 'a b c [: m]', got '0 0 : 1'"),
+    ("0 8 9\n", "line 1: encoding 8 out of range for GF(7)"),
+    ("0 0 -1\n", "line 1: encoding -1 out of range for GF(7)"),
+])
+def test_mset_text_names_the_first_bad_line(text, message):
+    with pytest.raises(ValueError) as e:
+        mset_from_text(text, GF7)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    (f"0 0 1\n{BIG} 0 1\n", f"line 2: encoding {BIG} out of range for GF(7)"),
+    (f"1 {-BIG} 0\n", f"line 1: encoding {-BIG} out of range for GF(7)"),
+    (f"1 2 {2**63}\n", f"line 1: encoding {2**63} out of range for GF(7)"),
+    (f"0 0 1 : x{BIG}\n", f"line 1: bad multiplicity ' x{BIG}'"),
+])
+def test_mset_text_values_beyond_int64_are_out_of_range(text, message):
+    with pytest.raises(ValueError) as e:
+        mset_from_text(text, GF7)
+    assert str(e.value) == message
+
+
+def test_mset_text_multiplicities_beyond_int64_reduce_exactly():
+    # every nonzero multiple of a triple is the same point
+    text = (f"0 0 1 : {BIG}\n0 0 3 : {-BIG}\n1 2 3 : {2**64 + 1}\n"
+            f"2 4 6 : {2**63}\n1 2 3\n")
+    S = mset_from_text(text, GF7)
+    P, Q = (ProjPoint.from_encodings(GF7, *t) for t in [(0, 0, 1), (1, 2, 3)])
+    assert S.multiplicity(P) == 0
+    assert S.multiplicity(Q) == (2**64 + 1 + 2**63 + 1) % 7
+    assert S.size == S.multiplicity(Q)

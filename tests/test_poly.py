@@ -221,3 +221,47 @@ def test_monomial_values_match_per_entry_formula(p, h):
                        for c, (i, j) in zip(coeffs, monomial_indices(spec))]
     assert np.array_equal(monomial_values(spec, T),
                           monomial_values(spec, T, [1] * len(coeffs)))
+
+
+GF7 = FieldSpec.of(7)
+BIG = 10**30  # beyond int64
+
+
+@pytest.mark.parametrize("text,message", [
+    # a range fault before a syntax fault, and the other way round
+    ("0 0 9\n0 0\n", "line 1: encoding 9 out of range for GF(7)"),
+    ("0 0\n0 0 9\n", "line 1: expected 'i j coeff', got '0 0'"),
+    ("1 x 2\n9 9 1\n",
+     "line 1: invalid literal for int() with base 10: 'x'"),
+    ("9 9 1\n1 x 2\n", r"line 1: monomial exponents (9, 9) out of range"),
+    # a repeat before a bad header, a bad header before a repeat
+    ("0 0 1\n0 0 2\n# psp q=5\n", "line 2: monomial 0 0 repeated"),
+    ("0 0 1\n# psp q=5\n0 0 2\n",
+     "header says q=5, but the field is GF(7)"),
+    # within one line: exponents, then the repeat, then the encoding
+    ("0 0 1\n0 0 9\n", "line 2: monomial 0 0 repeated"),
+    ("0 0 1\n0 9 9\n", r"line 2: monomial exponents (0, 9) out of range"),
+    ("1 1 7\n0 0 -1\n", "line 1: encoding 7 out of range for GF(7)"),
+])
+def test_poly_text_names_the_first_bad_line(text, message):
+    with pytest.raises(ValueError) as e:
+        poly_from_text(text, GF7)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    (f"0 0 1\n{BIG} 0 1\n",
+     f"line 2: monomial exponents ({BIG}, 0) out of range"),
+    (f"0 {-BIG} 1\n", f"line 1: monomial exponents (0, {-BIG}) out of range"),
+    (f"0 0 {BIG}\n", f"line 1: encoding {BIG} out of range for GF(7)"),
+    (f"0 0 {2**63}\n", f"line 1: encoding {2**63} out of range for GF(7)"),
+    (f"0 0 {-2**63 - 1}\n",
+     f"line 1: encoding {-2**63 - 1} out of range for GF(7)"),
+    # sums of two fields must not wrap round in int64 either
+    (f"{2**62} {2**62} 1\n",
+     f"line 1: monomial exponents ({2**62}, {2**62}) out of range"),
+])
+def test_poly_text_values_beyond_int64_are_out_of_range(text, message):
+    with pytest.raises(ValueError) as e:
+        poly_from_text(text, GF7)
+    assert str(e.value) == message
