@@ -119,9 +119,7 @@ def cmd_psp(args) -> int:
     G = msets.phi(S)
     if args.format == "json":
         import json
-        terms = {f"{i} {j}": c.encoding
-                 for (i, j), c in zip(poly.monomial_indices(spec), G.coeffs)
-                 if not c.is_zero()}
+        terms = {f"{i} {j}": c for i, j, c in poly.nonzero_terms(G)}
         _write(args.out, json.dumps({"q": str(spec), "terms": terms},
                                     indent=2) + "\n")
     else:

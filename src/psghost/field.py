@@ -175,12 +175,6 @@ class FieldSpec:
             raise ValueError(f"encoding {encoding} out of range for GF({self})")
         return FieldElement(self, encoding)
 
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
     def elements(self) -> list["FieldElement"]:
         return [FieldElement(self, k) for k in range(self.q)]
 
@@ -257,42 +251,18 @@ class FieldElement:
     spec: FieldSpec
     encoding: int
 
-    def _other(self, other) -> int:
-        if not isinstance(other, FieldElement) or other.spec != self.spec:
-            raise ValueError("field mismatch")
-        return other.encoding
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """Polynomial-basis coordinates, low-order first."""
-        p = self.spec.p
-        return tuple(self.encoding // p**k % p for k in range(self.spec.h))
-
     def is_zero(self) -> bool:
         return self.encoding == 0
 
-    def __add__(self, other):
-        return FieldElement(self.spec,
-                            add(self.spec, self.encoding, self._other(other)))
-
-    def __neg__(self):
-        return -1 * self
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        b = self._other(other)
-        a, spec = self.encoding, self.spec
+        if not isinstance(other, FieldElement) or other.spec != self.spec:
+            raise ValueError("field mismatch")
+        a, b, spec = self.encoding, other.encoding, self.spec
         if a == 0 or b == 0:
             return FieldElement(spec, 0)
         exp, log = _tables(spec)
         return FieldElement(
             spec, exp.item((log.item(a) + log.item(b)) % (spec.q - 1)))
-
-    def __rmul__(self, scalar: int):
-        """Integer scalar action through the prime subfield."""
-        return self.spec.element(scalar % self.spec.p) * self
 
     def __pow__(self, n: int):
         a, spec = self.encoding, self.spec
@@ -305,9 +275,6 @@ class FieldElement:
 
     def inv(self) -> "FieldElement":
         return self ** -1
-
-    def __str__(self):
-        return str(self.encoding)
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .field import FieldSpec
-from .plane import ProjPoint, canonical_triples, point_index
+from .plane import ProjPoint, canonical_triples, point_index, point_rows
 from . import poly
 
 
@@ -40,10 +40,8 @@ class PointMultiset:
     def from_points(cls, spec: FieldSpec, points) -> "PointMultiset":
         """Multiset of the given points, each occurrence adding 1 (mod p)."""
         idx = point_index(spec)
-        mult = [0] * (spec.q**2 + spec.q + 1)
-        for P in points:
-            mult[idx[P]] = (mult[idx[P]] + 1) % spec.p
-        return cls(spec, tuple(mult))
+        return cls.from_vector(spec, np.bincount(
+            [idx[P] for P in points], minlength=spec.q**2 + spec.q + 1))
 
     @classmethod
     def from_vector(cls, spec: FieldSpec, vec) -> "PointMultiset":
@@ -164,28 +162,17 @@ def mset_to_text(S: PointMultiset) -> str:
 
 
 def mset_from_text(text: str, spec: FieldSpec) -> PointMultiset:
-    idx = point_index(spec)
-    mult = [0] * (spec.q**2 + spec.q + 1)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        s = raw.strip()
-        if not s or s.startswith("#"):
-            poly.check_header(s, spec, "mset")
-            continue
-        if ":" in s:
-            coords_part, m_part = s.split(":", 1)
-            try:
-                m = int(m_part)
-            except ValueError as e:
-                raise ValueError(f"line {lineno}: bad multiplicity {m_part!r}") from e
-        else:
-            coords_part, m = s, 1
-        parts = coords_part.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 'a b c [: m]', got {raw!r}")
-        try:
-            a, b, c = (int(x) for x in parts)
-            P = ProjPoint.from_encodings(spec, a, b, c)
-        except ValueError as e:
-            raise ValueError(f"line {lineno}: {e}") from e
-        mult[idx[P]] = (mult[idx[P]] + m) % spec.p
-    return PointMultiset(spec, tuple(mult))
+    """Each line "a b c [: m]" adds m (default 1) to the point (a, b, c)."""
+    q = spec.q
+
+    def checks(R):
+        T = R[:, :3]
+        return [((T[:, k] < 0) | (T[:, k] >= q),
+                 f"encoding {{{k}}} out of range for GF({spec})")
+                for k in range(3)] + [
+            (~T.any(axis=1), "projective coordinates cannot be all zero")]
+
+    R = poly.read_rows(text, spec, "mset", checks)
+    mult = np.zeros(q * q + q + 1, dtype=np.int64)
+    np.add.at(mult, point_rows(spec, R[:, :3]), R[:, 3])
+    return PointMultiset(spec, tuple((mult % spec.p).tolist()))

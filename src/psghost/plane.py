@@ -66,6 +66,17 @@ def canonical_triples(spec: FieldSpec) -> np.ndarray:
     return T
 
 
+def point_rows(spec: FieldSpec, T) -> np.ndarray:
+    """Row indices of the points with encoding triples T, (..., 3), in
+    [0, q) and not all zero: each is divided by its first nonzero one."""
+    q = spec.q
+    x, y, z = np.moveaxis(np.asarray(T), -1, 0)
+    lead = np.where(x != 0, x, np.where(y != 0, y, z))
+    inv = spec.exp[-spec.log[lead] % (q - 1)]
+    b, c = field.mul(spec, y, inv), field.mul(spec, z, inv)
+    return np.where(x != 0, 1 + q + b * q + c, np.where(y != 0, 1 + c, 0))
+
+
 @lru_cache(maxsize=None)
 def enumerate_points(spec: FieldSpec) -> tuple[ProjPoint, ...]:
     """All q^2+q+1 points in the canonical enumeration order."""
@@ -125,13 +136,7 @@ def incidence_matrix(spec: FieldSpec) -> np.ndarray:
     t = np.arange(q)[None, :, None]
     pts = np.concatenate([A[:, None], field.add(
         spec, B[:, None], field.mul(spec, t, A[:, None]))], axis=1)
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    # Divide by the first nonzero coordinate, then read the row index.
-    lead = np.where(x != 0, x, np.where(y != 0, y, z))
-    inv = spec.exp[-spec.log[lead] % (q - 1)]
-    b, c = field.mul(spec, y, inv), field.mul(spec, z, inv)
-    rows = np.where(x != 0, 1 + q + b * q + c, np.where(y != 0, 1 + c, 0))
     inc = np.zeros((n, n), dtype=np.uint8)
-    inc[rows, np.arange(n)[:, None]] = 1
+    inc[point_rows(spec, pts), np.arange(n)[:, None]] = 1
     inc.flags.writeable = False
     return inc

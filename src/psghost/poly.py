@@ -42,44 +42,57 @@ def num_monomials(spec: FieldSpec) -> int:
     return len(monomial_indices(spec))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomPoly:
-    """Coefficient vector of a homogeneous degree-(q-1) polynomial."""
+    """Coefficient vector of a homogeneous degree-(q-1) polynomial: a
+    read-only int64 copy of the encodings, in monomial_indices order."""
 
     spec: FieldSpec
-    coeffs: tuple[FieldElement, ...]
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        if len(self.coeffs) != num_monomials(self.spec):
-            raise ValueError("coefficient vector has wrong length")
+        c, q = np.asarray(self.coeffs), self.spec.q
+        m = num_monomials(self.spec)
+        if c.shape != (m,) or c.dtype.kind not in "iu":
+            raise ValueError(f"coefficients must be {m} integer encodings, "
+                             f"got shape {c.shape} of {c.dtype}")
+        if c.min() < 0 or c.max() >= q:
+            raise ValueError(f"coefficient encodings must lie in [0, {q})")
+        c = c.astype(np.int64)
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
+
+    def __eq__(self, other):
+        return (isinstance(other, HomPoly) and self.spec == other.spec
+                and np.array_equal(self.coeffs, other.coeffs))
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "HomPoly":
-        z = spec.zero()
-        return cls(spec, tuple(z for _ in range(num_monomials(spec))))
+        return cls(spec, np.zeros(num_monomials(spec), dtype=np.int64))
 
     @classmethod
     def from_terms(cls, spec: FieldSpec, terms: dict) -> "HomPoly":
-        """Build from {(i, j): coefficient}; absent monomials are zero."""
+        """Build from {(i, j): encoding}; absent monomials are zero."""
         pos = monomial_position(spec)
-        coeffs = [spec.zero()] * num_monomials(spec)
+        coeffs = np.zeros(num_monomials(spec), dtype=np.int64)
         for ij, c in terms.items():
             if ij not in pos:
                 raise ValueError(f"monomial exponents {ij} out of range")
-            coeffs[pos[ij]] = c if isinstance(c, FieldElement) else spec.element(c)
-        return cls(spec, tuple(coeffs))
+            coeffs[pos[ij]] = spec.element(c).encoding
+        return cls(spec, coeffs)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.coeffs.any()
 
     def coefficient(self, i: int, j: int) -> FieldElement:
-        return self.coeffs[monomial_position(self.spec)[(i, j)]]
+        k = monomial_position(self.spec)[(i, j)]
+        return FieldElement(self.spec, int(self.coeffs[k]))
 
 
 def add_poly(G: HomPoly, H: HomPoly) -> HomPoly:
     if G.spec != H.spec:
         raise ValueError("field mismatch")
-    return HomPoly(G.spec, tuple(a + b for a, b in zip(G.coeffs, H.coeffs)))
+    return HomPoly(G.spec, field.add(G.spec, G.coeffs, H.coeffs))
 
 
 def monomial_values(spec: FieldSpec, T, coeffs=None) -> np.ndarray:
@@ -155,8 +168,7 @@ def power_sum(S: "PointMultiset") -> HomPoly:
     """
     spec = S.spec
     flat = np.asarray(S.mult, dtype=np.int64) @ point_matrix_fp(spec) % spec.p
-    encodings = field.from_digits(spec, flat.reshape(-1, spec.h))
-    return HomPoly(spec, tuple(FieldElement(spec, e) for e in encodings.tolist()))
+    return HomPoly(spec, field.from_digits(spec, flat.reshape(-1, spec.h)))
 
 
 def line_values(G: HomPoly, T) -> np.ndarray:
@@ -166,8 +178,7 @@ def line_values(G: HomPoly, T) -> np.ndarray:
     block of about 2^18 terms at a time.
     """
     spec = G.spec
-    T = np.asarray(T)
-    coeffs = [c.encoding for c in G.coeffs]
+    T, coeffs = np.asarray(T), G.coeffs
     table = field.digits(spec, np.arange(spec.q)).astype(
         np.min_scalar_type(spec.p - 1))
     block = max(1, 2**18 // len(coeffs))
@@ -183,8 +194,7 @@ def evaluate(G: HomPoly, line) -> FieldElement:
     """G at a ProjLine or any nonzero coordinate triple; by degree-(q-1)
     homogeneity the value does not depend on the chosen representative."""
     coords = line.coords if isinstance(line, ProjLine) else line
-    value = line_values(G, [[c.encoding for c in coords]])[0]
-    return FieldElement(G.spec, int(value))
+    return G.spec.element(line_values(G, [[c.encoding for c in coords]])[0])
 
 
 # -- text format ------------------------------------------------------
@@ -192,51 +202,87 @@ def evaluate(G: HomPoly, line) -> FieldElement:
 _HEADER = re.compile(r"#\s*(mset|psp)\s+q=(\S+)")
 
 
-def check_header(line: str, spec: FieldSpec, kind: str) -> None:
-    """Reject a "# mset q=..." or "# psp q=..." header of another kind than
-    `kind`, the one its reader expects, or naming another field.
-
-    The header must spell the field as the writers do ("7", "3^2"); other
-    comment lines pass.
-    """
-    m = _HEADER.match(line)
-    if m is None:
-        return
-    if m.group(1) != kind:
-        raise ValueError(f"header says # {m.group(1)}, but a # {kind} file "
-                         "is expected")
-    if m.group(2) != str(spec):
-        raise ValueError(f"header says q={m.group(2)}, but the field is "
-                         f"GF({spec})")
+def nonzero_terms(G: HomPoly) -> list[tuple[int, int, int]]:
+    """(i, j, encoding) of each nonzero coefficient, in monomial order."""
+    return [(i, j, c) for (i, j), c in zip(monomial_indices(G.spec),
+                                           G.coeffs.tolist()) if c]
 
 
 def poly_to_text(G: HomPoly) -> str:
     """One line per nonzero coefficient: "i j coeff"."""
-    lines = [f"# psp q={G.spec}"]
-    for (i, j), c in zip(monomial_indices(G.spec), G.coeffs):
-        if not c.is_zero():
-            lines.append(f"{i} {j} {c.encoding}")
-    return "\n".join(lines) + "\n"
+    return "".join([f"# psp q={G.spec}\n"] + [
+        f"{i} {j} {c}\n" for i, j, c in nonzero_terms(G)])
+
+
+def read_rows(text: str, spec: FieldSpec, kind: str, checks) -> np.ndarray:
+    """The ints of each data line of a `# kind` text, a row per line, as an
+    int64 array clipped as exact ints to [-1, q], so that an entry outside
+    [0, q) stays outside, and one beyond int64 fits.
+
+    psp lines are "i j coeff"; mset lines are "a b c [: m]", with m (1 by
+    default) reduced mod p as an exact int in a fourth column.  checks(R)
+    pairs masks over the rows with messages that a row's exact ints fill
+    by str.format.  The ValueError names the first bad line of the text.
+    """
+    mset = kind == "mset"
+    syntax = "a b c [: m]" if mset else "i j coeff"
+    rows, linenos, error = [], [], None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        s = raw.strip()
+        header = _HEADER.match(s)
+        try:
+            if header and header.group(1) != kind:
+                raise ValueError(f"header says # {header.group(1)}, but a "
+                                 f"# {kind} file is expected")
+            # the writers spell the field as str(spec) does: "7", "3^2"
+            if header and header.group(2) != str(spec):
+                raise ValueError(f"header says q={header.group(2)}, but the "
+                                 f"field is GF({spec})")
+            if s and not s.startswith("#"):
+                tail = []
+                if mset:
+                    s, colon, m = s.partition(":")
+                    try:
+                        tail = [int(m) % spec.p if colon else 1]
+                    except ValueError as e:
+                        raise ValueError(f"bad multiplicity {m!r}") from e
+                parts = s.split()
+                if len(parts) != 3:
+                    raise ValueError(f"expected '{syntax}', got {raw!r}")
+                rows.append([*map(int, parts), *tail])
+                linenos.append(lineno)
+        except ValueError as e:
+            error = e if header else ValueError(f"line {lineno}: {e}")
+            break
+    R = np.array(rows, dtype=object).reshape(-1, 3 + mset)
+    R = np.clip(R, -1, spec.q).astype(np.int64)
+    # The loop stopped at the line of `error`, after every row.
+    failed = checks(R)
+    bad = np.flatnonzero(np.logical_or.reduce([m for m, _ in failed]))
+    if len(bad):
+        message = next(msg for m, msg in failed if m[bad[0]])
+        raise ValueError(f"line {linenos[bad[0]]}: "
+                         + message.format(*rows[bad[0]]))
+    if error is not None:
+        raise error
+    return R
 
 
 def poly_from_text(text: str, spec: FieldSpec) -> HomPoly:
-    pos = monomial_position(spec)
-    terms = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        s = raw.strip()
-        if not s or s.startswith("#"):
-            check_header(s, spec, "psp")
-            continue
-        parts = s.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 'i j coeff', got {raw!r}")
-        try:
-            i, j, enc = (int(x) for x in parts)
-            if (i, j) not in pos:
-                raise ValueError(f"monomial exponents {(i, j)} out of range")
-            if (i, j) in terms:
-                raise ValueError(f"monomial {i} {j} repeated")
-            terms[(i, j)] = spec.element(enc)
-        except ValueError as e:
-            raise ValueError(f"line {lineno}: {e}") from e
-    return HomPoly.from_terms(spec, terms)
+    q = spec.q
+
+    def checks(R):
+        i, j, c = R.T
+        outside = (i < 0) | (j < 0) | (i + j >= q)
+        repeated = np.ones(len(R), dtype=bool)
+        repeated[np.unique(np.where(outside, -1, i * q + j),
+                           return_index=True)[1]] = False
+        return [(outside, "monomial exponents ({0}, {1}) out of range"),
+                (repeated, "monomial {0} {1} repeated"),
+                ((c < 0) | (c >= q),
+                 f"encoding {{2}} out of range for GF({spec})")]
+
+    i, j, c = read_rows(text, spec, "psp", checks).T
+    coeffs = np.zeros(num_monomials(spec), dtype=np.int64)
+    coeffs[i * q - i * (i - 1) // 2 + j] = c
+    return HomPoly(spec, coeffs)

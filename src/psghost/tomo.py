@@ -42,10 +42,6 @@ def _solver(spec: FieldSpec) -> linalg.PrefactoredLeftSystem:
     return linalg.PrefactoredLeftSystem(point_matrix_fp(spec), spec.p)
 
 
-def _poly_fp(G: HomPoly) -> np.ndarray:
-    return digits(G.spec, [c.encoding for c in G.coeffs]).ravel()
-
-
 def solve(G: HomPoly) -> SolutionCoset:
     """Particular solution (if any) plus the ghost kernel basis.
 
@@ -54,7 +50,7 @@ def solve(G: HomPoly) -> SolutionCoset:
     """
     spec = G.spec
     report = ghost_report(spec)
-    x = _solver(spec).solve(_poly_fp(G))
+    x = _solver(spec).solve(digits(spec, G.coeffs).ravel())
     particular = None if x is None else PointMultiset.from_vector(spec, x)
     return SolutionCoset(spec, particular, report.kernel,
                          report.ghost_exponent)

@@ -7,16 +7,16 @@ from psghost import field
 from psghost.field import FieldSpec
 from psghost.plane import (ProjLine, ProjPoint, canonical_triples,
                            enumerate_lines, enumerate_points, incidence_matrix,
-                           line_points, pencil_lines)
+                           line_points, pencil_lines, point_index, point_rows)
 
 
 def incident(P, line):
     """Reference incidence: u*a + v*b + w*c = 0, one field product at a
     time."""
-    acc = P.spec.zero()
+    acc = 0
     for x, y in zip(P.coords, line.coords):
-        acc = acc + x * y
-    return acc.is_zero()
+        acc = field.add(P.spec, acc, (x * y).encoding)
+    return acc == 0
 
 
 def incidence_reference(spec):
@@ -189,3 +189,21 @@ def test_incidence_matrix_is_built_from_the_points_of_each_line():
         tracemalloc.stop()
     assert np.array_equal(inc, incidence_matrix(spec))
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("text", ["2", "3", "2^2", "5", "7", "2^3", "3^2"])
+def test_point_rows_of_every_multiple_of_every_triple(text):
+    # against the object route: ProjPoint.make divides by the first
+    # nonzero coordinate, point_index reads the enumeration
+    spec = FieldSpec.parse(text)
+    T = canonical_triples(spec)
+    lam = np.arange(1, spec.q)[:, None, None]
+    scaled = field.mul(spec, T[None], lam)  # (q-1, n, 3)
+    rows = point_rows(spec, scaled)
+    assert rows.shape == (spec.q - 1, len(T))
+    assert (rows == np.arange(len(T))).all()
+    index = point_index(spec)
+    for t in scaled.reshape(-1, 3)[::7].tolist():
+        assert point_rows(spec, [t]).tolist() == [
+            index[ProjPoint.from_encodings(spec, *t)]]
+    assert point_rows(spec, np.zeros((0, 3), dtype=np.int64)).shape == (0,)

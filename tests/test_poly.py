@@ -4,12 +4,14 @@ import pytest
 
 import numpy as np
 
-from psghost.field import FieldSpec, multinomial_int
-from psghost.msets import PointMultiset, mset_from_text, msum, phi
-from psghost.plane import (ProjLine, ProjPoint, enumerate_lines,
-                           enumerate_points, line_points)
-from psghost.poly import (HomPoly, add_poly, evaluate, monomial_indices,
-                          monomial_values, num_monomials,
+from psghost import field
+from psghost.field import FieldElement, FieldSpec, multinomial_int
+from psghost.msets import (PointMultiset, mset_from_text, mset_to_text, msum,
+                           phi)
+from psghost.plane import (ProjLine, ProjPoint, canonical_triples,
+                           enumerate_lines, enumerate_points, line_points)
+from psghost.poly import (HomPoly, add_poly, evaluate, line_values,
+                          monomial_indices, monomial_values, num_monomials,
                           point_image_rows, poly_from_text, poly_to_text,
                           power_sum)
 
@@ -41,8 +43,8 @@ def test_power_sum_empty():
 
 def test_evaluate_examples():
     Z = HomPoly.from_terms(GF2, {(1, 0): 1})
-    assert evaluate(Z, ProjLine.from_encodings(GF2, 0, 0, 1)) == GF2.one()
-    assert evaluate(Z, ProjLine.from_encodings(GF2, 1, 0, 0)) == GF2.zero()
+    assert evaluate(Z, ProjLine.from_encodings(GF2, 0, 0, 1)) == GF2.element(1)
+    assert evaluate(Z, ProjLine.from_encodings(GF2, 1, 0, 0)) == GF2.element(0)
 
 
 def test_evaluate_scaling_invariance():
@@ -101,7 +103,8 @@ def test_add_negate():
     G = phi(S)
     zero = HomPoly.zero(spec)
     assert add_poly(G, zero) == G
-    assert add_poly(G, HomPoly(spec, tuple(-a for a in G.coeffs))).is_zero()
+    minus_G = HomPoly(spec, field.mul(spec, G.coeffs, spec.p - 1))
+    assert add_poly(G, minus_G).is_zero()
     Z = HomPoly.from_terms(GF2, {(1, 0): 1})
     Y = HomPoly.from_terms(GF2, {(0, 1): 1})
     assert add_poly(Z, Y) == HomPoly.from_terms(GF2, {(1, 0): 1, (0, 1): 1})
@@ -126,14 +129,16 @@ def test_power_sum_matches_direct_coefficient_formula(p, h):
     d = spec.q - 1
     for i, j in rng.sample(list(monomial_indices(spec)),
                            min(8, num_monomials(spec))):
-        acc = spec.zero()
+        acc = 0
         for P, m in zip(enumerate_points(spec), S.mult):
             if m:
                 a, b, c = P.coords
                 term = spec.element(multinomial_int(d, i, j) % p) * (
                     a**(d - i - j) * (b**j * c**i))
-                acc = acc + m * term
-        assert G.coefficient(i, j) == acc
+                # m < p acts through the prime subfield
+                acc = field.add(spec, acc,
+                                int(field.mul(spec, m, term.encoding)))
+        assert G.coefficient(i, j) == spec.element(acc)
 
 
 def test_poly_text_round_trip():
@@ -265,3 +270,65 @@ def test_poly_text_values_beyond_int64_are_out_of_range(text, message):
     with pytest.raises(ValueError) as e:
         poly_from_text(text, GF7)
     assert str(e.value) == message
+
+
+@pytest.mark.parametrize("coeffs,message", [
+    (np.zeros(5, dtype=np.int64), r"got shape \(5,\) of int64"),
+    (np.zeros((6, 1), dtype=np.int64), r"got shape \(6, 1\) of int64"),
+    (np.zeros(6), r"got shape \(6,\) of float64"),
+    (np.zeros(6, dtype=bool), r"got shape \(6,\) of bool"),
+    ((GF7.element(0),) * 6, r"got shape \(6,\) of object"),
+    ([0, 0, 0, 0, 0, 3], r"must lie in \[0, 3\)"),
+    ([0, -1, 0, 0, 0, 0], r"must lie in \[0, 3\)"),
+    (np.array([0, 0, 0, 0, 0, 2**64 - 1], dtype=np.uint64),
+     r"must lie in \[0, 3\)"),
+])
+def test_hompoly_checks_its_coefficients(coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        HomPoly(FieldSpec.of(3), coeffs)
+
+
+def test_hompoly_holds_a_read_only_copy():
+    spec = FieldSpec.of(3)
+    given = np.array([0, 1, 2, 0, 1, 2], dtype=np.uint8)
+    G = HomPoly(spec, given)
+    assert G.coeffs.dtype == np.int64 and not G.coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        G.coeffs[0] = 1
+    given[0] = 2  # the caller's array is not the stored one
+    assert G.coeffs[0] == 0 and given.flags.writeable
+    assert G == HomPoly(spec, [0, 1, 2, 0, 1, 2])
+    assert G != HomPoly(spec, [0, 1, 2, 0, 1, 1])
+    assert G != HomPoly(FieldSpec.of(2, 2), [0] * 10)
+    assert G != given.tolist()
+    with pytest.raises(TypeError):
+        hash(G)
+
+
+def test_bulk_paths_build_no_field_elements(monkeypatch, tmp_path, capsys):
+    from psghost import cli, tomo
+    spec = FieldSpec.of(7)
+    rng = random.Random(4)
+    S = PointMultiset.from_vector(spec, [rng.randrange(7) for _ in range(57)])
+    mset_text = mset_to_text(S)
+    psp_text = poly_to_text(power_sum(S))
+    f = tmp_path / "s.mset"
+    f.write_text(mset_text)
+    made = []
+    init = FieldElement.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        init(self, *args)
+    monkeypatch.setattr(FieldElement, "__init__", counting)
+    G = poly_from_text(psp_text, spec)
+    assert mset_from_text(mset_text, spec) == S
+    assert power_sum(S) == G
+    line_values(G, canonical_triples(spec))
+    assert poly_to_text(G) == psp_text
+    tomo.solve(G)
+    for fmt in ("text", "json"):
+        assert cli.main(["psp", "--field", "7", "--in", str(f),
+                         "--format", fmt]) == 0
+    capsys.readouterr()
+    assert made == []
