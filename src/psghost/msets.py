@@ -163,16 +163,23 @@ def mset_to_text(S: PointMultiset) -> str:
 
 def mset_from_text(text: str, spec: FieldSpec) -> PointMultiset:
     """Each line "a b c [: m]" adds m (default 1) to the point (a, b, c)."""
-    q = spec.q
+
+    def multiplicity(s: str) -> tuple[str, int]:
+        coords, colon, m = s.partition(":")
+        try:
+            return coords, int(m) % spec.p if colon else 1
+        except ValueError as e:
+            raise ValueError(f"bad multiplicity {m!r}") from e
 
     def checks(R):
         T = R[:, :3]
-        return [((T[:, k] < 0) | (T[:, k] >= q),
+        return [((T[:, k] < 0) | (T[:, k] >= spec.q),
                  f"encoding {{{k}}} out of range for GF({spec})")
                 for k in range(3)] + [
             (~T.any(axis=1), "projective coordinates cannot be all zero")]
 
-    R = poly.read_rows(text, spec, "mset", checks)
-    mult = np.zeros(q * q + q + 1, dtype=np.int64)
+    R = poly.read_rows(text, spec, "mset", "a b c [: m]", checks,
+                       multiplicity)
+    mult = np.zeros(spec.q**2 + spec.q + 1, dtype=np.int64)
     np.add.at(mult, point_rows(spec, R[:, :3]), R[:, 3])
-    return PointMultiset(spec, tuple((mult % spec.p).tolist()))
+    return PointMultiset.from_vector(spec, mult)

@@ -68,7 +68,8 @@ def canonical_triples(spec: FieldSpec) -> np.ndarray:
 
 def point_rows(spec: FieldSpec, T) -> np.ndarray:
     """Row indices of the points with encoding triples T, (..., 3), in
-    [0, q) and not all zero: each is divided by its first nonzero one."""
+    [0, q) and not all zero, each read after division by its first
+    nonzero coordinate."""
     q = spec.q
     x, y, z = np.moveaxis(np.asarray(T), -1, 0)
     lead = np.where(x != 0, x, np.where(y != 0, y, z))

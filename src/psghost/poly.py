@@ -214,18 +214,16 @@ def poly_to_text(G: HomPoly) -> str:
         f"{i} {j} {c}\n" for i, j, c in nonzero_terms(G)])
 
 
-def read_rows(text: str, spec: FieldSpec, kind: str, checks) -> np.ndarray:
-    """The ints of each data line of a `# kind` text, a row per line, as an
-    int64 array clipped as exact ints to [-1, q], so that an entry outside
-    [0, q) stays outside, and one beyond int64 fits.
-
-    psp lines are "i j coeff"; mset lines are "a b c [: m]", with m (1 by
-    default) reduced mod p as an exact int in a fourth column.  checks(R)
-    pairs masks over the rows with messages that a row's exact ints fill
-    by str.format.  The ValueError names the first bad line of the text.
+def read_rows(text: str, spec: FieldSpec, kind: str, syntax: str, checks,
+              tail=None) -> np.ndarray:
+    """The ints of each data line of a `# kind` text, one row per line:
+    the three that `syntax` names, then the one that tail(s), if given,
+    takes off the end of the stripped line s.  Clipped as exact ints to
+    [-1, q] in an int64 array, an entry outside [0, q) stays outside.
+    checks(R) pairs boolean masks over the rows with messages filled from
+    a row's exact ints by str.format.  The ValueError names the first bad
+    line of the text.
     """
-    mset = kind == "mset"
-    syntax = "a b c [: m]" if mset else "i j coeff"
     rows, linenos, error = [], [], None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
@@ -239,24 +237,18 @@ def read_rows(text: str, spec: FieldSpec, kind: str, checks) -> np.ndarray:
                 raise ValueError(f"header says q={header.group(2)}, but the "
                                  f"field is GF({spec})")
             if s and not s.startswith("#"):
-                tail = []
-                if mset:
-                    s, colon, m = s.partition(":")
-                    try:
-                        tail = [int(m) % spec.p if colon else 1]
-                    except ValueError as e:
-                        raise ValueError(f"bad multiplicity {m!r}") from e
+                s, *last = tail(s) if tail else (s,)
                 parts = s.split()
                 if len(parts) != 3:
                     raise ValueError(f"expected '{syntax}', got {raw!r}")
-                rows.append([*map(int, parts), *tail])
+                rows.append([*map(int, parts), *last])
                 linenos.append(lineno)
         except ValueError as e:
             error = e if header else ValueError(f"line {lineno}: {e}")
             break
-    R = np.array(rows, dtype=object).reshape(-1, 3 + mset)
+    R = np.array(rows, dtype=object).reshape(-1, 3 if tail is None else 4)
     R = np.clip(R, -1, spec.q).astype(np.int64)
-    # The loop stopped at the line of `error`, after every row.
+    # Every row precedes the line of `error`, so a row's fault comes first.
     failed = checks(R)
     bad = np.flatnonzero(np.logical_or.reduce([m for m, _ in failed]))
     if len(bad):
@@ -282,7 +274,7 @@ def poly_from_text(text: str, spec: FieldSpec) -> HomPoly:
                 ((c < 0) | (c >= q),
                  f"encoding {{2}} out of range for GF({spec})")]
 
-    i, j, c = read_rows(text, spec, "psp", checks).T
+    i, j, c = read_rows(text, spec, "psp", "i j coeff", checks).T
     coeffs = np.zeros(num_monomials(spec), dtype=np.int64)
     coeffs[i * q - i * (i - 1) // 2 + j] = c
     return HomPoly(spec, coeffs)
