@@ -117,6 +117,7 @@ def test_field_axioms(p, h, data):
 
     def mul(x, y):
         return int(field.mul(spec, x, y))
+
     assert add(add(a, b), c) == add(a, add(b, c))
     assert mul(mul(a, b), c) == mul(a, mul(b, c))
     assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))

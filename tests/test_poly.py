@@ -320,6 +320,7 @@ def test_bulk_paths_build_no_field_elements(monkeypatch, tmp_path, capsys):
     def counting(self, *args):
         made.append(args)
         init(self, *args)
+
     monkeypatch.setattr(FieldElement, "__init__", counting)
     G = poly_from_text(psp_text, spec)
     assert mset_from_text(mset_text, spec) == S
