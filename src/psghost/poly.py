@@ -276,5 +276,5 @@ def poly_from_text(text: str, spec: FieldSpec) -> HomPoly:
 
     i, j, c = read_rows(text, spec, "psp", "i j coeff", checks).T
     coeffs = np.zeros(num_monomials(spec), dtype=np.int64)
-    coeffs[i * q - i * (i - 1) // 2 + j] = c
+    coeffs[i * q - i * (i - 1) // 2 + j] = c  # place in monomial_indices
     return HomPoly(spec, coeffs)
