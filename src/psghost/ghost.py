@@ -21,9 +21,9 @@ import numpy as np
 
 from . import field, linalg
 from .field import FieldSpec
-from .msets import PointMultiset, mset_texts
+from .msets import PointMultiset, mset_texts, mult_stack
 from .plane import (ProjLine, ProjPoint, canonical_triples, incidence_matrix,
-                    line_points, point_index)
+                    point_row)
 from .poly import monomial_values, point_matrix_fp
 
 
@@ -80,27 +80,15 @@ def rows_congruent(V, matrix: np.ndarray, p: int, target=0) -> np.ndarray:
     return ok
 
 
-def _mult_stack(spec: FieldSpec, V) -> np.ndarray:
-    """V as an (m, q^2+q+1) integer array of multiplicities, checked."""
-    V = np.asarray(V)
-    n = spec.q**2 + spec.q + 1
-    if V.ndim != 2 or V.shape[1] != n or V.dtype.kind not in "biu":
-        raise ValueError(f"expected an (m, {n}) integer stack of multiplicity "
-                         f"vectors, got {V.dtype} of shape {V.shape}")
-    if V.size and (V.min() < 0 or V.max() >= spec.p):
-        raise ValueError("multiplicities must lie in {0,...,p-1}")
-    return V
-
-
 def is_ghost_stack(spec: FieldSpec, V) -> np.ndarray:
     """Per row of V: every coefficient of the power sum polynomial is zero."""
-    V = _mult_stack(spec, V)
+    V = mult_stack(spec, V)
     return rows_congruent(V, point_matrix_fp(spec), spec.p)
 
 
 def all_line_evaluations_zero_stack(spec: FieldSpec, V) -> np.ndarray:
     """Per row of V: the power sum polynomial is zero on every line."""
-    V = _mult_stack(spec, V)
+    V = mult_stack(spec, V)
     return rows_congruent(V, line_evaluation_matrix_fp(spec), spec.p)
 
 
@@ -110,32 +98,33 @@ def vandermonde_check_stack(spec: FieldSpec, V) -> np.ndarray:
     True iff every line meets the multiset in r points (multiplicity-
     weighted, mod p), where r is its total multiplicity mod p.
     """
-    V = _mult_stack(spec, V)
+    V = mult_stack(spec, V)
     return rows_congruent(V, incidence_matrix(spec), spec.p,
                           (V.sum(axis=1) % spec.p)[:, None])
 
 
 def is_ghost(S: PointMultiset) -> bool:
     """True iff every coefficient of the power sum polynomial is zero."""
-    return bool(is_ghost_stack(S.spec, [S.mult])[0])
+    return bool(is_ghost_stack(S.spec, S.mult[None])[0])
 
 
 def vandermonde_check(S: PointMultiset) -> bool:
     """Constant-intersection characterization of one multiset; see
     vandermonde_check_stack."""
-    return bool(vandermonde_check_stack(S.spec, [S.mult])[0])
+    return bool(vandermonde_check_stack(S.spec, S.mult[None])[0])
 
 
 def line_ghost(line: ProjLine, spec: FieldSpec) -> PointMultiset:
     """The plain point set of a line; always a ghost."""
-    return PointMultiset.from_points(spec, line_points(line, spec))
+    column = incidence_matrix(spec)[:, point_row(spec, line)]
+    return PointMultiset(spec, column)
 
 
 def _pencil_union(P: ProjPoint, n_lines: int, spec: FieldSpec) -> np.ndarray:
-    """0/1 vector of the points on the first n_lines lines through P."""
+    """Boolean vector of the points on the first n_lines lines through P."""
     inc = incidence_matrix(spec)
-    pencil = np.flatnonzero(inc[point_index(spec)[P]])[:n_lines]
-    return inc[:, pencil].any(axis=1).astype(np.int64)
+    pencil = np.flatnonzero(inc[point_row(spec, P)])[:n_lines]
+    return inc[:, pencil].any(axis=1)
 
 
 def partial_pencil_ghost(P: ProjPoint, lam: int, spec: FieldSpec) -> PointMultiset:
@@ -148,7 +137,7 @@ def partial_pencil_ghost(P: ProjPoint, lam: int, spec: FieldSpec) -> PointMultis
     n_lines = lam * p + 1
     if not (0 <= lam <= p**(h - 1)) or n_lines > q + 1:
         raise ValueError(f"lambda = {lam} out of range for GF({spec})")
-    return PointMultiset(spec, tuple(_pencil_union(P, n_lines, spec).tolist()))
+    return PointMultiset(spec, _pencil_union(P, n_lines, spec))
 
 
 def punctured_pencil_ghost(P: ProjPoint, lam: int, spec: FieldSpec) -> PointMultiset:
@@ -157,8 +146,8 @@ def punctured_pencil_ghost(P: ProjPoint, lam: int, spec: FieldSpec) -> PointMult
     if not 1 <= n_lines <= spec.q + 1:
         raise ValueError(f"lambda = {lam} out of range for GF({spec})")
     mult = _pencil_union(P, n_lines, spec)
-    mult[point_index(spec)[P]] = 0
-    return PointMultiset(spec, tuple(mult.tolist()))
+    mult[point_row(spec, P)] = False
+    return PointMultiset(spec, mult)
 
 
 def json_chunks(members: dict, key: str, texts):
@@ -194,8 +183,7 @@ class GhostReport:
     @cached_property
     def kernel_basis(self) -> tuple[PointMultiset, ...]:
         """The rows of `kernel` as multisets, built on first use."""
-        return tuple(PointMultiset(self.spec, tuple(row))
-                     for row in self.kernel.tolist())
+        return tuple(PointMultiset(self.spec, row) for row in self.kernel)
 
     def ghost_count(self):
         """p^exponent as an integer when it fits 128 bits, else None."""

@@ -16,74 +16,86 @@ from functools import lru_cache
 import numpy as np
 
 from .field import FieldSpec
-from .plane import ProjPoint, canonical_triples, point_index, point_rows
+from .linalg import as_fp
+from .plane import ProjPoint, canonical_triples, point_row, point_rows
 from . import poly
 
 
-@dataclass(frozen=True)
+def mult_stack(spec: FieldSpec, V) -> np.ndarray:
+    """V as an (m, q^2+q+1) integer array of multiplicities, checked."""
+    V = np.asarray(V)
+    n = spec.q**2 + spec.q + 1
+    if V.ndim != 2 or V.shape[1] != n or V.dtype.kind not in "biu":
+        raise ValueError(f"expected an (m, {n}) integer stack of multiplicity "
+                         f"vectors, got {V.dtype} of shape {V.shape}")
+    if V.size and (V.min() < 0 or V.max() >= spec.p):
+        raise ValueError("multiplicities must lie in {0,...,p-1}")
+    return V
+
+
+@dataclass(frozen=True, eq=False)
 class PointMultiset:
+    """Multiplicities in enumeration order: a read-only copy in the
+    smallest unsigned dtype that holds p-1."""
+
     spec: FieldSpec
-    mult: tuple[int, ...]
+    mult: np.ndarray
 
     def __post_init__(self):
-        n = self.spec.q**2 + self.spec.q + 1
-        if len(self.mult) != n:
-            raise ValueError(f"multiplicity vector must have length {n}")
-        if min(self.mult) < 0 or max(self.mult) >= self.spec.p:
-            raise ValueError("multiplicities must lie in {0,...,p-1}")
+        m = as_fp(mult_stack(self.spec, [self.mult]), self.spec.p)[0]
+        m.flags.writeable = False
+        object.__setattr__(self, "mult", m)
+
+    def __eq__(self, other):
+        return (isinstance(other, PointMultiset) and self.spec == other.spec
+                and np.array_equal(self.mult, other.mult))
 
     @classmethod
     def empty(cls, spec: FieldSpec) -> "PointMultiset":
-        return cls(spec, (0,) * (spec.q**2 + spec.q + 1))
+        return cls(spec, np.zeros(spec.q**2 + spec.q + 1, dtype=np.uint8))
 
     @classmethod
     def from_points(cls, spec: FieldSpec, points) -> "PointMultiset":
         """Multiset of the given points, each occurrence adding 1 (mod p)."""
-        idx = point_index(spec)
         return cls.from_vector(spec, np.bincount(
-            [idx[P] for P in points], minlength=spec.q**2 + spec.q + 1))
+            [point_row(spec, P) for P in points],
+            minlength=spec.q**2 + spec.q + 1))
 
     @classmethod
     def from_vector(cls, spec: FieldSpec, vec) -> "PointMultiset":
-        """Multiset of an integer vector, each entry reduced mod p.
-
-        Integer ndarrays are reduced by numpy; anything else entry by entry
-        as Python integers, so entries beyond int64 stay exact.
-        """
-        if isinstance(vec, np.ndarray) and vec.dtype.kind in "iu":
-            return cls(spec, tuple((vec % spec.p).tolist()))
-        return cls(spec, tuple(int(m) % spec.p for m in vec))
+        """Multiset of an integer vector, each entry reduced mod p exactly,
+        as linalg.as_fp reduces."""
+        return cls(spec, as_fp([vec], spec.p)[0])
 
     @property
     def size(self) -> int:
         """Total multiplicity, as a true integer."""
-        return sum(self.mult)
+        return int(self.mult.sum())
 
     def multiplicity(self, P: ProjPoint) -> int:
-        return self.mult[point_index(self.spec)[P]]
+        return int(self.mult[point_row(self.spec, P)])
 
 
 def msum(A: PointMultiset, B: PointMultiset) -> PointMultiset:
     """Entrywise sum of multiplicities mod p (the group operation)."""
     if A.spec != B.spec:
         raise ValueError("field mismatch")
-    p = A.spec.p
-    return PointMultiset(A.spec, tuple((a + b) % p for a, b in zip(A.mult, B.mult)))
+    return PointMultiset(A.spec, np.add(A.mult, B.mult, dtype=np.int64)
+                         % A.spec.p)
 
 
 def minverse(A: PointMultiset) -> PointMultiset:
     """Entrywise p - m (mod p); the group inverse."""
-    p = A.spec.p
-    return PointMultiset(A.spec, tuple((-m) % p for m in A.mult))
+    return PointMultiset(A.spec, (A.spec.p - A.mult) % A.spec.p)
 
 
 def complement(A: PointMultiset, B: PointMultiset) -> PointMultiset:
     """The multiset counting each point m_B - m_A times; requires A <= B."""
     if A.spec != B.spec:
         raise ValueError("field mismatch")
-    if any(a > b for a, b in zip(A.mult, B.mult)):
+    if np.any(A.mult > B.mult):
         raise ValueError("complement requires m_A(x) <= m_B(x) everywhere")
-    return PointMultiset(A.spec, tuple(b - a for a, b in zip(A.mult, B.mult)))
+    return PointMultiset(A.spec, B.mult - A.mult)
 
 
 def phi(S: PointMultiset) -> poly.HomPoly:
@@ -158,7 +170,7 @@ def mset_texts(spec: FieldSpec, V):
 
 def mset_to_text(S: PointMultiset) -> str:
     """The `# mset` text of one multiset; see mset_texts."""
-    return next(mset_texts(S.spec, [S.mult]))
+    return next(mset_texts(S.spec, S.mult[None]))
 
 
 def mset_from_text(text: str, spec: FieldSpec) -> PointMultiset:

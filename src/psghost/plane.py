@@ -95,17 +95,27 @@ def point_index(spec: FieldSpec) -> dict:
     return {P: i for i, P in enumerate(enumerate_points(spec))}
 
 
+def point_row(spec: FieldSpec, P: ProjPoint) -> int:
+    """The row index of P; ValueError unless P is a normalized point over
+    GF(q)."""
+    try:
+        return point_index(spec)[P]
+    except KeyError:
+        raise ValueError(f"point {P} is not a normalized point over "
+                         f"GF({spec})") from None
+
+
 def line_points(line: ProjLine, spec: FieldSpec) -> list[ProjPoint]:
     """The q+1 points on the line, in enumeration order."""
     points = enumerate_points(spec)
-    column = incidence_matrix(spec)[:, point_index(spec)[line]]
+    column = incidence_matrix(spec)[:, point_row(spec, line)]
     return [points[k] for k in np.flatnonzero(column)]
 
 
 def pencil_lines(P: ProjPoint, spec: FieldSpec) -> list[ProjLine]:
     """The q+1 lines through P, in enumeration order."""
     lines = enumerate_lines(spec)
-    row = incidence_matrix(spec)[point_index(spec)[P]]
+    row = incidence_matrix(spec)[point_row(spec, P)]
     return [lines[k] for k in np.flatnonzero(row)]
 
 

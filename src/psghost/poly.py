@@ -164,10 +164,12 @@ def power_sum(S: "PointMultiset") -> HomPoly:
 
     Multiplicities act as prime-subfield scalars (they are already reduced
     mod p, which is all that matters for the scalar action); the sum is
-    taken in prime-subfield coordinates.
+    taken in prime-subfield coordinates, in int64.  einsum casts the point
+    matrix in buffered chunks, where a product would cast all of it first.
     """
     spec = S.spec
-    flat = np.asarray(S.mult, dtype=np.int64) @ point_matrix_fp(spec) % spec.p
+    flat = np.einsum("i,ij->j", S.mult, point_matrix_fp(spec),
+                     dtype=np.int64) % spec.p
     return HomPoly(spec, field.from_digits(spec, flat.reshape(-1, spec.h)))
 
 
@@ -194,7 +196,10 @@ def evaluate(G: HomPoly, line) -> FieldElement:
     """G at a ProjLine or any nonzero coordinate triple; by degree-(q-1)
     homogeneity the value does not depend on the chosen representative."""
     coords = line.coords if isinstance(line, ProjLine) else line
-    return G.spec.element(line_values(G, [[c.encoding for c in coords]])[0])
+    T = [c.encoding for c in coords]
+    if not any(T):
+        raise ValueError("projective coordinates cannot be all zero")
+    return G.spec.element(line_values(G, [T])[0])
 
 
 # -- text format ------------------------------------------------------

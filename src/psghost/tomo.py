@@ -74,16 +74,16 @@ def enumerate_set_solutions(G: HomPoly, limit: int) -> list[PointMultiset]:
     stop = None if set_search_exhaustive(coset) else limit
     p = spec.p
     K = coset.kernel.astype(np.int64)
-    base = np.asarray(coset.particular.mult, dtype=np.int64)
+    base = coset.particular.mult.astype(np.int64)
     found = []
     walk = itertools.product(range(p), repeat=K.shape[0])
     for combo in itertools.islice(walk, WALK_BUDGET):
         v = (base + np.asarray(combo, dtype=np.int64) @ K) % p
         if np.all(v <= 1):
-            found.append(PointMultiset.from_vector(spec, v))
+            found.append(PointMultiset(spec, v))
             if len(found) == stop:
                 break
-    found.sort(key=lambda S: S.mult)
+    found.sort(key=lambda S: S.mult.tolist())
     return found[:limit]
 
 

@@ -100,7 +100,8 @@ def test_exhaustive_set_search_matches_int64_reference():
         hits = bits[(bits @ M64 % q == target).all(1)]
         want = sorted(map(tuple, hits.tolist()))
         got = tomo.enumerate_set_solutions(poly.power_sum(S), 10**4)
-        assert [T.mult for T in got] == want and S.mult in want
+        assert [tuple(T.mult.tolist()) for T in got] == want
+        assert tuple(S.mult.tolist()) in want
 
 
 def _reference_text(spec, mult):

@@ -319,7 +319,7 @@ def _mixed_stack(spec):
              for lam in range(spec.q // spec.p)]
     kernel = [S.mult for S in ghost_report(spec).kernel_basis[:4]]
     rows += kernel
-    rows += [tuple((1 - m) % spec.p for m in v) for v in kernel]
+    rows += [(1 - v.astype(np.int64)) % spec.p for v in kernel]
     rng = random.Random(spec.q)
     n = spec.q**2 + spec.q + 1
     rows += [tuple(rng.randrange(spec.p) for _ in range(n)) for _ in range(8)]

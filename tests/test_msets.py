@@ -101,7 +101,7 @@ def test_group_order_formula():
         # |p^PG(2,q)| = p^(q^2+q+1), as a formula
         assert p**(q * q + q + 1) == p**len(PointMultiset.empty(spec).mult)
     # exhaustive at q = 2: 128 distinct multisets
-    all_sets = {PointMultiset(GF2, bits)
+    all_sets = {PointMultiset(GF2, bits).mult.tobytes()
                 for bits in itertools.product((0, 1), repeat=7)}
     assert len(all_sets) == 128
 
@@ -135,19 +135,14 @@ def test_text_parse_error_line_number():
 def test_from_vector_reduces_exactly():
     n = 13
     vec = [2**64 + 3, -1, 2**63, -(2**70) - 1] + [5] * (n - 4)
-    expected = tuple(v % 3 for v in vec)
+    expected = [v % 3 for v in vec]
     for given in (vec, np.array(vec, dtype=object)):
-        S = PointMultiset.from_vector(GF3, given)
-        assert S.mult == expected
-        assert all(type(m) is int for m in S.mult)
+        assert PointMultiset.from_vector(GF3, given).mult.tolist() == expected
     arr = np.array([-1, 2**62, -(2**63), 2**63 - 1] + [7] * (n - 4),
                    dtype=np.int64)
-    S = PointMultiset.from_vector(GF3, arr)
-    assert S.mult == tuple(int(v) % 3 for v in arr)
-    assert all(type(m) is int for m in S.mult)
-    assert PointMultiset.from_vector(
-        GF3, arr.astype(np.uint64)).mult == tuple(
-            int(v) % 3 for v in arr.astype(np.uint64))
+    for given in (arr, arr.astype(np.uint64)):
+        assert PointMultiset.from_vector(GF3, given).mult.tolist() == [
+            int(v) % 3 for v in given]
 
 
 def test_multiplicities_out_of_range_rejected():
@@ -251,3 +246,47 @@ def test_mset_text_multiplicities_beyond_int64_reduce_exactly():
     assert S.multiplicity(P) == 0
     assert S.multiplicity(Q) == (2**64 + 1 + 2**63 + 1) % 7
     assert S.size == S.multiplicity(Q)
+
+
+def test_msum_widens_before_it_reduces():
+    # 250 + 250 = 500 = 249 (mod 251); in uint8 it would wrap to 244
+    spec = FieldSpec.of(251)
+    n = spec.q**2 + spec.q + 1
+    A = PointMultiset(spec, np.full(n, 250))
+    assert A.mult.dtype == np.uint8
+    assert msum(A, A).mult.tolist() == [249] * n
+
+
+def test_minverse_of_unsigned_multiplicities():
+    # -1 in uint8 is 255, and 255 % 3 = 0; the inverse of 1 mod 3 is 2
+    assert minverse(single(GF3, (0, 0, 1), 1)) == single(GF3, (0, 0, 1), 2)
+    S = PointMultiset(GF3, [0, 1, 2] * 4 + [1])
+    assert minverse(S).mult.tolist() == [0, 2, 1] * 4 + [2]
+    assert msum(S, minverse(S)) == PointMultiset.empty(GF3)
+
+
+def test_mult_is_a_read_only_copy():
+    given = np.array([1, 0, 2] * 4 + [1], dtype=np.int64)
+    S = PointMultiset(GF3, given)
+    assert S.mult.dtype == np.uint8 and not S.mult.flags.writeable
+    with pytest.raises(ValueError):
+        S.mult[0] = 2
+    given[0] = 2  # the caller's array is not the stored one
+    assert S.multiplicity(enumerate_points(GF3)[0]) == 1
+    assert S == PointMultiset(GF3, [1, 0, 2] * 4 + [1])
+    assert S != PointMultiset(GF3, given)
+    assert S != PointMultiset(FieldSpec.of(2, 2), [0] * 21)
+    assert S != given.tolist()
+    with pytest.raises(TypeError):
+        hash(S)
+
+
+@pytest.mark.parametrize("mult", [
+    [0] * 12,                                   # wrong length
+    [[0] * 13],                                 # not one vector
+    [0.0] * 13,                                 # not integers
+    [0] * 12 + [2**70],                         # beyond int64
+])
+def test_multiplicity_vectors_are_checked_by_one_validator(mult):
+    with pytest.raises(ValueError, match="multiplicity"):
+        PointMultiset(GF3, mult)

@@ -207,3 +207,26 @@ def test_point_rows_of_every_multiple_of_every_triple(text):
         assert point_rows(spec, [t]).tolist() == [
             index[ProjPoint.from_encodings(spec, *t)]]
     assert point_rows(spec, np.zeros((0, 3), dtype=np.int64)).shape == (0,)
+
+
+def test_a_point_of_another_plane_is_a_value_error():
+    from psghost.ghost import (line_ghost, partial_pencil_ghost,
+                               punctured_pencil_ghost)
+    from psghost.msets import PointMultiset
+    spec = FieldSpec.of(7)
+    e = spec.element
+    foreign = ProjPoint.from_encodings(FieldSpec.of(5), 1, 2, 3)
+    unnormalized = ProjPoint((e(2), e(4), e(6)))
+    calls = [lambda P: PointMultiset.from_points(spec, [P]),
+             lambda P: PointMultiset.empty(spec).multiplicity(P),
+             lambda P: line_points(P, spec),
+             lambda P: pencil_lines(P, spec),
+             lambda P: line_ghost(P, spec),
+             lambda P: partial_pencil_ghost(P, 0, spec),
+             lambda P: punctured_pencil_ghost(P, 0, spec)]
+    for P in (foreign, unnormalized):
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call(P)
+            assert str(err.value) == (f"point {P} is not a normalized point "
+                                      "over GF(7)")

@@ -333,3 +333,28 @@ def test_bulk_paths_build_no_field_elements(monkeypatch, tmp_path, capsys):
                          "--format", fmt]) == 0
     capsys.readouterr()
     assert made == []
+
+
+def test_evaluate_refuses_the_all_zero_triple():
+    G = HomPoly.from_terms(GF2, {(1, 0): 1})
+    z = GF2.element(0)
+    with pytest.raises(ValueError,
+                       match="projective coordinates cannot be all zero"):
+        evaluate(G, (z, z, z))
+
+
+def test_power_sum_casts_no_copy_of_the_point_matrix():
+    # an int64 vector times the uint8 matrix casts all of it to int64 first
+    import tracemalloc
+    from psghost.poly import point_matrix_fp
+    spec = FieldSpec.parse("2^5")
+    n = spec.q**2 + spec.q + 1
+    S = PointMultiset.from_vector(spec, [k % 3 == 0 for k in range(n)])
+    power_sum(S)  # builds the cached point matrix and field tables
+    tracemalloc.start()
+    try:
+        power_sum(S)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < point_matrix_fp(spec).nbytes

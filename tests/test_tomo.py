@@ -66,7 +66,8 @@ def test_enumerate_q2_z_matches_brute_force():
     brute = [PointMultiset(GF2, bits)
              for bits in itertools.product((0, 1), repeat=7)
              if phi(PointMultiset(GF2, bits)) == Z2]
-    assert sorted(S.mult for S in sols) == sorted(S.mult for S in brute)
+    assert sorted(S.mult.tolist() for S in sols) == sorted(
+        S.mult.tolist() for S in brute)
     for S in paper_example_sets():
         assert S in sols
 
