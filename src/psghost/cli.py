@@ -225,9 +225,10 @@ def cmd_solve(args) -> int:
 
 def _suite_pencils(spec, rng, failures):
     from . import ghost, plane
-    points = plane.enumerate_points(spec)
+    T = plane.canonical_triples(spec).tolist()
     labels, stack = [], []
-    for P in [points[0], points[len(points) // 2], points[-1]]:
+    for t in (T[0], T[len(T) // 2], T[-1]):
+        P = plane.ProjPoint.from_encodings(spec, *t)
         for lam in range(spec.p**(spec.h - 1) + 1):
             labels.append(f"partial pencil lam={lam} at {P}")
             stack.append(ghost.partial_pencil_ghost(P, lam, spec).mult)
@@ -236,7 +237,7 @@ def _suite_pencils(spec, rng, failures):
             labels.append(f"punctured pencil lam={lam} at {P}")
             stack.append(ghost.punctured_pencil_ghost(P, lam, spec).mult)
             lam += 1
-    for l in plane.enumerate_lines(spec)[:5]:
+    for l in [plane.ProjLine.from_encodings(spec, *t) for t in T[:5]]:
         labels.append(f"line ghost {l}")
         stack.append(ghost.line_ghost(l, spec).mult)
     ok = ghost.is_ghost_stack(spec, stack).tolist()

@@ -3,8 +3,9 @@
 Coordinate triples are normalized so that the first nonzero coordinate is 1.
 The point enumeration order is fixed and defines row indices everywhere:
 (0,0,1); then (0,1,c) for c ascending; then (1,b,c) for (b,c) ascending
-lexicographically (by integer encoding).  Lines use the same normalized
-triples (Plücker coordinates, dual to points), so one type serves both.
+lexicographically (by integer encoding).  Lines are the same normalized
+triples (Plücker coordinates, dual to points) with symmetric incidence, so
+enumerate_lines is enumerate_points and pencil_lines is line_points.
 """
 
 from __future__ import annotations
@@ -66,16 +67,20 @@ def canonical_triples(spec: FieldSpec) -> np.ndarray:
     return T
 
 
+def _row(q: int, x, y, z):
+    """Row in the enumeration order of normalized triples (ints or arrays)."""
+    return x * (1 + q + y * q + z) + (1 - x) * y * (1 + z)
+
+
 def point_rows(spec: FieldSpec, T) -> np.ndarray:
     """Row indices of the points with encoding triples T, (..., 3), in
     [0, q) and not all zero, each read after division by its first
     nonzero coordinate."""
-    q = spec.q
     x, y, z = np.moveaxis(np.asarray(T), -1, 0)
     lead = np.where(x != 0, x, np.where(y != 0, y, z))
-    inv = spec.exp[-spec.log[lead] % (q - 1)]
+    inv = spec.exp[-spec.log[lead] % (spec.q - 1)]
     b, c = field.mul(spec, y, inv), field.mul(spec, z, inv)
-    return np.where(x != 0, 1 + q + b * q + c, np.where(y != 0, 1 + c, 0))
+    return _row(spec.q, x != 0, b, c)
 
 
 @lru_cache(maxsize=None)
@@ -85,24 +90,15 @@ def enumerate_points(spec: FieldSpec) -> tuple[ProjPoint, ...]:
                  for t in canonical_triples(spec).tolist())
 
 
-def enumerate_lines(spec: FieldSpec) -> tuple[ProjLine, ...]:
-    """All q^2+q+1 lines; by duality the same triples as the points."""
-    return enumerate_points(spec)
-
-
-@lru_cache(maxsize=None)
-def point_index(spec: FieldSpec) -> dict:
-    return {P: i for i, P in enumerate(enumerate_points(spec))}
-
-
 def point_row(spec: FieldSpec, P: ProjPoint) -> int:
     """The row index of P; ValueError unless P is a normalized point over
     GF(q)."""
-    try:
-        return point_index(spec)[P]
-    except KeyError:
-        raise ValueError(f"point {P} is not a normalized point over "
-                         f"GF({spec})") from None
+    t, T = P.encodings(), canonical_triples(spec)
+    row = _row(spec.q, *t)
+    if (all(c.spec == spec for c in P.coords) and 0 <= row < len(T)
+            and T[row].tolist() == [*t]):
+        return row
+    raise ValueError(f"point {P} is not a normalized point over GF({spec})")
 
 
 def line_points(line: ProjLine, spec: FieldSpec) -> list[ProjPoint]:
@@ -112,11 +108,8 @@ def line_points(line: ProjLine, spec: FieldSpec) -> list[ProjPoint]:
     return [points[k] for k in np.flatnonzero(column)]
 
 
-def pencil_lines(P: ProjPoint, spec: FieldSpec) -> list[ProjLine]:
-    """The q+1 lines through P, in enumeration order."""
-    lines = enumerate_lines(spec)
-    row = incidence_matrix(spec)[point_row(spec, P)]
-    return [lines[k] for k in np.flatnonzero(row)]
+enumerate_lines = enumerate_points
+pencil_lines = line_points
 
 
 @lru_cache(maxsize=None)

@@ -33,13 +33,22 @@ def monomial_indices(spec: FieldSpec) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(d + 1) for j in range(d + 1 - i))
 
 
-@lru_cache(maxsize=None)
-def monomial_position(spec: FieldSpec) -> dict:
-    return {ij: k for k, ij in enumerate(monomial_indices(spec))}
+def monomial_positions(spec: FieldSpec, i, j):
+    """Positions of (i, j) in monomial_indices order, -1 out of range; ints
+    or arrays.  Before those of Z^i come i(2q+1-i)/2 = iq - i(i-1)/2."""
+    inside = (i >= 0) & (j >= 0) & (i + j < spec.q)
+    return inside * (i * (2 * spec.q + 1 - i) // 2 + j + 1) - 1
+
+
+def _position(spec: FieldSpec, i: int, j: int) -> int:
+    k = monomial_positions(spec, i, j)
+    if k < 0:
+        raise ValueError(f"monomial exponents {(i, j)} out of range")
+    return k
 
 
 def num_monomials(spec: FieldSpec) -> int:
-    return len(monomial_indices(spec))
+    return spec.q * (spec.q + 1) // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,19 +82,16 @@ class HomPoly:
     @classmethod
     def from_terms(cls, spec: FieldSpec, terms: dict) -> "HomPoly":
         """Build from {(i, j): encoding}; absent monomials are zero."""
-        pos = monomial_position(spec)
         coeffs = np.zeros(num_monomials(spec), dtype=np.int64)
-        for ij, c in terms.items():
-            if ij not in pos:
-                raise ValueError(f"monomial exponents {ij} out of range")
-            coeffs[pos[ij]] = spec.element(c).encoding
+        for (i, j), c in terms.items():
+            coeffs[_position(spec, i, j)] = spec.element(c).encoding
         return cls(spec, coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()
 
     def coefficient(self, i: int, j: int) -> FieldElement:
-        k = monomial_position(self.spec)[(i, j)]
+        k = _position(self.spec, i, j)
         return FieldElement(self.spec, int(self.coeffs[k]))
 
 
@@ -193,9 +199,13 @@ def line_values(G: HomPoly, T) -> np.ndarray:
 
 
 def evaluate(G: HomPoly, line) -> FieldElement:
-    """G at a ProjLine or any nonzero coordinate triple; by degree-(q-1)
-    homogeneity the value does not depend on the chosen representative."""
-    coords = line.coords if isinstance(line, ProjLine) else line
+    """G at a ProjLine, or at any nonzero triple of FieldElements, over G's
+    field; by degree-(q-1) homogeneity the value does not depend on the
+    chosen representative.  ValueError for coordinates of another field."""
+    coords = line.coords if isinstance(line, ProjLine) else tuple(line)
+    if len(coords) != 3 or not all(isinstance(c, FieldElement)
+                                   and c.spec == G.spec for c in coords):
+        raise ValueError("field mismatch")
     T = [c.encoding for c in coords]
     if not any(T):
         raise ValueError("projective coordinates cannot be all zero")
@@ -266,20 +276,20 @@ def read_rows(text: str, spec: FieldSpec, kind: str, syntax: str, checks,
 
 
 def poly_from_text(text: str, spec: FieldSpec) -> HomPoly:
-    q = spec.q
+    q, k = spec.q, None
 
     def checks(R):
+        nonlocal k
         i, j, c = R.T
-        outside = (i < 0) | (j < 0) | (i + j >= q)
+        k = monomial_positions(spec, i, j)
         repeated = np.ones(len(R), dtype=bool)
-        repeated[np.unique(np.where(outside, -1, i * q + j),
-                           return_index=True)[1]] = False
-        return [(outside, "monomial exponents ({0}, {1}) out of range"),
+        repeated[np.unique(k, return_index=True)[1]] = False
+        return [(k < 0, "monomial exponents ({0}, {1}) out of range"),
                 (repeated, "monomial {0} {1} repeated"),
                 ((c < 0) | (c >= q),
                  f"encoding {{2}} out of range for GF({spec})")]
 
-    i, j, c = read_rows(text, spec, "psp", "i j coeff", checks).T
+    c = read_rows(text, spec, "psp", "i j coeff", checks)[:, 2]
     coeffs = np.zeros(num_monomials(spec), dtype=np.int64)
-    coeffs[i * q - i * (i - 1) // 2 + j] = c  # place in monomial_indices
+    coeffs[k] = c  # every k is in range once the checks pass
     return HomPoly(spec, coeffs)

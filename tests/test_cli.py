@@ -410,6 +410,25 @@ def test_field_beyond_desk_scale_is_input_error(monkeypatch, capsys, command,
     assert out == "" and err.startswith("error:") and "64" in err
 
 
+def test_object_paths_enumerate_no_plane(monkeypatch, capsys):
+    # Rows of points are read from their encodings.  A modulus that no
+    # other test uses keeps every cache of this plane cold.
+    from psghost import ghost
+    spec = FieldSpec.of(3, 2, (1, 0, 1))  # x^2 + 1
+    q = spec.q
+    P = plane.ProjPoint.from_encodings(spec, 1, 5, 7)
+    monkeypatch.setattr(plane, "enumerate_points", _refuse)
+    monkeypatch.setattr(plane, "enumerate_lines", _refuse)
+    assert plane.point_row(spec, P) == 1 + q + 5 * q + 7
+    S = PointMultiset.from_points(spec, [P, P])
+    assert S.multiplicity(P) == 2 and S.size == 2
+    assert ghost.line_ghost(P, spec).size == q + 1
+    assert ghost.partial_pencil_ghost(P, 0, spec).size == q + 1
+    assert ghost.punctured_pencil_ghost(P, 0, spec).size == q * q
+    code, out, _ = run(capsys, "verify", "--field", "13", "--suite", "pencils")
+    assert code == 0 and "pencils: pass" in out
+
+
 @pytest.mark.parametrize("field,reason", [
     ("11^2", "exceeds 64"),
     ("2^7", "exceeds 64"),

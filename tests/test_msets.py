@@ -17,9 +17,9 @@ GF3 = FieldSpec.of(3)
 
 def single(spec, enc, m=1):
     mult = [0] * (spec.q**2 + spec.q + 1)
-    from psghost.plane import point_index
+    from psghost.plane import point_row
     P = ProjPoint.from_encodings(spec, *enc)
-    mult[point_index(spec)[P]] = m % spec.p
+    mult[point_row(spec, P)] = m % spec.p
     return PointMultiset(spec, tuple(mult))
 
 

@@ -7,7 +7,7 @@ from psghost import field
 from psghost.field import FieldSpec
 from psghost.plane import (ProjLine, ProjPoint, canonical_triples,
                            enumerate_lines, enumerate_points, incidence_matrix,
-                           line_points, pencil_lines, point_index, point_rows)
+                           line_points, pencil_lines, point_row, point_rows)
 
 
 def incident(P, line):
@@ -35,6 +35,7 @@ def test_point_counts(q, p, h, count):
     points = enumerate_points(spec)
     assert len(points) == count == q * q + q + 1
     assert len(set(points)) == count
+    assert [point_row(spec, P) for P in points] == list(range(count))
 
 
 def test_enumeration_order_q2():
@@ -160,7 +161,8 @@ def test_line_points_and_pencils_read_the_incidence_matrix():
 def test_one_type_for_points_and_lines():
     spec = FieldSpec.of(2, 2)
     assert ProjLine is ProjPoint
-    assert enumerate_lines(spec) is enumerate_points(spec)
+    assert enumerate_lines is enumerate_points
+    assert pencil_lines is line_points
 
 
 @pytest.mark.parametrize("text", ["2", "3", "2^2", "5", "7", "2^3", "3^2",
@@ -194,7 +196,7 @@ def test_incidence_matrix_is_built_from_the_points_of_each_line():
 @pytest.mark.parametrize("text", ["2", "3", "2^2", "5", "7", "2^3", "3^2"])
 def test_point_rows_of_every_multiple_of_every_triple(text):
     # against the object route: ProjPoint.make divides by the first
-    # nonzero coordinate, point_index reads the enumeration
+    # nonzero coordinate, point_row reads the normalized encodings
     spec = FieldSpec.parse(text)
     T = canonical_triples(spec)
     lam = np.arange(1, spec.q)[:, None, None]
@@ -202,10 +204,9 @@ def test_point_rows_of_every_multiple_of_every_triple(text):
     rows = point_rows(spec, scaled)
     assert rows.shape == (spec.q - 1, len(T))
     assert (rows == np.arange(len(T))).all()
-    index = point_index(spec)
     for t in scaled.reshape(-1, 3)[::7].tolist():
         assert point_rows(spec, [t]).tolist() == [
-            index[ProjPoint.from_encodings(spec, *t)]]
+            point_row(spec, ProjPoint.from_encodings(spec, *t))]
     assert point_rows(spec, np.zeros((0, 3), dtype=np.int64)).shape == (0,)
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -7,11 +8,13 @@ import numpy as np
 from psghost import field
 from psghost.field import FieldElement, FieldSpec, multinomial_int
 from psghost.msets import (PointMultiset, mset_from_text, mset_to_text, msum,
-                           phi)
+                           phi, random_residues)
 from psghost.plane import (ProjLine, ProjPoint, canonical_triples,
-                           enumerate_lines, enumerate_points, line_points)
+                           enumerate_lines, enumerate_points, incidence_matrix,
+                           line_points)
 from psghost.poly import (HomPoly, add_poly, evaluate, line_values,
-                          monomial_indices, monomial_values, num_monomials,
+                          monomial_indices, monomial_positions,
+                          monomial_values, num_monomials,
                           point_image_rows, poly_from_text, poly_to_text,
                           power_sum)
 
@@ -116,6 +119,31 @@ def test_coefficient_vector_length(p, h):
     q = spec.q
     assert num_monomials(spec) == q * (q + 1) // 2
     assert len(monomial_indices(spec)) == q * (q + 1) // 2
+
+
+@pytest.mark.parametrize("text", ["2", "5", "2^2", "3^2"])
+def test_monomial_positions_follow_monomial_indices(text):
+    spec = FieldSpec.parse(text)
+    q = spec.q
+    I, J = np.mgrid[-1:q + 1, -1:q + 1]
+    inside = {ij: k for k, ij in enumerate(monomial_indices(spec))}
+    expected = [[inside.get((i, j), -1) for j in range(-1, q + 1)]
+                for i in range(-1, q + 1)]
+    assert monomial_positions(spec, I, J).tolist() == expected
+    assert [monomial_positions(spec, i, j) for i, j in inside] == list(
+        range(num_monomials(spec)))
+
+
+def test_coefficient_out_of_range_is_a_value_error():
+    spec = FieldSpec.of(5)
+    G = HomPoly.from_terms(spec, {(2, 1): 3})
+    assert G.coefficient(2, 1) == spec.element(3)
+    for i, j in [(9, 9), (-1, 0), (0, 5), (3, 2)]:
+        message = f"monomial exponents {(i, j)} out of range"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            G.coefficient(i, j)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            HomPoly.from_terms(spec, {(i, j): 1})
 
 
 @pytest.mark.parametrize("p,h", [(2, 1), (5, 1), (3, 2)])
@@ -333,6 +361,33 @@ def test_bulk_paths_build_no_field_elements(monkeypatch, tmp_path, capsys):
                          "--format", fmt]) == 0
     capsys.readouterr()
     assert made == []
+
+
+def test_evaluate_refuses_a_line_of_another_field():
+    spec = FieldSpec.of(5)
+    G = power_sum(mset(spec, (1, 2, 3), (0, 1, 4)))
+    e = spec.element
+    assert evaluate(G, (e(1), e(2), e(3))) == evaluate(
+        G, ProjLine.from_encodings(spec, 1, 2, 3))
+    for line in [ProjLine.from_encodings(FieldSpec.of(2, 2), 1, 2, 3),
+                 ProjLine.from_encodings(FieldSpec.of(7), 1, 2, 3),
+                 (1, 2, 3), (e(1), e(2), 3), (e(1), e(2))]:
+        with pytest.raises(ValueError, match="field mismatch"):
+            evaluate(G, line)
+
+
+@pytest.mark.parametrize("text", ["5", "7", "2^2", "2^3", "3^2"])
+def test_line_values_of_a_power_sum_count_the_points_off_each_line(text):
+    # (P.l)^(q-1) is 1 off the line l and 0 on it, so G^S(l) = |S| - |S n l|
+    # mod p: a residue in the prime subfield, whose encoding is below p
+    spec = FieldSpec.parse(text)
+    T, inc = canonical_triples(spec), incidence_matrix(spec).astype(np.int64)
+    rng = random.Random(20)
+    for row in random_residues(rng, spec.p, (20, len(T))):
+        S = PointMultiset.from_vector(spec, row)
+        values = line_values(power_sum(S), T)
+        assert values.tolist() == ((S.size - S.mult @ inc) % spec.p).tolist()
+        assert values.max() < spec.p
 
 
 def test_evaluate_refuses_the_all_zero_triple():
