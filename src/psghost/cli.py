@@ -140,7 +140,7 @@ def cmd_eval(args) -> int:
             line = plane.ProjLine.from_encodings(spec, u, v, w)
         except ValueError as e:
             raise InputError(f"bad line {args.line!r}: {e}") from e
-        rows = [(str(line), poly.evaluate(G, line).encoding)]
+        rows = [(str(line), poly.evaluate(G, line))]
         if args.format != "json":
             _write(args.out, f"{rows[0][1]}\n")
             return EXIT_OK
@@ -225,10 +225,9 @@ def cmd_solve(args) -> int:
 
 def _suite_pencils(spec, rng, failures):
     from . import ghost, plane
-    T = plane.canonical_triples(spec).tolist()
+    n = spec.q**2 + spec.q + 1
     labels, stack = [], []
-    for t in (T[0], T[len(T) // 2], T[-1]):
-        P = plane.ProjPoint.from_encodings(spec, *t)
+    for P in [plane.ProjPoint(spec, row) for row in (0, n // 2, n - 1)]:
         for lam in range(spec.p**(spec.h - 1) + 1):
             labels.append(f"partial pencil lam={lam} at {P}")
             stack.append(ghost.partial_pencil_ghost(P, lam, spec).mult)
@@ -237,7 +236,7 @@ def _suite_pencils(spec, rng, failures):
             labels.append(f"punctured pencil lam={lam} at {P}")
             stack.append(ghost.punctured_pencil_ghost(P, lam, spec).mult)
             lam += 1
-    for l in [plane.ProjLine.from_encodings(spec, *t) for t in T[:5]]:
+    for l in [plane.ProjLine(spec, row) for row in range(5)]:
         labels.append(f"line ghost {l}")
         stack.append(ghost.line_ghost(l, spec).mult)
     ok = ghost.is_ghost_stack(spec, stack).tolist()

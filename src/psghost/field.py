@@ -168,12 +168,16 @@ class FieldSpec:
 
     # -- element construction ------------------------------------------
 
-    def element(self, encoding: int) -> "FieldElement":
-        """Element from its integer encoding (base-p digits, low first)."""
+    def check_encoding(self, encoding) -> int:
+        """The int encoding of an element; ValueError outside [0, q)."""
         encoding = operator.index(encoding)
         if not 0 <= encoding < self.q:
             raise ValueError(f"encoding {encoding} out of range for GF({self})")
-        return FieldElement(self, encoding)
+        return encoding
+
+    def element(self, encoding: int) -> "FieldElement":
+        """Element from its integer encoding (base-p digits, low first)."""
+        return FieldElement(self, self.check_encoding(encoding))
 
     def elements(self) -> list["FieldElement"]:
         return [FieldElement(self, k) for k in range(self.q)]

@@ -19,32 +19,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import field, linalg
+from . import linalg
 from .field import FieldSpec
 from .msets import PointMultiset, mset_texts, mult_stack
-from .plane import (ProjLine, ProjPoint, canonical_triples, incidence_matrix,
-                    point_row)
-from .poly import monomial_values, point_matrix_fp
-
-
-@lru_cache(maxsize=None)
-def line_evaluation_matrix_fp(spec: FieldSpec) -> np.ndarray:
-    """(q^2+q+1) x (h*(q^2+q+1)) matrix over F_p.
-
-    mult @ matrix mod p gives, per line, the h coordinates of the power sum
-    polynomial evaluated at that line.  Built by composing the point-image
-    matrix with the (F_p-linear) monomial evaluation map at each line, which
-    sends coordinate k of a coefficient (x^k, encoding p^k) to the digits of
-    x^k times the monomial's value.  Read-only.
-    """
-    values = monomial_values(spec, canonical_triples(spec))  # lines x monos
-    basis = spec.p ** np.arange(spec.h)
-    D = field.digits(spec, field.mul(spec, values[:, :, None], basis))
-    n_lines, n_monos = values.shape
-    E = D.transpose(1, 2, 0, 3).reshape(n_monos * spec.h, n_lines * spec.h)
-    L = point_matrix_fp(spec) @ E % spec.p
-    L.flags.writeable = False
-    return L
+from .plane import ProjLine, ProjPoint, incidence_matrix, point_row
+from .poly import point_matrix_fp
 
 
 def rows_congruent(V, matrix: np.ndarray, p: int, target=0) -> np.ndarray:
@@ -84,12 +63,6 @@ def is_ghost_stack(spec: FieldSpec, V) -> np.ndarray:
     """Per row of V: every coefficient of the power sum polynomial is zero."""
     V = mult_stack(spec, V)
     return rows_congruent(V, point_matrix_fp(spec), spec.p)
-
-
-def all_line_evaluations_zero_stack(spec: FieldSpec, V) -> np.ndarray:
-    """Per row of V: the power sum polynomial is zero on every line."""
-    V = mult_stack(spec, V)
-    return rows_congruent(V, line_evaluation_matrix_fp(spec), spec.p)
 
 
 def vandermonde_check_stack(spec: FieldSpec, V) -> np.ndarray:

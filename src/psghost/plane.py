@@ -3,53 +3,66 @@
 Coordinate triples are normalized so that the first nonzero coordinate is 1.
 The point enumeration order is fixed and defines row indices everywhere:
 (0,0,1); then (0,1,c) for c ascending; then (1,b,c) for (b,c) ascending
-lexicographically (by integer encoding).  Lines are the same normalized
-triples (Plücker coordinates, dual to points) with symmetric incidence, so
-enumerate_lines is enumerate_points and pencil_lines is line_points.
+lexicographically (by integer encoding).  A point is its row in that order.
+Lines are the same normalized triples (Plücker coordinates, dual to points)
+with symmetric incidence, so enumerate_lines is enumerate_points and
+pencil_lines is line_points.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import field
-from .field import FieldElement, FieldSpec
-
-
-def _normalize(coords: tuple[FieldElement, ...]) -> tuple[FieldElement, ...]:
-    for c in coords:
-        if not c.is_zero():
-            s = c.inv()
-            return tuple(s * x for x in coords)
-    raise ValueError("projective coordinates cannot be all zero")
+from .field import FieldSpec
 
 
 @dataclass(frozen=True)
 class ProjPoint:
-    """A point, or by duality a line (u, v, w), as a normalized triple."""
+    """A point, or by duality a line (u, v, w): its field and its row in
+    the enumeration order."""
 
-    coords: tuple[FieldElement, FieldElement, FieldElement]
+    spec: FieldSpec
+    row: int
 
-    @classmethod
-    def make(cls, a, b, c) -> "ProjPoint":
-        return cls(_normalize((a, b, c)))
+    def __post_init__(self):
+        n = self.spec.q**2 + self.spec.q + 1
+        try:
+            row = operator.index(self.row)
+        except TypeError:
+            row = None
+        if row is None or not 0 <= row < n:
+            raise ValueError(f"row {self.row!r} is not a point of "
+                             f"PG(2,{self.spec}): rows are the ints in "
+                             f"[0, {n})")
+        object.__setattr__(self, "row", row)
 
     @classmethod
     def from_encodings(cls, spec: FieldSpec, a: int, b: int, c: int) -> "ProjPoint":
-        return cls.make(spec.element(a), spec.element(b), spec.element(c))
-
-    @property
-    def spec(self) -> FieldSpec:
-        return self.coords[0].spec
+        """The point with coordinates (a, b, c), any nonzero multiple of its
+        normalized triple."""
+        x, y, z = map(spec.check_encoding, (a, b, c))
+        lead = x or y or z
+        if not lead:
+            raise ValueError("projective coordinates cannot be all zero")
+        exp, log, q1 = spec.exp, spec.log, spec.q - 1
+        y, z = (exp.item((log.item(v) - log.item(lead)) % q1) if v else 0
+                for v in (y, z))
+        return cls(spec, _row(spec.q, x != 0, y, z))
 
     def encodings(self) -> tuple[int, int, int]:
-        return tuple(c.encoding for c in self.coords)
+        """The normalized triple at this row: _row's formula inverted."""
+        q, r = self.spec.q, self.row
+        if r > q:
+            return (1, *divmod(r - 1 - q, q))
+        return (0, 1, r - 1) if r else (0, 0, 1)
 
     def __str__(self):
-        return " ".join(str(c.encoding) for c in self.coords)
+        return " ".join(map(str, self.encodings()))
 
 
 ProjLine = ProjPoint
@@ -86,18 +99,13 @@ def point_rows(spec: FieldSpec, T) -> np.ndarray:
 @lru_cache(maxsize=None)
 def enumerate_points(spec: FieldSpec) -> tuple[ProjPoint, ...]:
     """All q^2+q+1 points in the canonical enumeration order."""
-    return tuple(ProjPoint(tuple(FieldElement(spec, x) for x in t))
-                 for t in canonical_triples(spec).tolist())
+    return tuple(ProjPoint(spec, r) for r in range(spec.q**2 + spec.q + 1))
 
 
 def point_row(spec: FieldSpec, P: ProjPoint) -> int:
-    """The row index of P; ValueError unless P is a normalized point over
-    GF(q)."""
-    t, T = P.encodings(), canonical_triples(spec)
-    row = _row(spec.q, *t)
-    if (all(c.spec == spec for c in P.coords) and 0 <= row < len(T)
-            and T[row].tolist() == [*t]):
-        return row
+    """The row index of P; ValueError unless P is a point over GF(q)."""
+    if P.spec == spec:
+        return P.row
     raise ValueError(f"point {P} is not a normalized point over GF({spec})")
 
 

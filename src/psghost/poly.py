@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import field
-from .field import FieldElement, FieldSpec, multinomial_int
+from .field import FieldSpec, multinomial_int
 from .linalg import block_entries
 from .plane import ProjLine, canonical_triples
 
@@ -84,15 +84,15 @@ class HomPoly:
         """Build from {(i, j): encoding}; absent monomials are zero."""
         coeffs = np.zeros(num_monomials(spec), dtype=np.int64)
         for (i, j), c in terms.items():
-            coeffs[_position(spec, i, j)] = spec.element(c).encoding
+            coeffs[_position(spec, i, j)] = spec.check_encoding(c)
         return cls(spec, coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()
 
-    def coefficient(self, i: int, j: int) -> FieldElement:
-        k = _position(self.spec, i, j)
-        return FieldElement(self.spec, int(self.coeffs[k]))
+    def coefficient(self, i: int, j: int) -> int:
+        """The encoding of the coefficient of Z^i Y^j X^(q-1-i-j)."""
+        return int(self.coeffs[_position(self.spec, i, j)])
 
 
 def add_poly(G: HomPoly, H: HomPoly) -> HomPoly:
@@ -198,18 +198,13 @@ def line_values(G: HomPoly, T) -> np.ndarray:
     return values
 
 
-def evaluate(G: HomPoly, line) -> FieldElement:
-    """G at a ProjLine, or at any nonzero triple of FieldElements, over G's
-    field; by degree-(q-1) homogeneity the value does not depend on the
-    chosen representative.  ValueError for coordinates of another field."""
-    coords = line.coords if isinstance(line, ProjLine) else tuple(line)
-    if len(coords) != 3 or not all(isinstance(c, FieldElement)
-                                   and c.spec == G.spec for c in coords):
+def evaluate(G: HomPoly, line: ProjLine) -> int:
+    """The encoding of G at a ProjLine of G's field; by degree-(q-1)
+    homogeneity it does not depend on the chosen representative.
+    ValueError("field mismatch") for anything else."""
+    if not isinstance(line, ProjLine) or line.spec != G.spec:
         raise ValueError("field mismatch")
-    T = [c.encoding for c in coords]
-    if not any(T):
-        raise ValueError("projective coordinates cannot be all zero")
-    return G.spec.element(line_values(G, [T])[0])
+    return int(line_values(G, [line.encodings()])[0])
 
 
 # -- text format ------------------------------------------------------

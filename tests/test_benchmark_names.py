@@ -21,18 +21,29 @@ import layers
 from psghost.field import FieldSpec
 tr = layers.Tracer()
 layers.install(tr)
-out = layers.chain_field(tr, FieldSpec.of(3), {"mul_reps": 1})
-print(json.dumps({"out": out, "spans": [s[1] for s in tr.spans]}))
+out = {"field": layers.chain_field(tr, FieldSpec.of(3), {"mul_reps": 1})}
+field_spans = [s[1] for s in tr.spans]
+job = {"multisets": {"3": [[0] * 13, [1] + [0] * 12]}}
+out["verify"] = layers.chain_verify(tr, FieldSpec.of(3), job)
+print(json.dumps({"out": out, "field_spans": field_spans,
+                  "spans": sorted({s[1] for s in tr.spans})}))
 """
 
 
 def test_layer_tracer_installs_and_runs_the_field_chain():
     # install() patches psghost's modules for the whole process: run it in
-    # a child of its own
+    # a child of its own.  The verify chain walks the pencils of three
+    # points through the object API of `plane`.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "perfbench"), str(SRC)]))
     proc = subprocess.run([sys.executable, "-c", CHILD], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"out": {"products": 9},
-                                       "spans": ["field.mul"]}
+    got = json.loads(proc.stdout)
+    assert got["out"] == {
+        "field": {"products": 9},
+        "verify": {"is_ghost": [True, False], "vandermonde": [True, False],
+                   "elim_ok": True}}
+    assert got["field_spans"] == ["field.mul"]
+    assert {"plane.enumerate_points", "plane.pencil_lines",
+            "plane.line_points"} <= set(got["spans"])

@@ -410,21 +410,38 @@ def test_field_beyond_desk_scale_is_input_error(monkeypatch, capsys, command,
     assert out == "" and err.startswith("error:") and "64" in err
 
 
-def test_object_paths_enumerate_no_plane(monkeypatch, capsys):
-    # Rows of points are read from their encodings.  A modulus that no
-    # other test uses keeps every cache of this plane cold.
-    from psghost import ghost
+def test_object_paths_enumerate_no_plane(monkeypatch, capsys, tmp_path):
+    # Rows of points are read from their encodings, and points, lines,
+    # values and coefficients are ints: no object path enumerates the
+    # plane or builds a FieldElement.  A modulus that no other test uses
+    # keeps every cache of this plane cold.
+    from psghost import field, ghost
+    from psghost.field import FieldElement
     spec = FieldSpec.of(3, 2, (1, 0, 1))  # x^2 + 1
     q = spec.q
-    P = plane.ProjPoint.from_encodings(spec, 1, 5, 7)
+    gf9 = FieldSpec.parse("3^2")
+    f = tmp_path / "g.psp"
+    f.write_text("# psp q=3^2\n1 0 1\n0 2 5\n")
+    G9 = poly.poly_from_text(f.read_text(), gf9)
+    want = poly.line_values(G9, [[2, 4, 6]]).tolist()
+    scaled = field.mul(spec, [1, 5, 7], 4).tolist()
     monkeypatch.setattr(plane, "enumerate_points", _refuse)
     monkeypatch.setattr(plane, "enumerate_lines", _refuse)
+    monkeypatch.setattr(FieldElement, "__init__", _refuse)
+    P = plane.ProjPoint.from_encodings(spec, 1, 5, 7)
+    assert plane.ProjPoint.from_encodings(spec, *scaled) == P
+    assert P.encodings() == (1, 5, 7) and str(P) == "1 5 7"
     assert plane.point_row(spec, P) == 1 + q + 5 * q + 7
     S = PointMultiset.from_points(spec, [P, P])
     assert S.multiplicity(P) == 2 and S.size == 2
     assert ghost.line_ghost(P, spec).size == q + 1
     assert ghost.partial_pencil_ghost(P, 0, spec).size == q + 1
     assert ghost.punctured_pencil_ghost(P, 0, spec).size == q * q
+    G = poly.HomPoly.from_terms(spec, {(1, 0): 1, (0, 2): 5})
+    assert G.coefficient(0, 2) == 5 and G.coefficient(2, 0) == 0
+    assert poly.evaluate(G, P) == poly.line_values(G, [[1, 5, 7]])[0]
+    assert run(capsys, "eval", "--field", "3^2", "--in", str(f),
+               "--line", "2 4 6") == (0, f"{want[0]}\n", "")
     code, out, _ = run(capsys, "verify", "--field", "13", "--suite", "pencils")
     assert code == 0 and "pencils: pass" in out
 

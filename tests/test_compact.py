@@ -25,7 +25,7 @@ def test_cached_arrays_are_read_only(field):
     # result over that field
     spec = FieldSpec.parse(field)
     for build in (poly.point_image_rows, poly.point_matrix_fp,
-                  ghost.incidence_matrix, ghost.line_evaluation_matrix_fp):
+                  ghost.incidence_matrix):
         M = build(spec)
         before = M.copy()
         with pytest.raises(ValueError, match="read-only"):

@@ -13,9 +13,9 @@ from psghost.plane import (ProjLine, ProjPoint, canonical_triples,
 def incident(P, line):
     """Reference incidence: u*a + v*b + w*c = 0, one field product at a
     time."""
-    acc = 0
-    for x, y in zip(P.coords, line.coords):
-        acc = field.add(P.spec, acc, (x * y).encoding)
+    e, acc = P.spec.element, 0
+    for x, y in zip(P.encodings(), line.encodings()):
+        acc = field.add(P.spec, acc, (e(x) * e(y)).encoding)
     return acc == 0
 
 
@@ -125,16 +125,26 @@ def test_duality():
 def test_normalization_idempotent():
     spec = FieldSpec.of(7)
     P = ProjPoint.from_encodings(spec, 1, 2, 3)
+    assert P.encodings() == (1, 2, 3)
     for lam in range(1, 7):
         s = spec.element(lam)
-        Q = ProjPoint.make(s * P.coords[0], s * P.coords[1], s * P.coords[2])
-        assert Q == P
+        Q = ProjPoint.from_encodings(
+            spec, *((s * spec.element(x)).encoding for x in P.encodings()))
+        assert Q == P and Q.encodings() == P.encodings()
 
 
 def test_all_zero_rejected():
-    spec = FieldSpec.of(3)
-    with pytest.raises(ValueError):
-        ProjPoint.from_encodings(spec, 0, 0, 0)
+    # and each encoding is checked first, with the field's own message
+    spec = FieldSpec.of(7)
+    for t, message in [((0, 0, 0), "projective coordinates cannot be all "
+                                   "zero"),
+                       ((7, 0, 1), "encoding 7 out of range for GF(7)"),
+                       ((0, 0, -1), "encoding -1 out of range for GF(7)")]:
+        with pytest.raises(ValueError) as err:
+            ProjPoint.from_encodings(spec, *t)
+        assert str(err.value) == message
+    with pytest.raises(TypeError):
+        ProjPoint.from_encodings(spec, 1.0, 0, 0)
 
 
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
@@ -195,8 +205,8 @@ def test_incidence_matrix_is_built_from_the_points_of_each_line():
 
 @pytest.mark.parametrize("text", ["2", "3", "2^2", "5", "7", "2^3", "3^2"])
 def test_point_rows_of_every_multiple_of_every_triple(text):
-    # against the object route: ProjPoint.make divides by the first
-    # nonzero coordinate, point_row reads the normalized encodings
+    # against the object route: from_encodings divides by the first
+    # nonzero coordinate, point_row reads the point's row
     spec = FieldSpec.parse(text)
     T = canonical_triples(spec)
     lam = np.arange(1, spec.q)[:, None, None]
@@ -215,9 +225,11 @@ def test_a_point_of_another_plane_is_a_value_error():
                                punctured_pencil_ghost)
     from psghost.msets import PointMultiset
     spec = FieldSpec.of(7)
-    e = spec.element
     foreign = ProjPoint.from_encodings(FieldSpec.of(5), 1, 2, 3)
-    unnormalized = ProjPoint((e(2), e(4), e(6)))
+    # a point is its row, so there is no unnormalized point to pass
+    for row in (57, -1, 2.0):
+        with pytest.raises(ValueError, match="is not a point of PG"):
+            ProjPoint(spec, row)
     calls = [lambda P: PointMultiset.from_points(spec, [P]),
              lambda P: PointMultiset.empty(spec).multiplicity(P),
              lambda P: line_points(P, spec),
@@ -225,9 +237,34 @@ def test_a_point_of_another_plane_is_a_value_error():
              lambda P: line_ghost(P, spec),
              lambda P: partial_pencil_ghost(P, 0, spec),
              lambda P: punctured_pencil_ghost(P, 0, spec)]
-    for P in (foreign, unnormalized):
-        for call in calls:
-            with pytest.raises(ValueError) as err:
-                call(P)
-            assert str(err.value) == (f"point {P} is not a normalized point "
-                                      "over GF(7)")
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call(foreign)
+        assert str(err.value) == ("point 1 2 3 is not a normalized point "
+                                  "over GF(7)")
+
+
+@pytest.mark.parametrize("text", ["2", "3", "2^2", "5", "7", "2^3", "3^2"])
+def test_a_row_outside_the_plane_is_refused(text):
+    spec = FieldSpec.parse(text)
+    n = spec.q**2 + spec.q + 1
+    for row in (n, -1, 1.0, "1", None):
+        with pytest.raises(ValueError) as err:
+            ProjPoint(spec, row)
+        assert str(err.value) == (f"row {row!r} is not a point of "
+                                  f"PG(2,{spec}): rows are the ints in "
+                                  f"[0, {n})")
+    assert ProjPoint(spec, np.int64(n - 1)) == ProjPoint(spec, n - 1)
+    assert type(ProjPoint(spec, np.int64(n - 1)).row) is int
+
+
+@pytest.mark.parametrize("text", ["2", "3", "2^2", "5", "7", "2^3", "3^2"])
+def test_encodings_invert_the_row_formula(text):
+    spec = FieldSpec.parse(text)
+    T = canonical_triples(spec).tolist()
+    assert [list(ProjPoint(spec, r).encodings()) for r in range(len(T))] == T
+    assert [ProjPoint.from_encodings(spec, *t).row for t in T] == list(
+        range(len(T)))
+    assert [str(P) for P in enumerate_points(spec)] == [
+        " ".join(map(str, t)) for t in T]
+

@@ -46,8 +46,9 @@ def test_power_sum_empty():
 
 def test_evaluate_examples():
     Z = HomPoly.from_terms(GF2, {(1, 0): 1})
-    assert evaluate(Z, ProjLine.from_encodings(GF2, 0, 0, 1)) == GF2.element(1)
-    assert evaluate(Z, ProjLine.from_encodings(GF2, 1, 0, 0)) == GF2.element(0)
+    assert evaluate(Z, ProjLine.from_encodings(GF2, 0, 0, 1)) == 1
+    assert evaluate(Z, ProjLine.from_encodings(GF2, 1, 0, 0)) == 0
+    assert type(evaluate(Z, ProjLine(GF2, 0))) is int
 
 
 def test_evaluate_scaling_invariance():
@@ -55,11 +56,12 @@ def test_evaluate_scaling_invariance():
     rng = random.Random(3)
     S = PointMultiset.from_vector(spec, [rng.randrange(7) for _ in range(57)])
     G = phi(S)
-    u, v, w = spec.element(2), spec.element(5), spec.element(1)
-    base = evaluate(G, (u, v, w))
+    base = evaluate(G, ProjLine.from_encodings(spec, 2, 5, 1))
     for lam in range(1, 7):
-        s = spec.element(lam)
-        assert evaluate(G, (s * u, s * v, s * w)) == base
+        scaled = field.mul(spec, [2, 5, 1], lam).tolist()
+        # G read at the scaled triple itself, and at the line it names
+        assert line_values(G, [scaled]).tolist() == [base]
+        assert evaluate(G, ProjLine.from_encodings(spec, *scaled)) == base
 
 
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2)])
@@ -76,7 +78,7 @@ def test_line_count_identity_exhaustive_lines(p, h):
         G = phi(S)
         for l in enumerate_lines(spec):
             m = sum(S.multiplicity(P) for P in line_points(l, spec))
-            assert evaluate(G, l) == spec.element((S.size - m) % p)
+            assert evaluate(G, l) == (S.size - m) % p
 
 
 @pytest.mark.parametrize("p,h", [(5, 1), (7, 1), (2, 3), (3, 2)])
@@ -89,7 +91,7 @@ def test_line_count_identity_randomized(p, h):
         G = phi(S)
         for l in rng.sample(list(enumerate_lines(spec)), 10):
             m = sum(S.multiplicity(P) for P in line_points(l, spec))
-            assert evaluate(G, l) == spec.element((S.size - m) % p)
+            assert evaluate(G, l) == (S.size - m) % p
 
 
 def test_additivity_disjoint_union():
@@ -137,7 +139,8 @@ def test_monomial_positions_follow_monomial_indices(text):
 def test_coefficient_out_of_range_is_a_value_error():
     spec = FieldSpec.of(5)
     G = HomPoly.from_terms(spec, {(2, 1): 3})
-    assert G.coefficient(2, 1) == spec.element(3)
+    assert G.coefficient(2, 1) == 3 and type(G.coefficient(2, 1)) is int
+    assert G.coefficient(0, 0) == 0
     for i, j in [(9, 9), (-1, 0), (0, 5), (3, 2)]:
         message = f"monomial exponents {(i, j)} out of range"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -160,13 +163,13 @@ def test_power_sum_matches_direct_coefficient_formula(p, h):
         acc = 0
         for P, m in zip(enumerate_points(spec), S.mult):
             if m:
-                a, b, c = P.coords
+                a, b, c = map(spec.element, P.encodings())
                 term = spec.element(multinomial_int(d, i, j) % p) * (
                     a**(d - i - j) * (b**j * c**i))
                 # m < p acts through the prime subfield
                 acc = field.add(spec, acc,
                                 int(field.mul(spec, m, term.encoding)))
-        assert G.coefficient(i, j) == spec.element(acc)
+        assert G.coefficient(i, j) == acc
 
 
 def test_poly_text_round_trip():
@@ -197,7 +200,7 @@ def test_a_file_of_the_other_kind_is_refused():
     with pytest.raises(ValueError, match="# psp, but a # mset"):
         mset_from_text("# psp q=7\n0 0 1\n", gf7)
     # headerless files still parse as their reader's kind
-    assert poly_from_text("1 2 3\n", gf7).coefficient(1, 2) == gf7.element(3)
+    assert poly_from_text("1 2 3\n", gf7).coefficient(1, 2) == 3
     assert mset_from_text("0 0 1\n", gf7).size == 1
 
 
@@ -367,11 +370,12 @@ def test_evaluate_refuses_a_line_of_another_field():
     spec = FieldSpec.of(5)
     G = power_sum(mset(spec, (1, 2, 3), (0, 1, 4)))
     e = spec.element
-    assert evaluate(G, (e(1), e(2), e(3))) == evaluate(
-        G, ProjLine.from_encodings(spec, 1, 2, 3))
+    assert evaluate(G, ProjLine.from_encodings(spec, 1, 2, 3)) == line_values(
+        G, [[1, 2, 3]])[0]
+    # a line is a ProjLine; triples of ints or of FieldElements are not
     for line in [ProjLine.from_encodings(FieldSpec.of(2, 2), 1, 2, 3),
                  ProjLine.from_encodings(FieldSpec.of(7), 1, 2, 3),
-                 (1, 2, 3), (e(1), e(2), 3), (e(1), e(2))]:
+                 (1, 2, 3), (e(1), e(2), e(3)), (e(1), e(2)), 7]:
         with pytest.raises(ValueError, match="field mismatch"):
             evaluate(G, line)
 
@@ -391,11 +395,25 @@ def test_line_values_of_a_power_sum_count_the_points_off_each_line(text):
 
 
 def test_evaluate_refuses_the_all_zero_triple():
+    # no line has the all-zero triple, and evaluate takes lines only
     G = HomPoly.from_terms(GF2, {(1, 0): 1})
-    z = GF2.element(0)
     with pytest.raises(ValueError,
                        match="projective coordinates cannot be all zero"):
-        evaluate(G, (z, z, z))
+        ProjLine.from_encodings(GF2, 0, 0, 0)
+    with pytest.raises(ValueError, match="field mismatch"):
+        evaluate(G, (0, 0, 0))
+
+
+def test_from_terms_checks_its_encodings():
+    spec = FieldSpec.of(5)
+    assert HomPoly.from_terms(spec, {(0, 1): np.int64(4)}).coefficient(
+        0, 1) == 4
+    for c in (5, -1, 10**30):
+        with pytest.raises(ValueError) as err:
+            HomPoly.from_terms(spec, {(0, 1): c})
+        assert str(err.value) == f"encoding {c} out of range for GF(5)"
+    with pytest.raises(TypeError):
+        HomPoly.from_terms(spec, {(0, 1): 1.0})
 
 
 def test_power_sum_casts_no_copy_of_the_point_matrix():
