@@ -30,11 +30,6 @@ EXIT_INCONSISTENT = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
-# Largest field order the commands accept: desk scale, every prime up to 61.
-# At q = 61 the point-image matrix is 3783 x 1891; far beyond it the
-# builders would allocate without bound before printing anything.
-MAX_CLI_Q = 64
-
 # Largest p `elim-trace` accepts.  It prints every state of the interior
 # block, one at a time, and its output grows about as p^5: 179 MiB of CSV
 # at p = 37, 347 MiB at p = 41.
@@ -104,8 +99,8 @@ def _blocks(head, *groups):
 
 def _field(args) -> FieldSpec:
     try:
-        return FieldSpec.parse(args.field, max_q=MAX_CLI_Q)
-    except (ValueError, TypeError) as e:
+        return FieldSpec.parse(args.field)
+    except ValueError as e:
         raise InputError(f"bad field {args.field!r}: {e}") from e
 
 

@@ -1,4 +1,8 @@
-"""Exact arithmetic in GF(q), q = p^h, at desk scale (q <= 2^20).
+"""Exact arithmetic in GF(q), q = p^h <= MAX_Q = 64, at desk scale.
+
+Each field has one modulus: x for a prime field, else the built-in
+Conway polynomial of DEFAULT_MODULI.  GF(q) is unique up to isomorphism,
+so another irreducible modulus would only relabel the encodings.
 
 An element is its integer encoding: the base-p digit expansion of its
 polynomial-basis coordinates, constant term = lowest digit.  All file
@@ -6,14 +10,15 @@ formats use the encoding.  Products and powers go through log/antilog
 tables of a primitive element, built once per field on first use.
 
 numpy is imported by the functions that build or take arrays, not when
-this module loads, so `FieldSpec` of a prime field and the integer helpers
-that `elim` uses load without it.
+this module loads, so `FieldSpec` and the integer helpers that `elim`
+uses load without it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -21,9 +26,14 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-MAX_Q = 2**20
+# Largest field order: desk scale, every prime up to 61 and every prime
+# power up to 2^6.  At q = 61 the point-image matrix is 3783 x 1891; far
+# beyond it the builders would allocate without bound before printing
+# anything.
+MAX_Q = 64
 
-# Built-in irreducible moduli (Conway polynomials), low-order first.
+# The modulus of GF(p^h) for each prime power p^h <= MAX_Q with h >= 2
+# (Conway polynomials), low-order first.
 DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
     (2, 2): (1, 1, 1),        # x^2 + x + 1
     (2, 3): (1, 1, 0, 1),     # x^3 + x + 1
@@ -35,6 +45,10 @@ DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
     (7, 2): (3, 6, 1),        # x^2 + 6x + 3
     (2, 6): (1, 1, 0, 1, 1, 0, 1),  # x^6 + x^4 + x^3 + x + 1
 }
+
+# "p" or "p^h" in ASCII digits.  A leading "-" is read, so that a
+# negative part is refused for what it is.
+_FIELD_TEXT = re.compile(r"(-?[0-9]+)(?:\^(-?[0-9]+))?")
 
 
 def is_prime(n: int) -> bool:
@@ -48,8 +62,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _check_order(p: int, h: int, max_q: int = MAX_Q) -> None:
-    """ValueError unless h >= 1, p^h <= max_q and p is prime.
+def _check_order(p: int, h: int) -> None:
+    """ValueError unless h >= 1, p^h <= MAX_Q and p is prime.
 
     A prime power r^e given as p = r^e with h = 1 is named as r^e.
     """
@@ -57,8 +71,8 @@ def _check_order(p: int, h: int, max_q: int = MAX_Q) -> None:
     # p^h >= 2^h, so a large h is refused before p^h is formed.
     if h < 1:
         raise ValueError(f"extension degree must be >= 1, got {h}")
-    if p >= 2 and (h >= max_q.bit_length() or p**h > max_q):
-        raise ValueError(f"q = {p}^{h} exceeds {max_q}, the largest field "
+    if p >= 2 and (h >= MAX_Q.bit_length() or p**h > MAX_Q):
+        raise ValueError(f"q = {p}^{h} exceeds {MAX_Q}, the largest field "
                          "supported")
     if not is_prime(p):
         r = next((d for d in range(2, p) if p % d == 0), 0)
@@ -79,77 +93,37 @@ def _multiplication_matrix(v, modulus, p: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _rabin_irreducible(modulus, p: int) -> bool:
-    """Rabin's test for a monic modulus f of degree h >= 2 over F_p.
-
-    f is irreducible iff x^(p^h) = x (mod f) and, for every prime r
-    dividing h, gcd(x^(p^(h/r)) - x, f) = 1 (Rabin, SIAM J. Comput. 1980).
-    The gcd is 1 iff multiplication by x^(p^(h/r)) - x is invertible mod f.
-    """
-    import numpy as np
-
-    from .linalg import rank
-    h = len(modulus) - 1
-    one, x = np.eye(h, dtype=np.int64)[:2]
-    times_x = _multiplication_matrix(x, modulus, p)
-    powers = [one]  # x^j mod f
-    for _ in range(p * (h - 1)):
-        powers.append(times_x @ powers[-1] % p)
-    # The Frobenius y -> y^p is F_p-linear; its column k is x^(pk).
-    frobenius = np.stack(powers[::p], axis=1)
-    frob = [x]  # frob[k] = x^(p^k) mod f
-    for _ in range(h):
-        frob.append(frobenius @ frob[-1] % p)
-    if not np.array_equal(frob[h], x):
-        return False
-    return all(rank(_multiplication_matrix((frob[h // r] - x) % p, modulus, p),
-                    p) == h
-               for r in range(2, h + 1) if h % r == 0 and is_prime(r))
-
-
 @dataclass(frozen=True)
 class FieldSpec:
-    """Description of GF(p^h): characteristic, degree and modulus."""
+    """GF(p^h): p prime, q = p^h <= MAX_Q."""
 
     p: int
     h: int
-    modulus: tuple[int, ...]  # low-order first, monic, degree h
 
     def __post_init__(self):
         _check_order(self.p, self.h)
-        mod = tuple(c % self.p for c in self.modulus)
-        if len(mod) != self.h + 1 or mod[-1] != 1:
-            raise ValueError("modulus must be monic of degree h")
-        if self.h == 1 and mod != (0, 1):
-            raise ValueError("for h = 1 the modulus must be x")
-        if self.h >= 2 and not _rabin_irreducible(mod, self.p):
-            raise ValueError(f"modulus {mod} is reducible over F_{self.p}")
-        object.__setattr__(self, "modulus", mod)
 
     @property
     def q(self) -> int:
         return self.p**self.h
 
-    @classmethod
-    def of(cls, p: int, h: int = 1, modulus=None) -> "FieldSpec":
-        if modulus is None:
-            if h == 1:
-                modulus = (0, 1)
-            elif (p, h) in DEFAULT_MODULI:
-                modulus = DEFAULT_MODULI[(p, h)]
-            else:
-                _check_order(p, h)
-                raise ValueError(
-                    f"no built-in modulus for GF({p}^{h}); pass one explicitly")
-        return cls(p, h, tuple(modulus))
+    @property
+    def modulus(self) -> tuple[int, ...]:
+        """Low-order first, monic, degree h: x, or the built-in modulus."""
+        return (0, 1) if self.h == 1 else DEFAULT_MODULI[(self.p, self.h)]
 
     @classmethod
-    def parse(cls, text: str, max_q: int = MAX_Q) -> "FieldSpec":
-        """Parse a field description, "7" or "3^2", of order at most max_q."""
-        ps, caret, hs = text.strip().partition("^")
-        p, h = int(ps), int(hs) if caret else 1
-        _check_order(p, h, max_q)
-        return cls.of(p, h)
+    def of(cls, p: int, h: int = 1) -> "FieldSpec":
+        return cls(p, h)
+
+    @classmethod
+    def parse(cls, text: str) -> "FieldSpec":
+        """Parse a field description, "7" or "3^2"."""
+        m = _FIELD_TEXT.fullmatch(text.strip())
+        if m is None:
+            raise ValueError("a field is written p or p^h in the digits 0-9")
+        ps, hs = m.groups(default="1")
+        return cls.of(int(ps), int(hs))
 
     def __str__(self):
         return str(self.p) if self.h == 1 else f"{self.p}^{self.h}"

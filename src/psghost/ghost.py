@@ -89,15 +89,15 @@ def vandermonde_check(S: PointMultiset) -> bool:
 
 def line_ghost(line: ProjLine, spec: FieldSpec) -> PointMultiset:
     """The plain point set of a line; always a ghost."""
-    column = incidence_matrix(spec)[:, point_row(spec, line)]
-    return PointMultiset(spec, column)
+    # the incidence matrix is symmetric: a line's row is its column
+    return PointMultiset(spec, incidence_matrix(spec)[point_row(spec, line)])
 
 
 def _pencil_union(P: ProjPoint, n_lines: int, spec: FieldSpec) -> np.ndarray:
     """Boolean vector of the points on the first n_lines lines through P."""
     inc = incidence_matrix(spec)
     pencil = np.flatnonzero(inc[point_row(spec, P)])[:n_lines]
-    return inc[:, pencil].any(axis=1)
+    return inc[pencil].any(axis=0)
 
 
 def partial_pencil_ghost(P: ProjPoint, lam: int, spec: FieldSpec) -> PointMultiset:

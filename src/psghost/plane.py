@@ -112,8 +112,8 @@ def point_row(spec: FieldSpec, P: ProjPoint) -> int:
 def line_points(line: ProjLine, spec: FieldSpec) -> list[ProjPoint]:
     """The q+1 points on the line, in enumeration order."""
     points = enumerate_points(spec)
-    column = incidence_matrix(spec)[:, point_row(spec, line)]
-    return [points[k] for k in np.flatnonzero(column)]
+    row = incidence_matrix(spec)[point_row(spec, line)]  # symmetric
+    return [points[k] for k in np.flatnonzero(row)]
 
 
 enumerate_lines = enumerate_points

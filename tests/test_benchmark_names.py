@@ -1,7 +1,9 @@
-"""The library names that the benchmark's layer tracer wraps still exist.
+"""The library names and fields that the benchmark uses still exist.
 
 perfbench/layers.py replaces psghost functions by name with timed wrappers;
 a rename would otherwise pass the tests and break only `run.py --trace 1`.
+Likewise a field that perfbench/run.py passes and the library no longer
+accepts would break only the benchmark.
 """
 
 import json
@@ -11,6 +13,7 @@ import sys
 from pathlib import Path
 
 import psghost
+from psghost.field import FieldSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(psghost.__file__).resolve().parent.parent
@@ -29,17 +32,30 @@ print(json.dumps({"out": out, "field_spans": field_spans,
                   "spans": sorted({s[1] for s in tr.spans})}))
 """
 
+FIELDS_CHILD = """
+import json
+import run
+print(json.dumps({
+    "named": [*run.REPORT_FIELDS, *run.VERIFY_FIELDS, run.STREAM_FIELD,
+              *run.WALK_FIELDS, str(run.ELIM_TRACE_P)],
+    "chains": [q for _, q in run.suite_chains()]}))
+"""
+
+
+def _perfbench_child(code):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "perfbench"), str(SRC)]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
 
 def test_layer_tracer_installs_and_runs_the_field_chain():
     # install() patches psghost's modules for the whole process: run it in
     # a child of its own.  The verify chain walks the pencils of three
     # points through the object API of `plane`.
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "perfbench"), str(SRC)]))
-    proc = subprocess.run([sys.executable, "-c", CHILD], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)
+    got = _perfbench_child(CHILD)
     assert got["out"] == {
         "field": {"products": 9},
         "verify": {"is_ghost": [True, False], "vandermonde": [True, False],
@@ -47,3 +63,12 @@ def test_layer_tracer_installs_and_runs_the_field_chain():
     assert got["field_spans"] == ["field.mul"]
     assert {"plane.enumerate_points", "plane.pencil_lines",
             "plane.line_points"} <= set(got["spans"])
+
+
+def test_every_benchmark_field_parses():
+    # the fields of the measured workloads, and of the traced chains, 3^3
+    # in the field chain among them
+    got = _perfbench_child(FIELDS_CHILD)
+    assert "3^3" in got["chains"]
+    for text in {*got["named"], *got["chains"]}:
+        assert str(FieldSpec.parse(text)) == text

@@ -88,7 +88,7 @@ def test_ghost_report_field32(capsys):
 
 @pytest.mark.parametrize("field", ["7^2", "2^6"])
 def test_largest_extension_fields_have_a_modulus(tmp_path, capsys, field):
-    # both pass MAX_CLI_Q; they used to exit 3 asking for a modulus
+    # both are within field.MAX_Q; they used to exit 3 asking for a modulus
     f = tmp_path / "x.psp"
     f.write_text(f"# psp q={field}\n0 0 1\n")  # X^(q-1)
     assert run(capsys, "eval", "--field", field, "--in", str(f),
@@ -413,18 +413,20 @@ def test_field_beyond_desk_scale_is_input_error(monkeypatch, capsys, command,
 def test_object_paths_enumerate_no_plane(monkeypatch, capsys, tmp_path):
     # Rows of points are read from their encodings, and points, lines,
     # values and coefficients are ints: no object path enumerates the
-    # plane or builds a FieldElement.  A modulus that no other test uses
-    # keeps every cache of this plane cold.
-    from psghost import field, ghost
+    # plane or builds a FieldElement.  Every cache starts cold, so each
+    # builder the object paths reach runs under the refusals.
+    from psghost import field, ghost, msets
     from psghost.field import FieldElement
-    spec = FieldSpec.of(3, 2, (1, 0, 1))  # x^2 + 1
+    spec = FieldSpec.parse("3^2")
     q = spec.q
-    gf9 = FieldSpec.parse("3^2")
     f = tmp_path / "g.psp"
     f.write_text("# psp q=3^2\n1 0 1\n0 2 5\n")
-    G9 = poly.poly_from_text(f.read_text(), gf9)
+    G9 = poly.poly_from_text(f.read_text(), spec)
     want = poly.line_values(G9, [[2, 4, 6]]).tolist()
     scaled = field.mul(spec, [1, 5, 7], 4).tolist()
+    for module in (field, plane, poly, msets, ghost):
+        for obj in vars(module).values():
+            getattr(obj, "cache_clear", lambda: None)()
     monkeypatch.setattr(plane, "enumerate_points", _refuse)
     monkeypatch.setattr(plane, "enumerate_lines", _refuse)
     monkeypatch.setattr(FieldElement, "__init__", _refuse)
@@ -455,11 +457,18 @@ def test_object_paths_enumerate_no_plane(monkeypatch, capsys, tmp_path):
     ("6", "p = 6 is not prime"),
     ("4", "4 is 2^2; write 2^2"),
     ("64", "64 is 2^6; write 2^6"),
+    ("1_3", "p or p^h in the digits 0-9"),
+    ("+7", "p or p^h in the digits 0-9"),
+    ("7^ 2", "p or p^h in the digits 0-9"),
+    ("\u0663", "p or p^h in the digits 0-9"),
+    ("3^^2", "p or p^h in the digits 0-9"),
+    ("", "p or p^h in the digits 0-9"),
 ])
 def test_field_error_names_the_reason(capsys, field, reason):
     # these used to report a missing built-in modulus, which the CLI has no
     # way to pass; a prime power written as an integer (4, 64) read "p = 64
-    # is not prime", although 2^6 is a supported field
+    # is not prime", although 2^6 is a supported field.  int() read 1_3 as
+    # 13, +7 as 7, "7^ 2" as 49 and the Arabic-Indic digit three as 3.
     code, out, err = run(capsys, "ghost-report", "--field", field)
     assert code == 3 and out == ""
     assert reason in err and "modulus" not in err

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +13,15 @@ from psghost.field import FieldSpec, multinomial_int
 
 GF7 = FieldSpec.of(7)
 GF4 = FieldSpec.of(2, 2)
-GF9_X2P1 = FieldSpec(3, 2, (1, 0, 1))  # modulus x^2 + 1
+GF9 = FieldSpec.of(3, 2)  # modulus x^2 + 2x + 2
 ALL_Q = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
          (13, 1), (17, 1), (19, 1), (23, 1)]
+# (p, h) of every prime power p^h <= MAX_Q
+PRIME_POWERS = [(p, h) for p in range(2, field.MAX_Q + 1)
+                if all(p % d for d in range(2, p))
+                for h in range(1, field.MAX_Q.bit_length())
+                if p**h <= field.MAX_Q]
+SRC = Path(field.__file__).resolve().parent.parent
 
 
 def spec_of(p, h):
@@ -27,7 +37,7 @@ def test_add_characteristic_two():
 
 
 def test_add_gf9_componentwise():
-    assert field.add(GF9_X2P1, 4, 5) == 6  # (1 + x) + (2 + x) = 2x
+    assert field.add(GF9, 4, 5) == 6  # (1 + x) + (2 + x) = 2x
 
 
 def test_mul_prime_field():
@@ -40,8 +50,8 @@ def test_mul_gf4_reduction():
 
 
 def test_mul_gf9_x_squared():
-    x = GF9_X2P1.element(3)  # x
-    assert x * x == GF9_X2P1.element(2)  # x^2 = -1 = 2
+    x = GF9.element(3)  # x
+    assert x * x == GF9.element(4)  # x^2 = -2x - 2 = x + 1
 
 
 def test_inv():
@@ -151,22 +161,9 @@ def test_parse():
     assert FieldSpec.parse("7") == GF7
     assert FieldSpec.parse("3^2") == FieldSpec.of(3, 2)
     assert str(FieldSpec.of(3, 2)) == "3^2"
+    assert FieldSpec.parse(" 3^2\n") == GF9
     assert FieldSpec.parse("2^5").modulus == (1, 0, 1, 0, 0, 1)
-
-
-def test_reducible_modulus_rejected():
-    with pytest.raises(ValueError):
-        FieldSpec(2, 2, (1, 0, 1))  # x^2 + 1 = (x+1)^2 over F_2
-
-
-@pytest.mark.parametrize("p,h,modulus", [
-    (2, 5, (1, 0, 0, 0, 0, 1)),  # x^5 + 1 = (x+1)(x^4+x^3+x^2+x+1)
-    (2, 6, (1,) * 7),            # (x^3+x+1)(x^3+x^2+1)
-    (3, 4, (1, 0, 2, 0, 1)),     # (x^2+1)^2, no linear factor
-])
-def test_reducible_modulus_rejected_any_degree(p, h, modulus):
-    with pytest.raises(ValueError):
-        FieldSpec.of(p, h, modulus=modulus)
+    assert FieldSpec.parse("7").modulus == (0, 1)  # x
 
 
 def _mobius(n):
@@ -185,33 +182,38 @@ def _mobius(n):
                                  (2, 8), (3, 2), (3, 3), (3, 4), (5, 2),
                                  (5, 3), (7, 2)])
 def test_irreducible_count_matches_gauss_formula(p, h):
-    accepted = 0
-    for low in itertools.product(range(p), repeat=h):
-        try:
-            FieldSpec.of(p, h, modulus=low + (1,))
-            accepted += 1
-        except ValueError:
-            pass
+    # the reference below certifies the built-in moduli
+    accepted = sum(_ref_irreducible(low + (1,), p)
+                   for low in itertools.product(range(p), repeat=h))
     expected = sum(_mobius(d) * p**(h // d)
                    for d in range(1, h + 1) if h % d == 0) // h
     assert accepted == expected
 
 
-def test_custom_degree5_modulus_is_a_field():
-    spec = FieldSpec.of(2, 5, modulus=(1, 0, 1, 0, 0, 1))  # x^5 + x^2 + 1
-    _check_against_schoolbook(spec)
-    x1 = spec.element(3)  # x + 1
-    assert x1 * x1.inv() == spec.element(1)
-    a = np.arange(spec.q)
-    for b, c in itertools.product(range(spec.q), repeat=2):
-        assert np.array_equal(field.mul(spec, field.mul(spec, a, b), c),
-                              field.mul(spec, a, field.mul(spec, b, c)))
-        assert np.array_equal(
-            field.mul(spec, a, field.add(spec, b, c)),
-            field.add(spec, field.mul(spec, a, b), field.mul(spec, a, c)))
+@pytest.mark.parametrize("p,h", sorted(field.DEFAULT_MODULI))
+def test_default_moduli_are_irreducible(p, h):
+    assert _ref_irreducible(field.DEFAULT_MODULI[(p, h)], p)
 
 
 # -- reference: schoolbook polynomial arithmetic modulo the modulus ----
+
+def _ref_remainder(f, g, p):
+    """f mod g over F_p, coefficients low-order first, g monic."""
+    f, d = list(f), len(g) - 1
+    for k in range(len(f) - 1, d - 1, -1):  # cancel x^k by x^(k-d) g
+        top = f[k]
+        for i, c in enumerate(g):
+            f[k - d + i] = (f[k - d + i] - top * c) % p
+    return f[:d]
+
+
+def _ref_irreducible(f, p):
+    """A monic f over F_p is irreducible iff no monic g of degree 1 to
+    deg(f)/2 divides it."""
+    return all(any(_ref_remainder(f, low + (1,), p))
+               for d in range(1, (len(f) - 1) // 2 + 1)
+               for low in itertools.product(range(p), repeat=d))
+
 
 def _ref_digits(spec, e):
     return [e // spec.p**k % spec.p for k in range(spec.h)]
@@ -249,8 +251,8 @@ def _check_against_schoolbook(spec):
 
 
 REFERENCE_SPECS = sorted({FieldSpec.of(p, h) for p, h in ALL_Q}
-                         | {FieldSpec.of(2, 4), FieldSpec.of(3, 3),
-                            FieldSpec.of(5, 2), GF9_X2P1}, key=str)
+                         | {FieldSpec.of(2, 4), FieldSpec.of(2, 5),
+                            FieldSpec.of(3, 3), FieldSpec.of(5, 2)}, key=str)
 
 
 @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=str)
@@ -277,9 +279,9 @@ def test_tables_are_a_primitive_element(spec):
         assert len(powers) < spec.q - 1
 
 
-def test_x_is_not_primitive_in_gf9_x2p1():
-    # x^2 = -1, so x has order 4 and the generator search must go past it
-    assert GF9_X2P1.exp.tolist()[:2] == [1, 4]  # g = 1 + x
+def test_least_candidate_not_primitive_in_gf7():
+    # 2^3 = 8 = 1, so 2 has order 3 and the generator search must go past it
+    assert FieldSpec.of(7).exp.tolist()[:2] == [1, 3]  # g = 3
 
 
 def test_tables_built_on_first_arithmetic():
@@ -292,9 +294,9 @@ def test_tables_built_on_first_arithmetic():
 
 
 def test_coeffs_derived_from_encoding():
-    assert field.digits(GF9_X2P1, 5).tolist() == [2, 1]  # 2 + x
+    assert field.digits(GF9, 5).tolist() == [2, 1]  # 2 + x
     assert field.digits(FieldSpec.of(7), 6).tolist() == [6]
-    assert field.from_digits(GF9_X2P1, [[2, 1], [0, 2]]).tolist() == [5, 6]
+    assert field.from_digits(GF9, [[2, 1], [0, 2]]).tolist() == [5, 6]
 
 
 def test_nonprime_p_rejected():
@@ -305,21 +307,19 @@ def test_nonprime_p_rejected():
 @pytest.mark.parametrize("p,h,reason", [
     (2, 0, "extension degree"), (2, -1, "extension degree"),
     (1, 5, "not prime"), (2, 10**9, "exceeds"), (4, 2, "not prime"),
+    (11, 2, "exceeds 64"),
 ])
 def test_of_without_modulus_checks_the_order_first(p, h, reason):
     with pytest.raises(ValueError, match=reason):
         FieldSpec.of(p, h)
 
 
-def test_of_valid_order_without_modulus_asks_for_one():
-    with pytest.raises(ValueError, match="no built-in modulus for GF"):
-        FieldSpec.of(11, 2)
-
-
 def test_parse_bounds_the_order():
-    assert FieldSpec.parse("2^6", max_q=64) == FieldSpec.of(2, 6)
-    with pytest.raises(ValueError, match="exceeds 64"):
-        FieldSpec.parse("2^7", max_q=64)
+    # one bound, MAX_Q, for the library and the CLI alike
+    assert FieldSpec.parse("2^6") == FieldSpec.of(2, 6)
+    for make in (lambda: FieldSpec.parse("2^7"), lambda: FieldSpec.of(67)):
+        with pytest.raises(ValueError, match="exceeds 64"):
+            make()
 
 
 def test_oversized_p_rejected_before_trial_division(monkeypatch):
@@ -333,18 +333,27 @@ def test_oversized_p_rejected_before_trial_division(monkeypatch):
 
 
 def test_every_cli_field_parses():
-    # every prime power up to the CLI's largest plane has a modulus;
-    # 7^2 and 2^6 used to ask for one the CLI cannot pass
-    from psghost.cli import MAX_CLI_Q
-    for q in range(2, MAX_CLI_Q + 1):
-        p = next(d for d in range(2, q + 1) if q % d == 0)
-        h = 1
-        while p**h < q:
-            h += 1
-        if p**h != q:
-            continue
-        spec = FieldSpec.parse(str(q) if h == 1 else f"{p}^{h}")
-        assert (spec.p, spec.h, spec.q) == (p, h, q)
+    # every prime power up to MAX_Q has a modulus; 7^2 and 2^6 used to ask
+    # for one the CLI cannot pass
+    assert max(p**h for p, h in PRIME_POWERS) == field.MAX_Q == 2**6
+    for p, h in PRIME_POWERS:
+        spec = FieldSpec.parse(str(p) if h == 1 else f"{p}^{h}")
+        assert (spec.p, spec.h, spec.q) == (p, h, p**h)
+        assert len(spec.modulus) == h + 1 and spec.modulus[-1] == 1
+
+
+def test_building_a_field_loads_no_numpy():
+    # a fresh process: this one has numpy loaded already
+    code = ("import sys\n"
+            "from psghost.field import FieldSpec\n"
+            f"for p, h in {PRIME_POWERS!r}:\n"
+            "    FieldSpec.parse(f'{p}^{h}')\n"
+            "print(sorted({'numpy', 'psghost.linalg'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("p,h", [(7, 2), (2, 6)])
