@@ -14,6 +14,21 @@ from psghost.field import FieldSpec, multinomial_int
 GF7 = FieldSpec.of(7)
 GF4 = FieldSpec.of(2, 2)
 GF9 = FieldSpec.of(3, 2)  # modulus x^2 + 2x + 2
+
+
+class _GF9X2P1(FieldSpec):
+    """GF(9) modulo x^2 + 1, under which x has order 4, not 8.
+
+    The library builds GF(9) from its built-in modulus only; this test
+    double runs the same table builder on another irreducible modulus.
+    """
+
+    @property
+    def modulus(self):
+        return (1, 0, 1)
+
+
+GF9_X2P1 = _GF9X2P1(3, 2)
 ALL_Q = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
          (13, 1), (17, 1), (19, 1), (23, 1)]
 # (p, h) of every prime power p^h <= MAX_Q
@@ -252,7 +267,8 @@ def _check_against_schoolbook(spec):
 
 REFERENCE_SPECS = sorted({FieldSpec.of(p, h) for p, h in ALL_Q}
                          | {FieldSpec.of(2, 4), FieldSpec.of(2, 5),
-                            FieldSpec.of(3, 3), FieldSpec.of(5, 2)}, key=str)
+                            FieldSpec.of(3, 3), FieldSpec.of(5, 2), GF9_X2P1},
+                         key=lambda spec: (str(spec), spec is GF9_X2P1))
 
 
 @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=str)
@@ -277,6 +293,11 @@ def test_tables_are_a_primitive_element(spec):
             powers.add(e)
             e = _ref_mul(spec, e, c)
         assert len(powers) < spec.q - 1
+
+
+def test_x_is_not_primitive_in_gf9_x2p1():
+    # x^2 = -1, so x has order 4 and the generator search must go past it
+    assert GF9_X2P1.exp.tolist()[:2] == [1, 4]  # g = 1 + x
 
 
 def test_least_candidate_not_primitive_in_gf7():
