@@ -131,6 +131,7 @@ def cmd_eval(args) -> int:
         raise InputError(str(e)) from e
     if args.line:
         try:
+            poly.check_digits(args.line)
             u, v, w = (int(x) for x in args.line.split())
             line = plane.ProjLine.from_encodings(spec, u, v, w)
         except ValueError as e:

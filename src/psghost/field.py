@@ -101,7 +101,14 @@ class FieldSpec:
     h: int
 
     def __post_init__(self):
-        _check_order(self.p, self.h)
+        try:
+            p, h = operator.index(self.p), operator.index(self.h)
+        except TypeError:
+            raise ValueError(f"p and h are ints, got p = {self.p!r}, "
+                             f"h = {self.h!r}") from None
+        _check_order(p, h)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "h", h)
 
     @property
     def q(self) -> int:

@@ -183,15 +183,18 @@ def mset_from_text(text: str, spec: FieldSpec) -> PointMultiset:
         except ValueError as e:
             raise ValueError(f"bad multiplicity {m!r}") from e
 
-    def checks(R):
-        T = R[:, :3]
-        return [((T[:, k] < 0) | (T[:, k] >= spec.q),
-                 f"encoding {{{k}}} out of range for GF({spec})")
-                for k in range(3)] + [
-            (~T.any(axis=1), "projective coordinates cannot be all zero")]
+    q = spec.q
 
-    R = poly.read_rows(text, spec, "mset", "a b c [: m]", checks,
+    def check(row):
+        a, b, c, _ = row
+        for x in (a, b, c):
+            if not 0 <= x < q:
+                raise ValueError(f"encoding {x} out of range for GF({spec})")
+        if not (a or b or c):
+            raise ValueError("projective coordinates cannot be all zero")
+
+    R = poly.read_rows(text, spec, "mset", "a b c [: m]", check,
                        multiplicity)
-    mult = np.zeros(spec.q**2 + spec.q + 1, dtype=np.int64)
+    mult = np.zeros(q**2 + q + 1, dtype=np.int64)
     np.add.at(mult, point_rows(spec, R[:, :3]), R[:, 3])
     return PointMultiset.from_vector(spec, mult)

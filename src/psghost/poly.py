@@ -212,6 +212,18 @@ def evaluate(G: HomPoly, line: ProjLine) -> int:
 _HEADER = re.compile(r"#\s*(mset|psp)\s+q=(\S+)")
 
 
+def check_digits(s: str) -> None:
+    """ValueError unless s spells each int in the digits 0-9 with an
+    optional leading "-", as FieldSpec.parse reads a field.
+
+    int() alone also reads "1_0", "+2" and non-ASCII digits; in an ASCII
+    s without "_" and "+" it reads only those spellings.
+    """
+    if not s.isascii() or "_" in s or "+" in s:
+        raise ValueError("integers are written in the digits 0-9, each "
+                         "with an optional leading '-'")
+
+
 def nonzero_terms(G: HomPoly) -> list[tuple[int, int, int]]:
     """(i, j, encoding) of each nonzero coefficient, in monomial order."""
     return [(i, j, c) for (i, j), c in zip(monomial_indices(G.spec),
@@ -224,67 +236,57 @@ def poly_to_text(G: HomPoly) -> str:
         f"{i} {j} {c}\n" for i, j, c in nonzero_terms(G)])
 
 
-def read_rows(text: str, spec: FieldSpec, kind: str, syntax: str, checks,
+def read_rows(text: str, spec: FieldSpec, kind: str, syntax: str, check,
               tail=None) -> np.ndarray:
     """The ints of each data line of a `# kind` text, one row per line:
     the three that `syntax` names, then the one that tail(s), if given,
-    takes off the end of the stripped line s.  Clipped as exact ints to
-    [-1, q] in an int64 array, an entry outside [0, q) stays outside.
-    checks(R) pairs boolean masks over the rows with messages filled from
-    a row's exact ints by str.format.  The ValueError names the first bad
-    line of the text.
+    takes off the end of the stripped line s.  Each line is checked as it
+    is read: its spelling (see check_digits), then check(row) on the
+    row's exact ints, and a ValueError there names the line.  The rows
+    become one int64 array once every line has passed.
     """
-    rows, linenos, error = [], [], None
+    rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
-        header = _HEADER.match(s)
-        try:
-            if header and header.group(1) != kind:
+        if s.startswith("#"):
+            if not (header := _HEADER.match(s)):
+                continue
+            if header.group(1) != kind:
                 raise ValueError(f"header says # {header.group(1)}, but a "
                                  f"# {kind} file is expected")
             # the writers spell the field as str(spec) does: "7", "3^2"
-            if header and header.group(2) != str(spec):
+            if header.group(2) != str(spec):
                 raise ValueError(f"header says q={header.group(2)}, but the "
                                  f"field is GF({spec})")
-            if s and not s.startswith("#"):
+        elif s:
+            try:
+                check_digits(s)
                 s, *last = tail(s) if tail else (s,)
                 parts = s.split()
                 if len(parts) != 3:
                     raise ValueError(f"expected '{syntax}', got {raw!r}")
-                rows.append([*map(int, parts), *last])
-                linenos.append(lineno)
-        except ValueError as e:
-            error = e if header else ValueError(f"line {lineno}: {e}")
-            break
-    R = np.array(rows, dtype=object).reshape(-1, 3 if tail is None else 4)
-    R = np.clip(R, -1, spec.q).astype(np.int64)
-    # Every row precedes the line of `error`, so a row's fault comes first.
-    failed = checks(R)
-    bad = np.flatnonzero(np.logical_or.reduce([m for m, _ in failed]))
-    if len(bad):
-        message = next(msg for m, msg in failed if m[bad[0]])
-        raise ValueError(f"line {linenos[bad[0]]}: "
-                         + message.format(*rows[bad[0]]))
-    if error is not None:
-        raise error
-    return R
+                row = [*map(int, parts), *last]
+                check(row)
+            except ValueError as e:
+                raise ValueError(f"line {lineno}: {e}") from e
+            rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(-1, 3 if tail is None else 4)
 
 
 def poly_from_text(text: str, spec: FieldSpec) -> HomPoly:
-    q, k = spec.q, None
+    q, seen = spec.q, set()
 
-    def checks(R):
-        nonlocal k
-        i, j, c = R.T
-        k = monomial_positions(spec, i, j)
-        repeated = np.ones(len(R), dtype=bool)
-        repeated[np.unique(k, return_index=True)[1]] = False
-        return [(k < 0, "monomial exponents ({0}, {1}) out of range"),
-                (repeated, "monomial {0} {1} repeated"),
-                ((c < 0) | (c >= q),
-                 f"encoding {{2}} out of range for GF({spec})")]
+    def check(row):
+        i, j, c = row
+        if i < 0 or j < 0 or i + j >= q:
+            raise ValueError(f"monomial exponents ({i}, {j}) out of range")
+        if (i, j) in seen:
+            raise ValueError(f"monomial {i} {j} repeated")
+        seen.add((i, j))
+        if not 0 <= c < q:
+            raise ValueError(f"encoding {c} out of range for GF({spec})")
 
-    c = read_rows(text, spec, "psp", "i j coeff", checks)[:, 2]
+    i, j, c = read_rows(text, spec, "psp", "i j coeff", check).T
     coeffs = np.zeros(num_monomials(spec), dtype=np.int64)
-    coeffs[k] = c  # every k is in range once the checks pass
+    coeffs[monomial_positions(spec, i, j)] = c
     return HomPoly(spec, coeffs)

@@ -3,7 +3,8 @@
 perfbench/layers.py replaces psghost functions by name with timed wrappers;
 a rename would otherwise pass the tests and break only `run.py --trace 1`.
 Likewise a field that perfbench/run.py passes and the library no longer
-accepts would break only the benchmark.
+accepts would break only the benchmark, and so would an inverse chain whose
+outputs the benchmark's check refuses.
 """
 
 import json
@@ -41,6 +42,18 @@ print(json.dumps({
     "chains": [q for _, q in run.suite_chains()]}))
 """
 
+INVERSE_CHILD = """
+import json
+import layers
+import run
+from psghost.field import FieldSpec
+ref, targets, queries, _ = run.inverse_inputs(2041, 20)
+out = layers.chain_inverse(layers.Tracer(), FieldSpec.parse(run.STREAM_FIELD),
+                           {"queries": queries})["stream"]
+print(json.dumps([run.check_particular(ref, target, text, exponent)
+                  for target, (text, exponent) in zip(targets, out)]))
+"""
+
 
 def _perfbench_child(code):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -72,3 +85,10 @@ def test_every_benchmark_field_parses():
     assert "3^3" in got["chains"]
     for text in {*got["named"], *got["chains"]}:
         assert str(FieldSpec.parse(text)) == text
+
+
+def test_inverse_chain_passes_the_benchmark_check():
+    # the parse -> solve -> format chain of the inverse workload, checked
+    # by the benchmark's own reference: a reader fault fails here before
+    # a benchmark run reads it as incorrect output
+    assert _perfbench_child(INVERSE_CHILD) == [None] * 20

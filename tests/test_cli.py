@@ -331,6 +331,23 @@ def test_verify_json_lists_failures_per_suite(monkeypatch, capsys):
                                "failures": []}
 
 
+def test_verify_elim_failed_divisibility_is_fail(monkeypatch, capsys):
+    # +1 on the first interior entry at p = 7 breaks step 2's division by
+    # 2; verify used to report it as an internal error, exit 4
+    block = elim.fourth_block
+
+    def corrupted(p):
+        M = block(p)
+        M[0][0] += 1
+        return M
+    monkeypatch.setattr(elim, "fourth_block", corrupted)
+    code, out, err = run(capsys, "verify", "--field", "7", "--suite", "elim")
+    assert code == 1 and err == ""
+    assert out.splitlines()[0] == "elim: FAIL"
+    assert ("  step 2: entry -1 of row (1,1,3) not divisible by 2"
+            in out.splitlines())
+
+
 def test_elim_trace(capsys):
     code, out, _ = run(capsys, "elim-trace", "--field", "5")
     assert code == 0
@@ -613,6 +630,8 @@ def test_unexpected_exception_exits_internal(capsys, monkeypatch):
 
 
 BIG = 10**30  # beyond int64
+SPELL = ("integers are written in the digits 0-9, each with an optional "
+         "leading '-'")
 
 
 @pytest.mark.parametrize("command,text,message", [
@@ -633,6 +652,10 @@ BIG = 10**30  # beyond int64
                               "of range"),
     ("eval", f"0 0 {-BIG}\n", f"line 1: encoding {-BIG} out of range for "
                               "GF(7)"),
+    # int() reads these; a data line takes ASCII digits and "-" only
+    ("solve", "0 0 1\n1_0 0 1\n", f"line 2: {SPELL}"),
+    ("eval", "+2 0 \u0663\n", f"line 1: {SPELL}"),
+    ("psp", "0 0 1 : +2\n", f"line 1: {SPELL}"),
 ])
 def test_reader_errors_name_the_first_bad_line(tmp_path, capsys, command,
                                                text, message):
@@ -641,6 +664,17 @@ def test_reader_errors_name_the_first_bad_line(tmp_path, capsys, command,
     code, out, err = run(capsys, command, "--field", "7", "--in", str(f))
     assert code == 3
     assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("line", ["1 2 \u0663", "1 2 +3", "1_0 2 3"])
+def test_eval_line_takes_ascii_digits_only(tmp_path, capsys, line):
+    # each used to exit 0, int() reading it as "1 2 3" or "10 2 3"
+    f = tmp_path / "g.psp"
+    f.write_text("# psp q=13\n0 0 1\n")
+    code, out, err = run(capsys, "eval", "--field", "13", "--in", str(f),
+                         "--line", line)
+    assert code == 3
+    assert out == "" and err == f"error: bad line {line!r}: {SPELL}\n"
 
 
 def test_psp_multiplicity_beyond_int64_is_reduced(tmp_path, capsys):

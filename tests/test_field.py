@@ -335,6 +335,29 @@ def test_of_without_modulus_checks_the_order_first(p, h, reason):
         FieldSpec.of(p, h)
 
 
+@pytest.mark.parametrize("p,h", [(7.0, 1), (7, 1.0), ("7", 1), (7, None)])
+def test_order_must_be_ints(p, h):
+    # 7.0 used to build a field equal to GF(7) that failed deep in a builder
+    with pytest.raises(ValueError, match="p and h are ints"):
+        FieldSpec.of(p, h)
+
+
+def test_numpy_ints_are_stored_as_ints():
+    # a fresh process, so that no cache holds GF(5) built from ints: the
+    # report used to fail in pow() on the numpy p
+    code = ("import numpy as np\n"
+            "from psghost import ghost\n"
+            "from psghost.field import FieldSpec\n"
+            "spec = FieldSpec.of(np.int64(5), np.uint8(1))\n"
+            "print(type(spec.p).__name__, type(spec.h).__name__,\n"
+            "      ghost.ghost_report(spec).ghost_exponent)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "int int 16\n"
+
+
 def test_parse_bounds_the_order():
     # one bound, MAX_Q, for the library and the CLI alike
     assert FieldSpec.parse("2^6") == FieldSpec.of(2, 6)

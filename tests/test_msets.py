@@ -196,6 +196,8 @@ def test_random_residues_reject_p_beyond_32_bits():
 
 GF7 = FieldSpec.of(7)
 BIG = 10**30  # beyond int64
+SPELL = ("integers are written in the digits 0-9, each with an optional "
+         "leading '-'")
 
 
 @pytest.mark.parametrize("text,message", [
@@ -218,6 +220,10 @@ BIG = 10**30  # beyond int64
     ("0 0 : 1\n", "line 1: expected 'a b c [: m]', got '0 0 : 1'"),
     ("0 8 9\n", "line 1: encoding 8 out of range for GF(7)"),
     ("0 0 -1\n", "line 1: encoding -1 out of range for GF(7)"),
+    # int() reads these; a data line takes ASCII digits and "-" only
+    ("0 0 1\n0 1_0 1\n", f"line 2: {SPELL}"),
+    ("0 0 1 : +2\n", f"line 1: {SPELL}"),
+    ("0 1 \u0663\n", f"line 1: {SPELL}"),
 ])
 def test_mset_text_names_the_first_bad_line(text, message):
     with pytest.raises(ValueError) as e:

@@ -261,6 +261,8 @@ def test_monomial_values_match_per_entry_formula(p, h):
 
 GF7 = FieldSpec.of(7)
 BIG = 10**30  # beyond int64
+SPELL = ("integers are written in the digits 0-9, each with an optional "
+         "leading '-'")
 
 
 @pytest.mark.parametrize("text,message", [
@@ -278,6 +280,10 @@ BIG = 10**30  # beyond int64
     ("0 0 1\n0 0 9\n", "line 2: monomial 0 0 repeated"),
     ("0 0 1\n0 9 9\n", r"line 2: monomial exponents (0, 9) out of range"),
     ("1 1 7\n0 0 -1\n", "line 1: encoding 7 out of range for GF(7)"),
+    # int() reads these; a data line takes ASCII digits and "-" only
+    ("0 0 1\n1_0 0 1\n", f"line 2: {SPELL}"),
+    ("+2 0 3\n", f"line 1: {SPELL}"),
+    ("2 0 \u0663\n", f"line 1: {SPELL}"),
 ])
 def test_poly_text_names_the_first_bad_line(text, message):
     with pytest.raises(ValueError) as e:
