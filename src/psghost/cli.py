@@ -129,11 +129,13 @@ def cmd_eval(args) -> int:
         G = poly.poly_from_text(_read(args.infile), spec)
     except ValueError as e:
         raise InputError(str(e)) from e
-    if args.line:
+    if args.line is not None:
         try:
             poly.check_digits(args.line)
-            u, v, w = (int(x) for x in args.line.split())
-            line = plane.ProjLine.from_encodings(spec, u, v, w)
+            uvw = args.line.split()
+            if len(uvw) != 3:
+                raise ValueError(f"expected 'u v w', got {args.line!r}")
+            line = plane.ProjLine.from_encodings(spec, *map(int, uvw))
         except ValueError as e:
             raise InputError(f"bad line {args.line!r}: {e}") from e
         rows = [(str(line), poly.evaluate(G, line))]

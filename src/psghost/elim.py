@@ -22,7 +22,7 @@ witness matrices as residues mod p.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from operator import mul
 
 from .field import is_prime, multinomial_int
@@ -34,48 +34,35 @@ class IntegrityError(ArithmeticError):
 
 # -- printed matrices ------------------------------------------------
 
-def table2_row_labels(p: int) -> list[tuple[int, int]]:
-    """(b, c) pairs in the printed row order of the initial matrix."""
-    rows = [(0, 0)]
-    rows += [(b, 0) for b in range(1, p)]
-    rows += [(0, c) for c in range(1, p)]
-    rows += [(b, c) for c in range(1, p) for b in range(1, p - c)]
-    return rows
-
-
-def table2_col_labels(p: int) -> list[tuple[int, int]]:
-    """(j, i) exponent pairs (column = b^j * c^i) in printed order."""
-    cols = [(0, 0)]
-    cols += [(j, 0) for j in range(1, p)]
-    cols += [(0, i) for i in range(1, p)]
-    cols += [(j, i) for i in range(1, p) for j in range(1, p - i)]
-    return cols
+def table2_labels(p: int) -> list[tuple[int, int]]:
+    """(b, c) of the base points (1,b,c), b+c <= p-1, in the printed order
+    of the initial matrix: its rows, and read as (j, i) its columns
+    b^j * c^i."""
+    return ([(0, 0)] + [(b, 0) for b in range(1, p)]
+            + [(0, c) for c in range(1, p)] + fourth_block_labels(p))
 
 
 def column_scaling(p: int) -> list[int]:
     """Multinomial coefficient stripped from each column of the witness
     matrix: the coefficient of b^j c^i in (X+bY+cZ)^(p-1)."""
-    return [multinomial_int(p - 1, i, j) for (j, i) in table2_col_labels(p)]
+    return [multinomial_int(p - 1, i, j) for (j, i) in table2_labels(p)]
 
 
-def fourth_block_row_labels(p: int) -> list[tuple[int, int]]:
-    """(b, c), b,c >= 1, b+c <= p-1, ordered by c then b."""
+def fourth_block_labels(p: int) -> list[tuple[int, int]]:
+    """(b, c), b,c >= 1, b+c <= p-1, ordered by c then b: the rows of the
+    interior block.  Its columns are (b-1, c-1), the exponents (lam, mu)
+    of b^lam c^mu, lam+mu <= p-3, left once b*c is taken out."""
     return [(b, c) for c in range(1, p - 1) for b in range(1, p - c)]
-
-
-def fourth_block_col_labels(p: int) -> list[tuple[int, int]]:
-    """(lam, mu), lam+mu <= p-3, ordered by mu then lam."""
-    return [(lam, mu) for mu in range(p - 2) for lam in range(p - 2 - mu)]
 
 
 def fourth_block(p: int) -> list[list[int]]:
     """The interior block after extracting the common b*c factor.
 
     Entry at row (1,b,c), column b^lam c^mu is the integer b^lam * c^mu.
-    Size (p-2)(p-1)/2; empty for p = 3 it is the 1x1 matrix (1).
+    Size (p-2)(p-1)/2; for p = 3 it is the 1x1 matrix (1).
     """
-    rows = fourth_block_row_labels(p)
-    cols = fourth_block_col_labels(p)
+    rows = fourth_block_labels(p)
+    cols = [(b - 1, c - 1) for b, c in rows]
     return [[b**lam * c**mu for (lam, mu) in cols] for (b, c) in rows]
 
 
@@ -88,11 +75,14 @@ class StepState:
     p: int
     n: int
     matrix: list[list[int]]
-    row_labels: list[tuple[int, int]] = dc_field(repr=False)
-    col_labels: list[tuple[int, int]] = dc_field(repr=False)
 
-    def row(self, b: int, c: int) -> list[int]:
-        return self.matrix[self.row_labels.index((b, c))]
+    @property
+    def row_labels(self) -> list[tuple[int, int]]:
+        return fourth_block_labels(self.p)
+
+    @property
+    def col_labels(self) -> list[tuple[int, int]]:
+        return [(b - 1, c - 1) for b, c in self.row_labels]
 
     def to_csv(self) -> str:
         header = "row," + ",".join(f"b^{l}c^{m}" for l, m in self.col_labels)
@@ -107,11 +97,10 @@ def elimination_step(state: StepState) -> StepState:
     """One pivotal step: rows with c = n stay fixed, rows with c >= n+1
     are divided elementwise by c-(n-1) (exactly, n >= 2) and the pivotal
     row with the same b is subtracted.  Fixed rows are shared, not copied."""
-    p, n = state.p, state.n + 1
-    pivots = {b: row for (b, c), row in zip(state.row_labels, state.matrix)
-              if c == n}
+    p, n, labels = state.p, state.n + 1, state.row_labels
+    pivots = {b: row for (b, c), row in zip(labels, state.matrix) if c == n}
     new_rows = []
-    for (b, c), row in zip(state.row_labels, state.matrix):
+    for (b, c), row in zip(labels, state.matrix):
         if c <= n:
             new_rows.append(row)
             continue
@@ -128,14 +117,13 @@ def elimination_step(state: StepState) -> StepState:
                     f"by {div}")
             out.append(x // div - y)
         new_rows.append(out)
-    return StepState(p, n, new_rows, state.row_labels, state.col_labels)
+    return StepState(p, n, new_rows)
 
 
 def elimination_states(p: int) -> Iterator[StepState]:
     """The interior block, then its state after each of the p-2 steps,
     each made once the previous one is consumed."""
-    state = StepState(p, 0, fourth_block(p), fourth_block_row_labels(p),
-                      fourth_block_col_labels(p))
+    state = StepState(p, 0, fourth_block(p))
     yield state
     for _ in range(p - 2):
         state = elimination_step(state)
@@ -223,12 +211,13 @@ def verify_procedure(p: int) -> ElimReport:
     # One state at a time.  Step n passes the rows c <= n on unchanged, so
     # its pivotal rows (c = n) are read from state n; it changes c >= n+1,
     # row (1,b,c) to b^lam times the closed form, by column.
-    scale = {b: [b**lam for lam, _ in fourth_block_col_labels(p)]
-             for b in range(1, p - 1)}
+    labels = fourth_block_labels(p)
+    cols = [(b - 1, c - 1) for b, c in labels]
+    scale = {b: [b**lam for lam, _ in cols] for b in range(1, p - 1)}
     blocks = []
     try:
         for state in elimination_states(p):
-            n, cols = state.n, state.col_labels
+            n = state.n
             if n == 0:
                 continue
             pivot_cols = [cols.index((lam, n - 1))
@@ -236,7 +225,7 @@ def verify_procedure(p: int) -> ElimReport:
             factors = {c: closed_form_factor(n, c, cols)
                        for c in range(n + 1, p - 1)}
             blocks.append([])
-            for (b, c), row in zip(state.row_labels, state.matrix):
+            for (b, c), row in zip(labels, state.matrix):
                 if c == n:
                     blocks[-1].append([row[i] for i in pivot_cols])
                 if c <= n:
@@ -263,7 +252,7 @@ def verify_procedure(p: int) -> ElimReport:
                     for b in range(1, p - n)]
         if block != expected:
             disc.append(f"step {n}: pivotal block is not Vandermonde")
-        elif det_nonzero_mod_p(block, p):
+        elif linalg.rank(block, p) == len(block):
             checks.append(f"step {n}: pivotal Vandermonde block nonsingular "
                           f"mod {p}")
         else:
@@ -271,7 +260,7 @@ def verify_procedure(p: int) -> ElimReport:
 
     # Outer blocks of the initial matrix.
     vand = [[b**j % p for j in range(1, p)] for b in range(1, p)]
-    if det_nonzero_mod_p(vand, p):
+    if linalg.rank(vand, p) == len(vand):
         checks.append("outer Vandermonde blocks nonsingular mod p")
     else:
         disc.append("outer Vandermonde block singular mod p")
@@ -280,11 +269,11 @@ def verify_procedure(p: int) -> ElimReport:
     # rank mod p via generic elimination, and column stripping is a pure
     # scaling that cannot change singularity.  Both matrices are built as
     # residues mod p: entry b^j c^i of the stripped witness matrix at row
-    # (1,b,c), times the multinomial of column b^j c^i when weighted.
+    # (1,b,c), times the multinomial of column b^j c^i when weighted.  The
+    # columns carry the row labels, (j, i) = (b, c) transposed.
     power = np.array([[pow(x, e, p) for e in range(p)] for x in range(p)])
-    b, c = np.array(table2_row_labels(p)).T[:, :, None]
-    j, i = np.array(table2_col_labels(p)).T
-    stripped = power[b, j] * power[c, i] % p
+    b, c = np.array(table2_labels(p)).T[:, :, None]
+    stripped = power[b, b.T] * power[c, c.T] % p
     scaling = np.array([s % p for s in column_scaling(p)])
     full = linalg.rank(stripped * scaling % p, p)
     dim = p * (p + 1) // 2
@@ -304,13 +293,3 @@ def verify_procedure(p: int) -> ElimReport:
 
     return ElimReport(p, not disc, state.n, checks, disc, cells)
 
-
-def det_nonzero_mod_p(M, p: int) -> bool:
-    """True iff the integer determinant of square M is nonzero mod p.
-
-    That holds exactly when M has full rank over F_p.
-    """
-    from . import linalg
-    if any(len(row) != len(M) for row in M):
-        raise ValueError("determinant requires a square matrix")
-    return linalg.rank(M, p) == len(M)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -99,6 +99,7 @@ class FieldSpec:
 
     p: int
     h: int
+    q: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -109,10 +110,7 @@ class FieldSpec:
         _check_order(p, h)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "h", h)
-
-    @property
-    def q(self) -> int:
-        return self.p**self.h
+        object.__setattr__(self, "q", p**h)
 
     @property
     def modulus(self) -> tuple[int, ...]:

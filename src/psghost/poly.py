@@ -101,14 +101,14 @@ def add_poly(G: HomPoly, H: HomPoly) -> HomPoly:
     return HomPoly(G.spec, field.add(G.spec, G.coeffs, H.coeffs))
 
 
-def monomial_values(spec: FieldSpec, T, coeffs=None) -> np.ndarray:
+def monomial_values(spec: FieldSpec, T, coeffs) -> np.ndarray:
     """Encodings of c * u^(q-1-i-j) * v^j * w^i for triples (u, v, w).
 
     T is an (n, 3) array of encodings; the result is (n, m), one column per
-    monomial in monomial_indices order.  coeffs gives the m encodings c
-    (1 by default).  One gather in the log domain: the exponent of g is
-    log c + sum of exponent * log base, and an entry is 0 where c = 0 or a
-    zero base has a positive exponent (0^0 = 1).
+    monomial in monomial_indices order, and coeffs the m encodings c.  One
+    gather in the log domain: the exponent of g is log c + sum of
+    exponent * log base, and an entry is 0 where c = 0 or a zero base has
+    a positive exponent (0^0 = 1).
     """
     q1 = spec.q - 1
     # Exponents total q-1 and logs are at most q-2, so every sum over
@@ -118,8 +118,7 @@ def monomial_values(spec: FieldSpec, T, coeffs=None) -> np.ndarray:
     logs[0] = zero
     i, j = np.array(monomial_indices(spec), dtype=np.int64).reshape(-1, 2).T
     s = logs[np.asarray(T, dtype=np.int64)] @ np.stack([q1 - i - j, j, i])
-    if coeffs is not None:
-        s += logs[np.asarray(coeffs, dtype=np.int64)]
+    s += logs[np.asarray(coeffs, dtype=np.int64)]
     powers = np.append(np.tile(spec.exp[:q1], q1), 0)  # g^s; 0 at s = q1^2
     return powers[np.minimum(s, zero, out=s)]
 

@@ -86,10 +86,12 @@ def test_criterion_4_ghost_count_theorem():
 def test_criterion_5_example_replay_p7():
     t0 = time.perf_counter()
     states = elim.run_elimination(7)
-    anchors = (states[1].row(1, 2)[-6:] == [3, 3, 3, 7, 7, 15]
-               and states[2].row(1, 3)[-6:] == [1, 1, 1, 6, 6, 25]
-               and states[3].row(1, 4)[-3:] == [1, 1, 10]
-               and states[4].row(1, 5)[-3:] == [0, 0, 1])
+    row = {(s.n, label): r for s in states
+           for label, r in zip(s.row_labels, s.matrix)}
+    anchors = (row[1, (1, 2)][-6:] == [3, 3, 3, 7, 7, 15]
+               and row[2, (1, 3)][-6:] == [1, 1, 1, 6, 6, 25]
+               and row[3, (1, 4)][-3:] == [1, 1, 10]
+               and row[4, (1, 5)][-3:] == [0, 0, 1])
     # full cell-by-cell comparison against the closed forms
     cells_ok = True
     for state in states[1:]:

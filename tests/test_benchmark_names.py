@@ -4,7 +4,8 @@ perfbench/layers.py replaces psghost functions by name with timed wrappers;
 a rename would otherwise pass the tests and break only `run.py --trace 1`.
 Likewise a field that perfbench/run.py passes and the library no longer
 accepts would break only the benchmark, and so would an inverse chain whose
-outputs the benchmark's check refuses.
+outputs the benchmark's check refuses, or an elim-trace chain whose CSV it
+refuses.
 """
 
 import json
@@ -54,6 +55,18 @@ print(json.dumps([run.check_particular(ref, target, text, exponent)
                   for target, (text, exponent) in zip(targets, out)]))
 """
 
+ELIM_TRACE_CHILD = """
+import json
+import layers
+import run
+from psghost.field import FieldSpec
+tr = layers.Tracer()
+layers.install(tr)
+out = layers.chain_elim_trace(tr, FieldSpec.of(run.ELIM_TRACE_P), {})
+print(json.dumps({"check": run.check_elim_trace(run.ELIM_TRACE_P, out["csv"]),
+                  "spans": sorted({s[1] for s in tr.spans})}))
+"""
+
 
 def _perfbench_child(code):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -92,3 +105,12 @@ def test_inverse_chain_passes_the_benchmark_check():
     # by the benchmark's own reference: a reader fault fails here before
     # a benchmark run reads it as incorrect output
     assert _perfbench_child(INVERSE_CHILD) == [None] * 20
+
+
+def test_elim_trace_chain_passes_the_benchmark_check():
+    # the traced elim-trace chain at the benchmark's p, through the
+    # wrappers install() puts on run_elimination and StepState.to_csv, and
+    # its CSV read by the benchmark's own check
+    got = _perfbench_child(ELIM_TRACE_CHILD)
+    assert got["check"] is None
+    assert {"elim.run_elimination", "elim.to_csv"} <= set(got["spans"])

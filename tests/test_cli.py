@@ -677,6 +677,19 @@ def test_eval_line_takes_ascii_digits_only(tmp_path, capsys, line):
     assert out == "" and err == f"error: bad line {line!r}: {SPELL}\n"
 
 
+@pytest.mark.parametrize("line", ["", "  ", "1 2", "1 2 3 4"])
+def test_eval_line_takes_three_integers(tmp_path, capsys, line):
+    # "" used to print every line's value and exit 0; the others exited 3
+    # with Python's unpacking text
+    f = tmp_path / "g.psp"
+    f.write_text("# psp q=3\n0 0 1\n")
+    code, out, err = run(capsys, "eval", "--field", "3", "--in", str(f),
+                         "--line", line)
+    assert code == 3
+    assert out == "" and err == (f"error: bad line {line!r}: expected "
+                                 f"'u v w', got {line!r}\n")
+
+
 def test_psp_multiplicity_beyond_int64_is_reduced(tmp_path, capsys):
     # 10**30 = 1 (mod 3): the file holds the point (0, 0, 1) once
     big, one = tmp_path / "big.mset", tmp_path / "one.mset"

@@ -42,14 +42,19 @@ STEP4_P7 = {
 }
 
 
+def _cols(p):
+    """(lam, mu) of the interior block's columns b^lam c^mu."""
+    return [(b - 1, c - 1) for b, c in elim.fourth_block_labels(p)]
+
+
 def test_base_points_p3():
     # the rows are the base points (1, b, c), b + c <= p - 1
-    assert sorted(elim.table2_row_labels(3)) == [(0, 0), (0, 1), (0, 2),
-                                                 (1, 0), (1, 1), (2, 0)]
+    assert sorted(elim.table2_labels(3)) == [(0, 0), (0, 1), (0, 2),
+                                             (1, 0), (1, 1), (2, 0)]
 
 
 def test_base_points_p7():
-    rows = elim.table2_row_labels(7)
+    rows = elim.table2_labels(7)
     assert sorted(rows) == [(b, c) for b in range(7) for c in range(7 - b)]
     interior = [(b, c) for (b, c) in rows if b >= 1 and c >= 1]
     assert len(interior) == 15
@@ -65,8 +70,8 @@ def test_fourth_block_shapes():
 def test_fourth_block_spot_entries():
     p = 7
     B = elim.fourth_block(p)
-    rows = elim.fourth_block_row_labels(p)
-    cols = elim.fourth_block_col_labels(p)
+    rows = elim.fourth_block_labels(p)
+    cols = _cols(p)
     assert B[rows.index((2, 2))][cols.index((1, 1))] == 4      # (1,2,2) at bc
     assert B[rows.index((1, 5))][cols.index((0, 4))] == 625    # (1,1,5) at c^4
 
@@ -75,7 +80,7 @@ def test_initial_block_matches_printed_example_p7():
     # first row of the p=7 interior block is all ones
     B = elim.fourth_block(7)
     assert B[0] == [1] * 15
-    rows = elim.fourth_block_row_labels(7)
+    rows = elim.fourth_block_labels(7)
     assert B[rows.index((1, 2))] == [1, 1, 1, 1, 1, 2, 2, 2, 2, 4, 4, 4,
                                      8, 8, 16]
 
@@ -85,12 +90,16 @@ def _state_at(p, n):
     return states[n]
 
 
+def _row(state, b, c):
+    return state.matrix[state.row_labels.index((b, c))]
+
+
 @pytest.mark.parametrize("n,fixture,tail", [
     (1, STEP1_P7, 15), (2, STEP2_P7, 10), (3, STEP3_P7, 6), (4, STEP4_P7, 3)])
 def test_example7_step_fixtures(n, fixture, tail):
     state = _state_at(7, n)
     for (b, c), expected in fixture.items():
-        row = state.row(b, c)
+        row = _row(state, b, c)
         assert row[-tail:] == expected, f"row (1,{b},{c}) at step {n}"
 
 
@@ -129,7 +138,7 @@ def _paper_nested_sum(n, c, mu):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_closed_forms_match_the_paper_sums(p):
-    cols = elim.fourth_block_col_labels(p)
+    cols = _cols(p)
     for n in range(1, p - 1):
         for c in range(n + 1, p - 1):
             assert elim.closed_form_factor(n, c, cols) == [
@@ -138,8 +147,7 @@ def test_closed_forms_match_the_paper_sums(p):
 
 def test_division_exactness_enforced():
     state = next(elim.elimination_states(7))
-    bad = elim.StepState(7, 1, [[x + 1 for x in row] for row in state.matrix],
-                         state.row_labels, state.col_labels)
+    bad = elim.StepState(7, 1, [[x + 1 for x in row] for row in state.matrix])
     with pytest.raises(elim.IntegrityError):
         elim.elimination_step(bad)
 
@@ -147,7 +155,7 @@ def test_division_exactness_enforced():
 def test_column_scaling_values():
     p = 5
     scaling = elim.column_scaling(p)
-    cols = elim.table2_col_labels(p)
+    cols = elim.table2_labels(p)
     assert scaling[cols.index((0, 0))] == 1
     assert scaling[cols.index((1, 1))] == multinomial_int(4, 1, 1)  # 12
 
@@ -174,7 +182,7 @@ def test_verify_procedure_holds_one_state():
 def test_closed_forms_keep_no_memo():
     # The levels of the nested sums live only within one
     # closed_form_factor call; a process-wide cache held 13 MiB after p = 37.
-    cols = elim.fourth_block_col_labels(29)
+    cols = _cols(29)
     elim.closed_form_factor(6, 14, cols)  # first-call allocations
     tracemalloc.start()
     try:
