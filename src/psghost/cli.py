@@ -237,7 +237,10 @@ def _suite_pencils(spec, rng, failures):
     for l in [plane.ProjLine(spec, row) for row in range(5)]:
         labels.append(f"line ghost {l}")
         stack.append(ghost.line_ghost(l, spec).mult)
-    ok = ghost.is_ghost_stack(spec, stack).tolist()
+    # each ghost by both characterizations: a zero power sum, and every
+    # line meeting it in the same count mod p
+    ok = (ghost.is_ghost_stack(spec, stack)
+          & ghost.vandermonde_check_stack(spec, stack)).tolist()
     failures.extend(label for label, good in zip(labels, ok) if not good)
     return len(stack)
 

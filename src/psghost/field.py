@@ -154,10 +154,6 @@ class FieldSpec:
             raise ValueError(f"encoding {encoding} out of range for GF({self})")
         return encoding
 
-    def element(self, encoding: int) -> "FieldElement":
-        """Element from its integer encoding (base-p digits, low first)."""
-        return FieldElement(self, self.check_encoding(encoding))
-
     def elements(self) -> list["FieldElement"]:
         return [FieldElement(self, k) for k in range(self.q)]
 
@@ -229,13 +225,10 @@ def mul(spec: FieldSpec, a, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FieldElement:
-    """Element of GF(p^h), a view of its integer encoding."""
+    """Element of GF(p^h) from `FieldSpec.elements()`; `*` only."""
 
     spec: FieldSpec
     encoding: int
-
-    def is_zero(self) -> bool:
-        return self.encoding == 0
 
     def __mul__(self, other):
         if not isinstance(other, FieldElement) or other.spec != self.spec:
@@ -246,18 +239,6 @@ class FieldElement:
         exp, log = _tables(spec)
         return FieldElement(
             spec, exp.item((log.item(a) + log.item(b)) % (spec.q - 1)))
-
-    def __pow__(self, n: int):
-        a, spec = self.encoding, self.spec
-        if a == 0:
-            if n < 0:
-                raise ZeroDivisionError("inverse of zero field element")
-            return FieldElement(spec, 1 if n == 0 else 0)
-        exp, log = _tables(spec)
-        return FieldElement(spec, exp.item(log.item(a) * n % (spec.q - 1)))
-
-    def inv(self) -> "FieldElement":
-        return self ** -1
 
 
 @lru_cache(maxsize=None)

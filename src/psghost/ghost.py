@@ -106,11 +106,9 @@ def partial_pencil_ghost(P: ProjPoint, lam: int, spec: FieldSpec) -> PointMultis
     Legal for 0 <= lam <= p^(h-1); the union is always a ghost.  Lines are
     taken in canonical enumeration order restricted to the pencil.
     """
-    p, h, q = spec.p, spec.h, spec.q
-    n_lines = lam * p + 1
-    if not (0 <= lam <= p**(h - 1)) or n_lines > q + 1:
+    if not 0 <= lam <= spec.p**(spec.h - 1):
         raise ValueError(f"lambda = {lam} out of range for GF({spec})")
-    return PointMultiset(spec, _pencil_union(P, n_lines, spec))
+    return PointMultiset(spec, _pencil_union(P, lam * spec.p + 1, spec))
 
 
 def punctured_pencil_ghost(P: ProjPoint, lam: int, spec: FieldSpec) -> PointMultiset:

@@ -248,8 +248,12 @@ def read_rows(text: str, spec: FieldSpec, kind: str, syntax: str, check,
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
         if s.startswith("#"):
-            if not (header := _HEADER.match(s)):
+            # a comment, unless its first word, in any case, names a kind
+            if s[1:].lower().split()[:1] not in (["mset"], ["psp"]):
                 continue
+            if not (header := _HEADER.fullmatch(s)):
+                raise ValueError(f"line {lineno}: malformed header {raw!r}, "
+                                 f"expected '# {kind} q=<p^h>'")
             if header.group(1) != kind:
                 raise ValueError(f"header says # {header.group(1)}, but a "
                                  f"# {kind} file is expected")

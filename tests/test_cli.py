@@ -331,6 +331,24 @@ def test_verify_json_lists_failures_per_suite(monkeypatch, capsys):
                                "failures": []}
 
 
+@pytest.mark.parametrize("field", ["3", "2^2", "11"])
+def test_verify_pencils_checks_each_ghost_both_ways(monkeypatch, capsys,
+                                                    field):
+    # the pencil ghosts used to be checked by is_ghost_stack alone, and no
+    # suite saw the constant-intersection test accept a ghost
+    from psghost import ghost
+    monkeypatch.setattr(ghost, "vandermonde_check_stack",
+                        lambda spec, V: np.zeros(len(V), dtype=bool))
+    code, out, err = run(capsys, "verify", "--field", field, "--suite",
+                         "pencils")
+    assert code == 1 and err == ""
+    assert out.splitlines()[0] == "pencils: FAIL"
+    code, data = _verify_json(capsys, field, "--suite", "pencils")
+    suite = data["suites"][0]
+    assert code == 1 and suite["status"] == "FAIL"
+    assert len(suite["failures"]) == suite["checked"]
+
+
 def test_verify_elim_failed_divisibility_is_fail(monkeypatch, capsys):
     # +1 on the first interior entry at p = 7 breaks step 2's division by
     # 2; verify used to report it as an internal error, exit 4
@@ -656,6 +674,15 @@ SPELL = ("integers are written in the digits 0-9, each with an optional "
     ("solve", "0 0 1\n1_0 0 1\n", f"line 2: {SPELL}"),
     ("eval", "+2 0 \u0663\n", f"line 1: {SPELL}"),
     ("psp", "0 0 1 : +2\n", f"line 1: {SPELL}"),
+    # each used to be read as a comment: eval printed GF(7) values of a
+    # file that says GF(5), and exited 0
+    ("eval", "# psp q= 5\n0 1 3\n",
+     "line 1: malformed header '# psp q= 5', expected '# psp q=<p^h>'"),
+    ("solve", "# PSP q=5\n0 1 3\n",
+     "line 1: malformed header '# PSP q=5', expected '# psp q=<p^h>'"),
+    ("psp", "# mset q = 5\n0 0 1\n", "line 1: malformed header "
+                                      "'# mset q = 5', expected "
+                                      "'# mset q=<p^h>'"),
 ])
 def test_reader_errors_name_the_first_bad_line(tmp_path, capsys, command,
                                                text, message):

@@ -238,6 +238,42 @@ def test_verify_reports_a_corrupted_row_cell_by_cell(monkeypatch):
         "59f8c264202bf94fbfa3ef05a55a89636294c93f2001afb6edeefcb7e7437d0e")
 
 
+def test_verify_reports_each_failed_rank_check(monkeypatch):
+    # every rank read as 0: each pivotal block, the outer blocks, and the
+    # weighted and the stripped witness matrices
+    from psghost import linalg
+    monkeypatch.setattr(linalg, "rank", lambda M, p: 0)
+    report = elim.verify_procedure(5)
+    assert not report.ok
+    assert report.discrepancies == [
+        "step 1: pivotal block singular mod 5",
+        "step 2: pivotal block singular mod 5",
+        "step 3: pivotal block singular mod 5",
+        "outer Vandermonde block singular mod p",
+        "weighted image matrix rank 0 != 15 mod 5",
+        "stripped matrix singular mod p",
+    ]
+
+
+def test_verify_reports_a_vanishing_column_factor(monkeypatch):
+    # a multiple of p as the first column's multinomial also costs the
+    # weighted matrix one rank
+    scaling = elim.column_scaling
+    monkeypatch.setattr(elim, "column_scaling",
+                        lambda p: [3 * p] + scaling(p)[1:])
+    report = elim.verify_procedure(5)
+    assert not report.ok
+    assert report.discrepancies == [
+        "weighted image matrix rank 14 != 15 mod 5",
+        "a stripped multinomial column factor vanishes mod p",
+    ]
+
+
+def test_closed_forms_start_at_step_1():
+    with pytest.raises(ValueError, match="steps n >= 1"):
+        elim.closed_form_factor(0, 2, [(0, 1)])
+
+
 def test_verify_rejects_bad_p():
     with pytest.raises(ValueError):
         elim.verify_procedure(4)

@@ -95,6 +95,15 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_field_element_is_named_in_field_and_the_export_map_only():
+    # the scalar that the benchmark's field chain multiplies; every
+    # command computes on integer encodings
+    named = [path.name
+             for path in sorted(Path(psghost.__file__).parent.glob("*.py"))
+             if "FieldElement" in path.read_text()]
+    assert named == ["__init__.py", "field.py"]
+
+
 def test_closed_stdout_is_input_error():
     # like `psghost elim-trace --field 13 | head -1`: 212 KB of trace
     # against a 64 KiB pipe, so a write meets the closed end

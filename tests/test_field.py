@@ -1,13 +1,15 @@
 import itertools
+import operator
 import os
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
+import schoolbook
 from psghost import field
 from psghost.field import FieldSpec, multinomial_int
 
@@ -29,6 +31,17 @@ class _GF9X2P1(FieldSpec):
 
 
 GF9_X2P1 = _GF9X2P1(3, 2)
+
+
+class _GF9X2(FieldSpec):
+    """GF(9)'s digits modulo the reducible x^2: a ring with zero divisors,
+    in which no element has order 8."""
+
+    @property
+    def modulus(self):
+        return (0, 0, 1)
+
+
 ALL_Q = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
          (13, 1), (17, 1), (19, 1), (23, 1)]
 # (p, h) of every prime power p^h <= MAX_Q
@@ -41,6 +54,14 @@ SRC = Path(field.__file__).resolve().parent.parent
 
 def spec_of(p, h):
     return FieldSpec.of(p, h)
+
+
+def power(spec, a, n):
+    """a^n for n >= 1, by n - 1 products of field.mul."""
+    x = a
+    for _ in range(n - 1):
+        x = field.mul(spec, x, a)
+    return x
 
 
 def test_add_prime_field():
@@ -56,57 +77,49 @@ def test_add_gf9_componentwise():
 
 
 def test_mul_prime_field():
-    assert GF7.element(3) * GF7.element(5) == GF7.element(1)
+    e = GF7.elements()
+    assert e[3] * e[5] == e[1]
+    assert e[6] * e[6] == e[1]  # (-1)^2
+    one = FieldSpec.of(2).elements()[1]
+    assert one * one == one
 
 
 def test_mul_gf4_reduction():
-    x = GF4.element(2)
-    assert x * x == GF4.element(3)  # x + 1
+    e = GF4.elements()
+    x = e[2]
+    assert x * x == e[3]  # x + 1
+    assert x * e[3] == e[1]  # x (x + 1) = x^2 + x = 1
 
 
 def test_mul_gf9_x_squared():
-    x = GF9.element(3)  # x
-    assert x * x == GF9.element(4)  # x^2 = -2x - 2 = x + 1
-
-
-def test_inv():
-    assert GF7.element(3).inv() == GF7.element(5)
-    gf2 = FieldSpec.of(2)
-    assert gf2.element(1).inv() == gf2.element(1)
-    x = GF4.element(2)
-    assert x.inv() == GF4.element(3)  # x + 1
-
-
-def test_inv_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        GF7.element(0).inv()
-
-
-def test_pow_exponents_beyond_int64():
-    assert GF7.element(3) ** (2**70) == GF7.element(pow(3, 2**70, 7))
-    assert GF7.element(3) ** -(2**70) == GF7.element(pow(5, 2**70, 7))
-    assert GF4.element(0) ** (2**70) == GF4.element(0)
-    assert GF4.element(0) ** 0 == GF4.element(1)
+    e = GF9.elements()
+    x = e[3]  # x
+    assert x * x == e[4]  # x^2 = -2x - 2 = x + 1
 
 
 def test_spec_mismatch_raises():
-    with pytest.raises(ValueError):
-        GF7.element(1) * FieldSpec.of(5).element(1)
+    # GF9_X2P1 has the (p, h) of GF9 but another modulus
+    for a, b in [(GF7, FieldSpec.of(5)), (GF9, GF9_X2P1)]:
+        with pytest.raises(ValueError, match="field mismatch"):
+            a.elements()[1] * b.elements()[1]
+    with pytest.raises(ValueError, match="field mismatch"):
+        GF7.elements()[1] * 1
 
 
 def test_pow_q_minus_1_examples():
-    assert GF7.element(4) ** 6 == GF7.element(1)
-    assert GF7.element(0) ** 6 == GF7.element(0)
-    gf9 = FieldSpec.of(3, 2)
-    assert gf9.element(3) ** 8 == gf9.element(1)  # x^8 = 1
+    e = GF7.elements()
+    assert reduce(operator.mul, [e[4]] * 6) == e[1]
+    assert reduce(operator.mul, [e[0]] * 6) == e[0]
+    e = GF9.elements()
+    assert reduce(operator.mul, [e[3]] * 8) == e[1]  # x^8 = 1
+    assert reduce(operator.mul, [e[3]] * 4) != e[1]  # x is primitive
 
 
 @pytest.mark.parametrize("p,h", ALL_Q)
 def test_pow_q_minus_1_exhaustive(p, h):
     spec = spec_of(p, h)
-    for a in spec.elements():
-        assert a ** (spec.q - 1) == (spec.element(0) if a.is_zero()
-                                     else spec.element(1))
+    want = [0] + [1] * (spec.q - 1)
+    assert power(spec, np.arange(spec.q), spec.q - 1).tolist() == want
 
 
 def test_multinomial_examples():
@@ -130,46 +143,42 @@ def test_multinomial_nonzero_prime_field(p):
 
 
 @pytest.mark.parametrize("p,h", ALL_Q)
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_field_axioms(p, h, data):
+def test_field_axioms(p, h):
+    # every triple of elements, 12167 at q = 23
     spec = spec_of(p, h)
-    enc = st.integers(min_value=0, max_value=spec.q - 1)
-    a, b, c = (data.draw(enc) for _ in range(3))
+    a, b, c = np.ix_(*[range(spec.q)] * 3)
 
     def add(x, y):
         return field.add(spec, x, y)
 
     def mul(x, y):
-        return int(field.mul(spec, x, y))
+        return field.mul(spec, x, y)
 
-    assert add(add(a, b), c) == add(a, add(b, c))
-    assert mul(mul(a, b), c) == mul(a, mul(b, c))
-    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-    assert add(a, mul(a, p - 1)) == 0  # -a = (p-1) a
-    x, y = spec.element(a), spec.element(b)
-    assert (x * y).encoding == mul(a, b)
-    if a:
-        assert x * x.inv() == spec.element(1)
+    assert np.array_equal(add(add(a, b), c), add(a, add(b, c)))
+    assert np.array_equal(mul(mul(a, b), c), mul(a, mul(b, c)))
+    assert np.array_equal(mul(a, add(b, c)), add(mul(a, b), mul(a, c)))
+    a = np.arange(spec.q)
+    assert not add(a, mul(a, p - 1)).any()  # -a = (p-1) a
+    inv = schoolbook.tables(spec).inv
+    assert mul(a[1:], inv[1:]).tolist() == [1] * (spec.q - 1)
 
 
 @pytest.mark.parametrize("p,h", ALL_Q)
-@settings(max_examples=20, deadline=None)
-@given(data=st.data())
-def test_frobenius(p, h, data):
+def test_frobenius(p, h):
+    # (a + b)^p = a^p + b^p for every pair
     spec = spec_of(p, h)
-    enc = st.integers(min_value=0, max_value=spec.q - 1)
-    a, b = data.draw(enc), data.draw(enc)
-    x, y = spec.element(a), spec.element(b)
-    assert (spec.element(field.add(spec, a, b)) ** p).encoding == field.add(
-        spec, (x**p).encoding, (y**p).encoding)
+    a, b = np.ix_(*[range(spec.q)] * 2)
+    assert np.array_equal(power(spec, field.add(spec, a, b), p),
+                          field.add(spec, power(spec, a, p),
+                                    power(spec, b, p)))
 
 
 def test_encoding_round_trip():
     for p, h in ALL_Q:
         spec = spec_of(p, h)
-        for k in range(spec.q):
-            assert spec.element(k).encoding == k
+        els = spec.elements()
+        assert [x.encoding for x in els] == list(range(spec.q))
+        assert all(x.spec is spec for x in els)
 
 
 def test_parse():
@@ -230,39 +239,16 @@ def _ref_irreducible(f, p):
                for low in itertools.product(range(p), repeat=d))
 
 
-def _ref_digits(spec, e):
-    return [e // spec.p**k % spec.p for k in range(spec.h)]
-
-
-def _ref_encoding(spec, coeffs):
-    return sum(c * spec.p**k for k, c in enumerate(coeffs))
-
-
-def _ref_mul(spec, a, b):
-    p, h, mod = spec.p, spec.h, spec.modulus
-    prod = [0] * (2 * h - 1)
-    for i, x in enumerate(_ref_digits(spec, a)):
-        for j, y in enumerate(_ref_digits(spec, b)):
-            prod[i + j] = (prod[i + j] + x * y) % p
-    for k in range(2 * h - 2, h - 1, -1):  # x^h = -(mod[0] + ... )
-        top, prod[k] = prod[k], 0
-        for i in range(h):
-            prod[k - h + i] = (prod[k - h + i] - top * mod[i]) % p
-    return _ref_encoding(spec, prod[:h])
-
-
 def _check_against_schoolbook(spec):
     q = spec.q
-    a, b = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
-    sums, prods = field.add(spec, a, b), field.mul(spec, a, b)
-    for x, y in itertools.product(range(q), repeat=2):
-        ref_sum = _ref_encoding(spec, [
-            (s + t) % spec.p for s, t in zip(_ref_digits(spec, x),
-                                             _ref_digits(spec, y))])
-        ref_prod = _ref_mul(spec, x, y)
-        assert sums[x, y] == ref_sum and prods[x, y] == ref_prod
-        assert field.add(spec, x, y) == ref_sum  # Python ints
-        assert (spec.element(x) * spec.element(y)).encoding == ref_prod
+    ref_add, ref_mul, _, _ = schoolbook.tables(spec)
+    a, b = np.ix_(range(q), range(q))
+    assert np.array_equal(field.add(spec, a, b), ref_add)
+    assert np.array_equal(field.mul(spec, a, b), ref_mul)
+    assert [[field.add(spec, x, y) for y in range(q)]  # Python ints
+            for x in range(q)] == ref_add.tolist()
+    els = spec.elements()
+    assert [[(x * y).encoding for y in els] for x in els] == ref_mul.tolist()
 
 
 REFERENCE_SPECS = sorted({FieldSpec.of(p, h) for p, h in ALL_Q}
@@ -284,20 +270,27 @@ def test_tables_are_a_primitive_element(spec):
     assert sorted(exp[:-1].tolist()) == list(range(1, spec.q)) and exp[-1] == 1
     assert np.array_equal(log[exp[:-1]], np.arange(spec.q - 1))
     g = int(exp[1 % (spec.q - 1)])
-    assert all(_ref_mul(spec, int(exp[k]), g) == int(exp[k + 1])
+    assert all(schoolbook.mul(spec, int(exp[k]), g) == int(exp[k + 1])
                for k in range(spec.q - 1))
     # no element of smaller encoding generates the multiplicative group
     for c in range(1, g):
         powers, e = {1}, c
         while e != 1:
             powers.add(e)
-            e = _ref_mul(spec, e, c)
+            e = schoolbook.mul(spec, e, c)
         assert len(powers) < spec.q - 1
 
 
 def test_x_is_not_primitive_in_gf9_x2p1():
     # x^2 = -1, so x has order 4 and the generator search must go past it
     assert GF9_X2P1.exp.tolist()[:2] == [1, 4]  # g = 1 + x
+
+
+def test_a_ring_without_a_primitive_element_is_refused():
+    # x^2 = 0 under the reducible modulus, so no power cycle has length 8
+    with pytest.raises(ArithmeticError,
+                       match=r"GF\(3\^2\) has no primitive element"):
+        _GF9X2(3, 2).exp
 
 
 def test_least_candidate_not_primitive_in_gf7():
@@ -310,7 +303,9 @@ def test_tables_built_on_first_arithmetic():
     spec = FieldSpec.of(2, 4)
     field.add(spec, 3, 5)
     assert field._tables.cache_info().currsize == 0
-    spec.element(3) * spec.element(5)
+    els = spec.elements()
+    assert field._tables.cache_info().currsize == 0
+    els[3] * els[5]
     assert field._tables.cache_info().currsize == 1
 
 

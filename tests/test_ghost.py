@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import schoolbook
 from psghost.field import FieldSpec
 from psghost.ghost import (ghost_report, is_ghost, is_ghost_stack,
                            line_ghost, partial_pencil_ghost,
@@ -55,6 +56,17 @@ def test_partial_pencil_ghosts_all_legal_lambda(p, h):
         assert is_ghost(S)
     with pytest.raises(ValueError):
         partial_pencil_ghost(P, p**(h - 1) + 1, spec)
+
+
+def test_punctured_pencil_lambda_out_of_range():
+    # q - lam*p lines must number 1 to q + 1
+    spec = FieldSpec.of(3, 2)
+    P = enumerate_points(spec)[5]
+    assert punctured_pencil_ghost(P, 2, spec).size == 3 * spec.q  # 3 lines
+    for lam in (-1, 3):
+        message = rf"lambda = {lam} out of range for GF\(3\^2\)"
+        with pytest.raises(ValueError, match=message):
+            punctured_pencil_ghost(P, lam, spec)
 
 
 def test_partial_pencil_lambda0_is_line():
@@ -368,8 +380,9 @@ def test_vandermonde_check_in_column_blocks_at_2_5():
     # v = 30 and 31 those lines are columns 992 on, the second block, so
     # the first block sees every line meet this pair evenly.
     pair = np.zeros(n, dtype=np.int64)
+    inv = schoolbook.tables(spec).inv
     for v in (30, 31):
-        pair[1 + q + spec.element(v).inv().encoding * q] = 1
+        pair[1 + q + inv[v] * q] = 1
     assert not np.any(pair @ incidence_matrix(spec)[:, :992] % 2)
     rows.append(pair)
     V = np.array(rows, dtype=np.int64)

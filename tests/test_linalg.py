@@ -323,6 +323,20 @@ def test_elimination_matches_python_integer_reference(p):
         assert B.tolist() == _ref_left_kernel(A, p)
 
 
+def test_as_fp_takes_a_matrix_only():
+    for M in ([1, 2, 3], np.zeros((2, 2, 2), dtype=np.int64), 5):
+        with pytest.raises(ValueError, match="expected a 2-d matrix"):
+            linalg.as_fp(M, 3)
+
+
+def test_prefactored_solve_checks_the_target_length():
+    solver = linalg.PrefactoredLeftSystem(np.eye(3, dtype=np.int64), 5)
+    assert solver.solve([1, 2, 3]).tolist() == [1, 2, 3]
+    for target in ([1, 2], [1, 2, 3, 4], [[1, 2, 3]]):
+        with pytest.raises(ValueError, match="target length"):
+            solver.solve(target)
+
+
 def test_as_fp_is_exact_on_uint64_beyond_int64():
     # uint64 values >= 2^63 have no int64 form; they are reduced as Python
     # integers

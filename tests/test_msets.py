@@ -60,6 +60,15 @@ def test_complement_containment_error():
         complement(single(GF3, (0, 0, 1), 2), single(GF3, (0, 0, 1), 1))
 
 
+def test_group_operations_refuse_another_field():
+    A, B = PointMultiset.empty(GF2), PointMultiset.empty(GF3)
+    for op in (msum, complement):
+        with pytest.raises(ValueError, match="field mismatch"):
+            op(A, B)
+        with pytest.raises(ValueError, match="field mismatch"):
+            op(B, A)
+
+
 def test_phi_identity_and_example():
     assert phi(PointMultiset.empty(GF2)).is_zero()
     from psghost.poly import HomPoly
@@ -224,11 +233,30 @@ SPELL = ("integers are written in the digits 0-9, each with an optional "
     ("0 0 1\n0 1_0 1\n", f"line 2: {SPELL}"),
     ("0 0 1 : +2\n", f"line 1: {SPELL}"),
     ("0 1 \u0663\n", f"line 1: {SPELL}"),
+    # a "#" line whose first word is mset or psp, in any case, is a header;
+    # these were read as comments, so a file saying GF(5) was read as GF(7)
+    ("0 0 1\n# mset q= 5\n0 1 3\n",
+     "line 2: malformed header '# mset q= 5', expected '# mset q=<p^h>'"),
+    ("# mset q = 5\n", "line 1: malformed header '# mset q = 5', expected "
+                       "'# mset q=<p^h>'"),
+    ("# MSET q=5\n",
+     "line 1: malformed header '# MSET q=5', expected '# mset q=<p^h>'"),
+    ("# mset\n",
+     "line 1: malformed header '# mset', expected '# mset q=<p^h>'"),
+    ("#  PSP q=7\n",
+     "line 1: malformed header '#  PSP q=7', expected '# mset q=<p^h>'"),
 ])
 def test_mset_text_names_the_first_bad_line(text, message):
     with pytest.raises(ValueError) as e:
         mset_from_text(text, GF7)
     assert str(e.value) == message
+
+
+@pytest.mark.parametrize("comment", ["#", "# mset: notes", "# msetq=7",
+                                     "#mset-like", "# a mset q=5"])
+def test_mset_other_hash_lines_are_comments(comment):
+    assert mset_from_text(f"{comment}\n0 1 3\n", GF7) == mset_from_text(
+        "0 1 3\n", GF7)
 
 
 @pytest.mark.parametrize("text,message", [

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from psghost import field
+import schoolbook
 from psghost.field import FieldSpec
 from psghost.plane import (ProjLine, ProjPoint, canonical_triples,
                            enumerate_lines, enumerate_points, incidence_matrix,
@@ -11,21 +11,22 @@ from psghost.plane import (ProjLine, ProjPoint, canonical_triples,
 
 
 def incident(P, line):
-    """Reference incidence: u*a + v*b + w*c = 0, one field product at a
-    time."""
-    e, acc = P.spec.element, 0
+    """Reference incidence: u*a + v*b + w*c = 0, one schoolbook product
+    at a time."""
+    add, mul, _, _ = schoolbook.tables(P.spec)
+    acc = 0
     for x, y in zip(P.encodings(), line.encodings()):
-        acc = field.add(P.spec, acc, (e(x) * e(y)).encoding)
+        acc = add[acc, mul[x, y]]
     return acc == 0
 
 
 def incidence_reference(spec):
     """Reference incidence matrix: all (q^2+q+1)^2 dot products at once,
-    through the field's int64 tables."""
+    on the schoolbook tables."""
+    add, mul, _, _ = schoolbook.tables(spec)
     T = canonical_triples(spec)
-    terms = [field.mul(spec, T[:, None, k], T[None, :, k]) for k in range(3)]
-    dot = field.add(spec, field.add(spec, terms[0], terms[1]), terms[2])
-    return (dot == 0).astype(np.int64)
+    terms = [mul[T[:, None, k], T[None, :, k]] for k in range(3)]
+    return (add[add[terms[0], terms[1]], terms[2]] == 0).astype(np.int64)
 
 
 @pytest.mark.parametrize("q,p,h,count", [(2, 2, 1, 7), (3, 3, 1, 13),
@@ -126,10 +127,10 @@ def test_normalization_idempotent():
     spec = FieldSpec.of(7)
     P = ProjPoint.from_encodings(spec, 1, 2, 3)
     assert P.encodings() == (1, 2, 3)
+    mul = schoolbook.tables(spec).mul
     for lam in range(1, 7):
-        s = spec.element(lam)
         Q = ProjPoint.from_encodings(
-            spec, *((s * spec.element(x)).encoding for x in P.encodings()))
+            spec, *(int(mul[lam, x]) for x in P.encodings()))
         assert Q == P and Q.encodings() == P.encodings()
 
 
@@ -210,7 +211,7 @@ def test_point_rows_of_every_multiple_of_every_triple(text):
     spec = FieldSpec.parse(text)
     T = canonical_triples(spec)
     lam = np.arange(1, spec.q)[:, None, None]
-    scaled = field.mul(spec, T[None], lam)  # (q-1, n, 3)
+    scaled = schoolbook.tables(spec).mul[T[None], lam]  # (q-1, n, 3)
     rows = point_rows(spec, scaled)
     assert rows.shape == (spec.q - 1, len(T))
     assert (rows == np.arange(len(T))).all()

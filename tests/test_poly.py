@@ -5,7 +5,7 @@ import pytest
 
 import numpy as np
 
-from psghost import field
+import schoolbook
 from psghost.field import FieldElement, FieldSpec, multinomial_int
 from psghost.msets import (PointMultiset, mset_from_text, mset_to_text, msum,
                            phi, random_residues)
@@ -57,8 +57,9 @@ def test_evaluate_scaling_invariance():
     S = PointMultiset.from_vector(spec, [rng.randrange(7) for _ in range(57)])
     G = phi(S)
     base = evaluate(G, ProjLine.from_encodings(spec, 2, 5, 1))
+    mul = schoolbook.tables(spec).mul
     for lam in range(1, 7):
-        scaled = field.mul(spec, [2, 5, 1], lam).tolist()
+        scaled = mul[[2, 5, 1], lam].tolist()
         # G read at the scaled triple itself, and at the line it names
         assert line_values(G, [scaled]).tolist() == [base]
         assert evaluate(G, ProjLine.from_encodings(spec, *scaled)) == base
@@ -101,6 +102,15 @@ def test_additivity_disjoint_union():
     assert power_sum(msum(A, B)) == add_poly(power_sum(A), power_sum(B))
 
 
+def test_add_poly_refuses_another_field():
+    G = HomPoly.zero(FieldSpec.of(3))
+    for H in (HomPoly.zero(GF2), HomPoly.zero(FieldSpec.of(2, 2))):
+        with pytest.raises(ValueError, match="field mismatch"):
+            add_poly(G, H)
+        with pytest.raises(ValueError, match="field mismatch"):
+            add_poly(H, G)
+
+
 def test_add_negate():
     spec = FieldSpec.of(3)
     rng = random.Random(5)
@@ -108,7 +118,7 @@ def test_add_negate():
     G = phi(S)
     zero = HomPoly.zero(spec)
     assert add_poly(G, zero) == G
-    minus_G = HomPoly(spec, field.mul(spec, G.coeffs, spec.p - 1))
+    minus_G = HomPoly(spec, schoolbook.tables(spec).mul[G.coeffs, spec.p - 1])
     assert add_poly(G, minus_G).is_zero()
     Z = HomPoly.from_terms(GF2, {(1, 0): 1})
     Y = HomPoly.from_terms(GF2, {(0, 1): 1})
@@ -151,8 +161,10 @@ def test_coefficient_out_of_range_is_a_value_error():
 
 @pytest.mark.parametrize("p,h", [(2, 1), (5, 1), (3, 2)])
 def test_power_sum_matches_direct_coefficient_formula(p, h):
-    """Independent oracle: per-coefficient multinomial-and-powers formula."""
+    """Independent oracle: per-coefficient multinomial-and-powers formula,
+    summed on the schoolbook tables."""
     spec = FieldSpec.of(p, h)
+    add, mul, _, _ = schoolbook.tables(spec)
     rng = random.Random(31)
     n = spec.q**2 + spec.q + 1
     S = PointMultiset.from_vector(spec, [rng.randrange(p) for _ in range(n)])
@@ -163,12 +175,10 @@ def test_power_sum_matches_direct_coefficient_formula(p, h):
         acc = 0
         for P, m in zip(enumerate_points(spec), S.mult):
             if m:
-                a, b, c = map(spec.element, P.encodings())
-                term = spec.element(multinomial_int(d, i, j) % p) * (
-                    a**(d - i - j) * (b**j * c**i))
+                term = _term(spec, multinomial_int(d, i, j) % p,
+                             P.encodings(), i, j)
                 # m < p acts through the prime subfield
-                acc = field.add(spec, acc,
-                                int(field.mul(spec, m, term.encoding)))
+                acc = add[acc, mul[m, term]]
         assert G.coefficient(i, j) == acc
 
 
@@ -204,6 +214,13 @@ def test_a_file_of_the_other_kind_is_refused():
     assert mset_from_text("0 0 1\n", gf7).size == 1
 
 
+@pytest.mark.parametrize("comment", ["#", "# psp: notes", "# pspq=7",
+                                     "#psp-like", "# a psp q=5"])
+def test_poly_other_hash_lines_are_comments(comment):
+    assert poly_from_text(f"{comment}\n0 1 3\n", GF7) == HomPoly.from_terms(
+        GF7, {(0, 1): 3})
+
+
 def test_poly_text_repeated_monomial_is_an_error():
     # keeping the last of the two lines solved for another polynomial
     with pytest.raises(ValueError, match="line 3: monomial 0 0 repeated"):
@@ -224,8 +241,11 @@ def test_monomial_values_zero_to_the_zero():
 
 
 def _term(spec, coeff, triple, i, j):
-    a, b, c = (spec.element(x) for x in triple)
-    return coeff * (a**(spec.q - 1 - i - j) * (b**j * c**i))
+    """coeff * a^(q-1-i-j) * b^j * c^i on the schoolbook tables."""
+    _, mul, power, _ = schoolbook.tables(spec)
+    a, b, c = triple
+    return int(mul[coeff, mul[power[a, spec.q - 1 - i - j],
+                              mul[power[b, j], power[c, i]]]])
 
 
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3),
@@ -236,9 +256,8 @@ def test_point_image_rows_match_per_entry_formula(p, h):
     spec = FieldSpec.of(p, h)
     rows = point_image_rows(spec)
     for r, P in enumerate(enumerate_points(spec)):
-        expected = [_term(spec,
-                          spec.element(multinomial_int(spec.q - 1, i, j) % p),
-                          P.encodings(), i, j).encoding
+        expected = [_term(spec, multinomial_int(spec.q - 1, i, j) % p,
+                          P.encodings(), i, j)
                     for i, j in monomial_indices(spec)]
         assert rows[r].tolist() == expected
 
@@ -254,7 +273,7 @@ def test_monomial_values_match_per_entry_formula(p, h):
     V = monomial_values(spec, T, coeffs)
     assert V.dtype == np.int64 and V.shape == (60, num_monomials(spec))
     for row, t in zip(V.tolist(), T):
-        assert row == [_term(spec, spec.element(c), t, i, j).encoding
+        assert row == [_term(spec, c, t, i, j)
                        for c, (i, j) in zip(coeffs, monomial_indices(spec))]
 
 
@@ -283,6 +302,21 @@ SPELL = ("integers are written in the digits 0-9, each with an optional "
     ("0 0 1\n1_0 0 1\n", f"line 2: {SPELL}"),
     ("+2 0 3\n", f"line 1: {SPELL}"),
     ("2 0 \u0663\n", f"line 1: {SPELL}"),
+    # a "#" line whose first word is mset or psp, in any case, is a header;
+    # these were read as comments, so a file saying GF(5) was read as GF(7)
+    ("0 0 1\n# psp q= 5\n0 1 3\n",
+     "line 2: malformed header '# psp q= 5', expected '# psp q=<p^h>'"),
+    ("# psp q = 5\n", "line 1: malformed header '# psp q = 5', expected "
+                      "'# psp q=<p^h>'"),
+    ("# PSP q=5\n",
+     "line 1: malformed header '# PSP q=5', expected '# psp q=<p^h>'"),
+    ("# Psp q=7\n",
+     "line 1: malformed header '# Psp q=7', expected '# psp q=<p^h>'"),
+    ("# psp q=7 x\n",
+     "line 1: malformed header '# psp q=7 x', expected '# psp q=<p^h>'"),
+    ("# psp\n", "line 1: malformed header '# psp', expected '# psp q=<p^h>'"),
+    ("#  MSET  q=7\n",
+     "line 1: malformed header '#  MSET  q=7', expected '# psp q=<p^h>'"),
 ])
 def test_poly_text_names_the_first_bad_line(text, message):
     with pytest.raises(ValueError) as e:
@@ -313,7 +347,7 @@ def test_poly_text_values_beyond_int64_are_out_of_range(text, message):
     (np.zeros((6, 1), dtype=np.int64), r"got shape \(6, 1\) of int64"),
     (np.zeros(6), r"got shape \(6,\) of float64"),
     (np.zeros(6, dtype=bool), r"got shape \(6,\) of bool"),
-    ((GF7.element(0),) * 6, r"got shape \(6,\) of object"),
+    ((GF7.elements()[0],) * 6, r"got shape \(6,\) of object"),
     ([0, 0, 0, 0, 0, 3], r"must lie in \[0, 3\)"),
     ([0, -1, 0, 0, 0, 0], r"must lie in \[0, 3\)"),
     (np.array([0, 0, 0, 0, 0, 2**64 - 1], dtype=np.uint64),
@@ -374,13 +408,13 @@ def test_bulk_paths_build_no_field_elements(monkeypatch, tmp_path, capsys):
 def test_evaluate_refuses_a_line_of_another_field():
     spec = FieldSpec.of(5)
     G = power_sum(mset(spec, (1, 2, 3), (0, 1, 4)))
-    e = spec.element
+    e = spec.elements()
     assert evaluate(G, ProjLine.from_encodings(spec, 1, 2, 3)) == line_values(
         G, [[1, 2, 3]])[0]
     # a line is a ProjLine; triples of ints or of FieldElements are not
     for line in [ProjLine.from_encodings(FieldSpec.of(2, 2), 1, 2, 3),
                  ProjLine.from_encodings(FieldSpec.of(7), 1, 2, 3),
-                 (1, 2, 3), (e(1), e(2), e(3)), (e(1), e(2)), 7]:
+                 (1, 2, 3), (e[1], e[2], e[3]), (e[1], e[2]), 7]:
         with pytest.raises(ValueError, match="field mismatch"):
             evaluate(G, line)
 

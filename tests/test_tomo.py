@@ -43,6 +43,13 @@ def test_solve_zero_polynomial():
         assert is_ghost(S)
 
 
+def test_no_sets_for_a_polynomial_outside_the_image():
+    # at q = 4 no multiset has power sum 2 X^3 (encoding 2 = x at (0, 0))
+    G = HomPoly.from_terms(FieldSpec.of(2, 2), {(0, 0): 2})
+    assert tomo.solve(G).particular is None
+    assert tomo.enumerate_set_solutions(G, 5) == []
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_solve_always_consistent_prime_field(p):
     spec = FieldSpec.of(p)
