@@ -246,11 +246,11 @@ def _suite_pencils(spec, rng, failures):
 
 
 def _suite_complements(spec, rng, failures):
-    # Full plane minus a basis element, mod p: for a plain set this is its
-    # complement, for higher multiplicities the mod-p complement.
+    # Full plane minus a basis element, mod p, in the basis's unsigned dtype
+    # (p + 1 - B >= 2): a plain set's complement, else the mod-p complement.
     from . import ghost
-    B = ghost.ghost_report(spec).kernel.astype("int64")
-    ok = ghost.is_ghost_stack(spec, (1 - B) % spec.p)
+    B = ghost.ghost_report(spec).kernel
+    ok = ghost.is_ghost_stack(spec, (spec.p + 1 - B) % spec.p)
     failures.extend("complement of a kernel basis element"
                     for good in ok.tolist() if not good)
     return len(B)

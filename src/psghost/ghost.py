@@ -184,26 +184,19 @@ def ghost_report(spec: FieldSpec) -> GhostReport:
     The basis B is checked in two steps.  First it must be in reduced
     echelon form: each row has a leading 1, the leads strictly increase,
     and every other row is 0 at each lead column, so its rows are
-    independent.  Then, with B[:, leads] the identity, B @ M = 0 (mod p)
-    for the point matrix M reads B[:, rest] @ M[rest] = -M[leads], rest
-    being the other columns.  B is read a block of rows at a time.
+    independent.  Then, B[:, leads] being the identity, B @ M = 0 (mod p)
+    reads B[:, rest] @ M[rest] = -M[leads] for the other columns rest.
     """
     M = point_matrix_fp(spec)
     p = spec.p
     B = linalg.left_kernel_basis(M, p)
     k, n = B.shape
-    step = max(1, linalg.block_entries(B.size) // n)
-    leads = np.empty(k, dtype=np.intp)
-    for i in range(0, k, step):
-        leads[i:i + step] = (B[i:i + step] != 0).argmax(axis=1)
-    at_leads = sum(np.count_nonzero(B[i:i + step, leads])
-                   for i in range(0, k, step))
+    leads = (B != 0).argmax(axis=1)
     if (np.any(B[np.arange(k), leads] != 1) or np.any(np.diff(leads) <= 0)
-            or at_leads != k):
+            or np.count_nonzero(B[:, leads]) != k):
         raise ArithmeticError(f"kernel basis over GF({spec}) is not in "
                               "reduced echelon form")
-    rest = np.ones(n, dtype=bool)
-    rest[leads] = False
+    rest = np.delete(np.arange(n), leads)
     if not rows_congruent(B[:, rest], M[rest], p, (p - M[leads]) % p).all():
         raise ArithmeticError(f"kernel basis over GF({spec}) is not in the "
                               "kernel of the point-image matrix")

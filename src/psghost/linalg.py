@@ -16,6 +16,8 @@ index rows (points), columns index monomial coordinates.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 
@@ -33,16 +35,19 @@ def as_fp(M, p: int) -> np.ndarray:
 
     Bool and fixed-width integer arrays are reduced by numpy, in their own
     dtype when p fits it.  Anything else is reduced exactly, as Python
-    integers, before the cast: numpy reads integers beyond int64 as object,
+    integers, before the cast (numpy reads integers beyond int64 as object,
     uint64 or float64 arrays, and mixes uint64 with signed integers through
-    float64.
+    float64); an entry that operator.index refuses is a ValueError.
     """
     A = np.asarray(M)
     if A.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     residues = np.min_scalar_type(p - 1)
     if A.dtype.kind not in "biu" or A.dtype == np.uint64 or p >= 2**63:
-        return (np.array(M, dtype=object) % p).astype(residues)
+        E = np.array(M, dtype=object)
+        if bad := [x for x in E.flat if not hasattr(type(x), "__index__")]:
+            raise ValueError(f"entry {bad[0]!r} is not an integer")
+        return (np.frompyfunc(operator.index, 1, 1)(E) % p).astype(residues)
     if A.dtype.kind == "b":
         return A.astype(residues)
     if p > np.iinfo(A.dtype).max:

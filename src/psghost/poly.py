@@ -240,29 +240,29 @@ def read_rows(text: str, spec: FieldSpec, kind: str, syntax: str, check,
     """The ints of each data line of a `# kind` text, one row per line:
     the three that `syntax` names, then the one that tail(s), if given,
     takes off the end of the stripped line s.  Each line is checked as it
-    is read: its spelling (see check_digits), then check(row) on the
-    row's exact ints, and a ValueError there names the line.  The rows
-    become one int64 array once every line has passed.
+    is read: a header against kind and spec, a data line's spelling (see
+    check_digits) and then check(row) on its exact ints; every ValueError
+    names the line.  The rows become one int64 array once all have passed.
     """
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
-        if s.startswith("#"):
-            # a comment, unless its first word, in any case, names a kind
-            if s[1:].lower().split()[:1] not in (["mset"], ["psp"]):
-                continue
-            if not (header := _HEADER.fullmatch(s)):
-                raise ValueError(f"line {lineno}: malformed header {raw!r}, "
-                                 f"expected '# {kind} q=<p^h>'")
-            if header.group(1) != kind:
-                raise ValueError(f"header says # {header.group(1)}, but a "
-                                 f"# {kind} file is expected")
-            # the writers spell the field as str(spec) does: "7", "3^2"
-            if header.group(2) != str(spec):
-                raise ValueError(f"header says q={header.group(2)}, but the "
-                                 f"field is GF({spec})")
-        elif s:
-            try:
+        try:
+            if s.startswith("#"):
+                # a comment, unless its first word, in any case, names a kind
+                if s[1:].lower().split()[:1] not in (["mset"], ["psp"]):
+                    continue
+                if not (header := _HEADER.fullmatch(s)):
+                    raise ValueError(f"malformed header {raw!r}, expected "
+                                     f"'# {kind} q=<p^h>'")
+                if header.group(1) != kind:
+                    raise ValueError(f"header says # {header.group(1)}, but "
+                                     f"a # {kind} file is expected")
+                # the writers spell the field as str(spec) does: "7", "3^2"
+                if header.group(2) != str(spec):
+                    raise ValueError(f"header says q={header.group(2)}, but "
+                                     f"the field is GF({spec})")
+            elif s:
                 check_digits(s)
                 s, *last = tail(s) if tail else (s,)
                 parts = s.split()
@@ -270,9 +270,9 @@ def read_rows(text: str, spec: FieldSpec, kind: str, syntax: str, check,
                     raise ValueError(f"expected '{syntax}', got {raw!r}")
                 row = [*map(int, parts), *last]
                 check(row)
-            except ValueError as e:
-                raise ValueError(f"line {lineno}: {e}") from e
-            rows.append(row)
+                rows.append(row)
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from e
     return np.array(rows, dtype=np.int64).reshape(-1, 3 if tail is None else 4)
 
 

@@ -563,8 +563,8 @@ def test_file_of_the_other_kind_is_input_error(tmp_path, capsys, command,
     f.write_text(text)
     code, out, err = run(capsys, command, "--field", "7", "--in", str(f))
     assert code == 3
-    assert out == "" and err == (f"error: header says # {found}, but a "
-                                 f"# {expected} file is expected\n")
+    assert out == "" and err == (f"error: line 1: header says # {found}, "
+                                 f"but a # {expected} file is expected\n")
 
 
 @pytest.mark.parametrize("command,code", [
@@ -683,6 +683,9 @@ SPELL = ("integers are written in the digits 0-9, each with an optional "
     ("psp", "# mset q = 5\n0 0 1\n", "line 1: malformed header "
                                       "'# mset q = 5', expected "
                                       "'# mset q=<p^h>'"),
+    # a well-formed header of another field names its line too
+    ("eval", "0 1 3\n# psp q=5\n",
+     "line 2: header says q=5, but the field is GF(7)"),
 ])
 def test_reader_errors_name_the_first_bad_line(tmp_path, capsys, command,
                                                text, message):

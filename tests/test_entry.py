@@ -4,9 +4,9 @@ import ast
 import gc
 import hashlib
 import os
+import re
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
 
 import pytest
@@ -183,7 +183,10 @@ def test_run_freezes_after_the_output(monkeypatch, capsys):
 
 
 def test_installed_script_is_run():
-    pyproject = tomllib.loads(PYPROJECT.read_text())
-    module, _, name = pyproject["project"]["scripts"]["psghost"].partition(":")
+    # the `psghost = "module:name"` line of [project.scripts]; tomllib is
+    # 3.11 and later, and the package runs on 3.10
+    scripts = PYPROJECT.read_text().split("[project.scripts]\n", 1)[1]
+    entry = re.match(r'psghost = "([\w.]+):(\w+)"\n', scripts)
+    module, name = entry.groups()
     assert module == "psghost.cli"
     assert getattr(cli, name) is cli.run

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -327,6 +328,22 @@ def test_as_fp_takes_a_matrix_only():
     for M in ([1, 2, 3], np.zeros((2, 2, 2), dtype=np.int64), 5):
         with pytest.raises(ValueError, match="expected a 2-d matrix"):
             linalg.as_fp(M, 3)
+
+
+@pytest.mark.parametrize("M,entry", [
+    (np.array([[1.5, 0], [0, 1]]), "1.5"),       # rank was 2
+    ([[2**70, 1], [Fraction(7, 2), 1]], "Fraction(7, 2)"),
+    (np.array([[1.0, 0], [0, 1]]), "1.0"),
+    (np.array([[1, 0], ["1", 1]], dtype=object), "'1'"),
+])
+def test_as_fp_refuses_non_integers(M, entry):
+    with pytest.raises(ValueError) as e:
+        linalg.as_fp(M, 3)
+    assert str(e.value) == f"entry {entry} is not an integer"
+    # these read M in another order, so may name another entry
+    for reduce in (linalg.rank, linalg.left_kernel_basis):
+        with pytest.raises(ValueError, match="is not an integer"):
+            reduce(M, 3)
 
 
 def test_prefactored_solve_checks_the_target_length():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,6 +155,18 @@ def test_from_vector_reduces_exactly():
             int(v) % 3 for v in given]
 
 
+@pytest.mark.parametrize("vec,entry", [
+    (np.array([1.5, 2.7] + [0.0] * 11), "1.5"),       # was read as [1, 2, ...]
+    ([Fraction(7, 2)] + [0] * 12, "Fraction(7, 2)"),  # was read as 0
+    ([0] * 12 + [2.0], "2.0"),
+    ([2**70, 0.5] + [0] * 11, "0.5"),
+])
+def test_from_vector_refuses_non_integers(vec, entry):
+    with pytest.raises(ValueError) as e:
+        PointMultiset.from_vector(GF3, vec)
+    assert str(e.value) == f"entry {entry} is not an integer"
+
+
 def test_multiplicities_out_of_range_rejected():
     for bad in (-1, 3):
         with pytest.raises(ValueError, match="multiplicities"):
@@ -222,7 +235,11 @@ SPELL = ("integers are written in the digits 0-9, each with an optional "
     ("0 0 1\n0 0 0\n# mset q=5\n",
      "line 2: projective coordinates cannot be all zero"),
     ("0 0 1\n# psp q=7\n0 0 0\n",
-     "header says # psp, but a # mset file is expected"),
+     "line 2: header says # psp, but a # mset file is expected"),
+    ("# psp q=7\n0 0 1\n",
+     "line 1: header says # psp, but a # mset file is expected"),
+    ("# comment\n# mset q=3^2\n0 0 0\n",
+     "line 2: header says q=3^2, but the field is GF(7)"),
     # within one line: the multiplicity, the fields, each coordinate in
     # turn, then the zero triple
     ("0 0 0 : x\n", "line 1: bad multiplicity ' x'"),

@@ -293,7 +293,10 @@ SPELL = ("integers are written in the digits 0-9, each with an optional "
     # a repeat before a bad header, a bad header before a repeat
     ("0 0 1\n0 0 2\n# psp q=5\n", "line 2: monomial 0 0 repeated"),
     ("0 0 1\n# psp q=5\n0 0 2\n",
-     "header says q=5, but the field is GF(7)"),
+     "line 2: header says q=5, but the field is GF(7)"),
+    ("# psp q=5\n0 0 9\n", "line 1: header says q=5, but the field is GF(7)"),
+    ("\n# mset q=7\n1 2 3\n",
+     "line 2: header says # mset, but a # psp file is expected"),
     # within one line: exponents, then the repeat, then the encoding
     ("0 0 1\n0 0 9\n", "line 2: monomial 0 0 repeated"),
     ("0 0 1\n0 9 9\n", r"line 2: monomial exponents (0, 9) out of range"),
