@@ -98,7 +98,7 @@ class FieldSpec:
     """GF(p^h): p prime, q = p^h <= MAX_Q."""
 
     p: int
-    h: int
+    h: int = 1
     q: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -118,17 +118,13 @@ class FieldSpec:
         return (0, 1) if self.h == 1 else DEFAULT_MODULI[(self.p, self.h)]
 
     @classmethod
-    def of(cls, p: int, h: int = 1) -> "FieldSpec":
-        return cls(p, h)
-
-    @classmethod
     def parse(cls, text: str) -> "FieldSpec":
         """Parse a field description, "7" or "3^2"."""
         m = _FIELD_TEXT.fullmatch(text.strip())
         if m is None:
             raise ValueError("a field is written p or p^h in the digits 0-9")
         ps, hs = m.groups(default="1")
-        return cls.of(int(ps), int(hs))
+        return cls(int(ps), int(hs))
 
     def __str__(self):
         return str(self.p) if self.h == 1 else f"{self.p}^{self.h}"
@@ -166,14 +162,11 @@ def _tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     import numpy as np
     p, q = spec.p, spec.q
+    every = digits(spec, np.arange(q))
     for g in range(1, q):
-        # e -> g * e is F_p-linear: tabulate it one base-p digit of e at a
-        # time, the digit at x^k adding a multiple of g * x^k.
-        times_g = np.zeros(1, dtype=np.int64)
-        for gxk in _multiplication_matrix(digits(spec, g), spec.modulus, p).T:
-            multiples = from_digits(spec, np.outer(np.arange(p), gxk) % p)
-            times_g = add(spec, multiples[:, None], times_g).ravel()
-        times_g = times_g.tolist()
+        # e -> g * e is F_p-linear: one product maps the digits of every e
+        G = _multiplication_matrix(digits(spec, g), spec.modulus, p)
+        times_g = from_digits(spec, every @ G.T % p).tolist()
         exp = [1, times_g[1]]
         while exp[-1] != 1 and len(exp) < q:
             exp.append(times_g[exp[-1]])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .field import FieldSpec
 from .linalg import as_fp
-from .plane import ProjPoint, canonical_triples, point_row, point_rows
+from .plane import canonical_triples, point_row, point_rows
 from . import poly
 
 
@@ -51,10 +51,6 @@ class PointMultiset:
                 and np.array_equal(self.mult, other.mult))
 
     @classmethod
-    def empty(cls, spec: FieldSpec) -> "PointMultiset":
-        return cls(spec, np.zeros(spec.q**2 + spec.q + 1, dtype=np.uint8))
-
-    @classmethod
     def from_points(cls, spec: FieldSpec, points) -> "PointMultiset":
         """Multiset of the given points, each occurrence adding 1 (mod p)."""
         return cls.from_vector(spec, np.bincount(
@@ -66,14 +62,6 @@ class PointMultiset:
         """Multiset of an integer vector, each entry reduced mod p exactly,
         as linalg.as_fp reduces."""
         return cls(spec, as_fp([vec], spec.p)[0])
-
-    @property
-    def size(self) -> int:
-        """Total multiplicity, as a true integer."""
-        return int(self.mult.sum())
-
-    def multiplicity(self, P: ProjPoint) -> int:
-        return int(self.mult[point_row(self.spec, P)])
 
 
 def msum(A: PointMultiset, B: PointMultiset) -> PointMultiset:

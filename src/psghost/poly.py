@@ -40,13 +40,6 @@ def monomial_positions(spec: FieldSpec, i, j):
     return inside * (i * (2 * spec.q + 1 - i) // 2 + j + 1) - 1
 
 
-def _position(spec: FieldSpec, i: int, j: int) -> int:
-    k = monomial_positions(spec, i, j)
-    if k < 0:
-        raise ValueError(f"monomial exponents {(i, j)} out of range")
-    return k
-
-
 def num_monomials(spec: FieldSpec) -> int:
     return spec.q * (spec.q + 1) // 2
 
@@ -84,15 +77,11 @@ class HomPoly:
         """Build from {(i, j): encoding}; absent monomials are zero."""
         coeffs = np.zeros(num_monomials(spec), dtype=np.int64)
         for (i, j), c in terms.items():
-            coeffs[_position(spec, i, j)] = spec.check_encoding(c)
+            k = monomial_positions(spec, i, j)
+            if k < 0:
+                raise ValueError(f"monomial exponents {(i, j)} out of range")
+            coeffs[k] = spec.check_encoding(c)
         return cls(spec, coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
-    def coefficient(self, i: int, j: int) -> int:
-        """The encoding of the coefficient of Z^i Y^j X^(q-1-i-j)."""
-        return int(self.coeffs[_position(self.spec, i, j)])
 
 
 def add_poly(G: HomPoly, H: HomPoly) -> HomPoly:

@@ -26,10 +26,10 @@ import layers
 from psghost.field import FieldSpec
 tr = layers.Tracer()
 layers.install(tr)
-out = {"field": layers.chain_field(tr, FieldSpec.of(3), {"mul_reps": 1})}
+out = {"field": layers.chain_field(tr, FieldSpec(3), {"mul_reps": 1})}
 field_spans = [s[1] for s in tr.spans]
 job = {"multisets": {"3": [[0] * 13, [1] + [0] * 12]}}
-out["verify"] = layers.chain_verify(tr, FieldSpec.of(3), job)
+out["verify"] = layers.chain_verify(tr, FieldSpec(3), job)
 print(json.dumps({"out": out, "field_spans": field_spans,
                   "spans": sorted({s[1] for s in tr.spans})}))
 """
@@ -62,7 +62,7 @@ import run
 from psghost.field import FieldSpec
 tr = layers.Tracer()
 layers.install(tr)
-out = layers.chain_elim_trace(tr, FieldSpec.of(run.ELIM_TRACE_P), {})
+out = layers.chain_elim_trace(tr, FieldSpec(run.ELIM_TRACE_P), {})
 print(json.dumps({"check": run.check_elim_trace(run.ELIM_TRACE_P, out["csv"]),
                   "spans": sorted({s[1] for s in tr.spans})}))
 """

@@ -1,6 +1,8 @@
 import hashlib
+import io
 import json
 import random
+import sys
 import time
 import tracemalloc
 
@@ -40,6 +42,26 @@ def test_psp_empty_multiset(tmp_path, capsys):
     code, out, _ = run(capsys, "psp", "--field", "2", "--in", str(f))
     assert code == 0
     assert [l for l in out.splitlines() if not l.startswith("#")] == []
+
+
+@pytest.mark.parametrize("comment,code", [("caf\u00e9".encode(), 0),
+                                          (b"caf\xe9", 3)],
+                         ids=["utf-8", "latin-1"])
+def test_stdin_reads_its_bytes_as_a_file_does(tmp_path, monkeypatch, capsys,
+                                              comment, code):
+    # stdin used to decode with surrogateescape, so a byte that is not
+    # UTF-8 passed through "--in -" but was refused through "--in FILE"
+    data = b"# psp q=3\n# " + comment + b"\n0 1 2\n"
+    f = tmp_path / "z.psp"
+    f.write_bytes(data)
+    from_file = run(capsys, "eval", "--field", "3", "--in", str(f))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
+    assert run(capsys, "eval", "--field", "3", "--in", "-") == from_file
+    assert from_file[0] == code
+    if code:
+        assert from_file[2].startswith(
+            "error: 'utf-8' codec can't decode byte 0xe9 in position 15")
 
 
 def test_psp_five_point_union(tmp_path, capsys):
@@ -131,7 +153,7 @@ def _random_plain_set(spec, seed):
 
 
 def test_solve_sets_complete_when_exhaustive(tmp_path, capsys):
-    spec = FieldSpec.of(2)
+    spec = FieldSpec(2)
     data = _solve_sets_json(tmp_path, capsys, "2", _random_plain_set(spec, 3),
                             100)
     assert data["complete"] is True and len(data["solutions"]) == 16
@@ -140,7 +162,7 @@ def test_solve_sets_complete_when_exhaustive(tmp_path, capsys):
 def test_solve_sets_complete_when_count_equals_limit(tmp_path, capsys):
     # the 16-element coset at q = 2 is walked whole: a limit of exactly 16
     # prints every set, so the search is complete; 15 leaves one out
-    spec = FieldSpec.of(2)
+    spec = FieldSpec(2)
     S = _random_plain_set(spec, 3)
     for limit, complete in [(16, True), (15, False)]:
         data = _solve_sets_json(tmp_path, capsys, "2", S, limit)
@@ -170,7 +192,7 @@ def test_solve_sets_incomplete_when_walk_is_cut_off(tmp_path, capsys,
     # 5^16 coset elements exceed any budget; a small one keeps the test fast
     import psghost.tomo as tomo
     monkeypatch.setattr(tomo, "WALK_BUDGET", 2000)
-    spec = FieldSpec.of(5)
+    spec = FieldSpec(5)
     data = _solve_sets_json(tmp_path, capsys, "5", _random_plain_set(spec, 5),
                             1000)
     assert data["complete"] is False
@@ -331,6 +353,24 @@ def test_verify_json_lists_failures_per_suite(monkeypatch, capsys):
                                "failures": []}
 
 
+@pytest.mark.parametrize("field", ["2", "5", "2^2", "3^2"])
+def test_verify_complements_checks_the_full_plane_once(monkeypatch, capsys,
+                                                       field):
+    # ghost_report has checked that each basis element B is a ghost, so the
+    # plane minus B is a ghost iff the plane is; the suite used to check
+    # every complement again
+    from psghost import ghost
+    stacks, check = [], ghost.is_ghost_stack
+    monkeypatch.setattr(ghost, "is_ghost_stack",
+                        lambda spec, V: stacks.append(np.array(V))
+                        or check(spec, V))
+    code, data = _verify_json(capsys, field, "--suite", "complements")
+    spec = FieldSpec.parse(field)
+    assert code == 0 and data["suites"][0]["status"] == "pass"
+    assert data["suites"][0]["checked"] == ghost_report(spec).ghost_exponent
+    assert [V.tolist() for V in stacks] == [[[1] * (spec.q**2 + spec.q + 1)]]
+
+
 @pytest.mark.parametrize("field", ["3", "2^2", "11"])
 def test_verify_pencils_checks_each_ghost_both_ways(monkeypatch, capsys,
                                                     field):
@@ -470,12 +510,12 @@ def test_object_paths_enumerate_no_plane(monkeypatch, capsys, tmp_path):
     assert P.encodings() == (1, 5, 7) and str(P) == "1 5 7"
     assert plane.point_row(spec, P) == 1 + q + 5 * q + 7
     S = PointMultiset.from_points(spec, [P, P])
-    assert S.multiplicity(P) == 2 and S.size == 2
-    assert ghost.line_ghost(P, spec).size == q + 1
-    assert ghost.partial_pencil_ghost(P, 0, spec).size == q + 1
-    assert ghost.punctured_pencil_ghost(P, 0, spec).size == q * q
+    assert S.mult[P.row] == 2 and S.mult.sum() == 2
+    assert ghost.line_ghost(P, spec).mult.sum() == q + 1
+    assert ghost.partial_pencil_ghost(P, 0, spec).mult.sum() == q + 1
+    assert ghost.punctured_pencil_ghost(P, 0, spec).mult.sum() == q * q
     G = poly.HomPoly.from_terms(spec, {(1, 0): 1, (0, 2): 5})
-    assert G.coefficient(0, 2) == 5 and G.coefficient(2, 0) == 0
+    assert poly.nonzero_terms(G) == [(0, 2, 5), (1, 0, 1)]
     assert poly.evaluate(G, P) == poly.line_values(G, [[1, 5, 7]])[0]
     assert run(capsys, "eval", "--field", "3^2", "--in", str(f),
                "--line", "2 4 6") == (0, f"{want[0]}\n", "")

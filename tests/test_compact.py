@@ -16,7 +16,7 @@ from psghost.field import FieldSpec
 from psghost.msets import PointMultiset, mset_texts, mset_to_text
 from psghost.plane import enumerate_points
 
-GF13 = FieldSpec.of(13)
+GF13 = FieldSpec(13)
 
 
 @pytest.mark.parametrize("field", ["13", "2^3", "3^2"])
@@ -91,7 +91,7 @@ def test_exhaustive_set_search_matches_int64_reference():
     # the coset walk against a filter over all 2^n subsets
     for q, mult in [(2, [1, 0, 1, 1, 0, 0, 1]),
                     (3, [1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0])]:
-        spec = FieldSpec.of(q)
+        spec = FieldSpec(q)
         M64 = poly.point_matrix_fp(spec).astype(np.int64)
         S = PointMultiset.from_vector(spec, mult)
         n = len(mult)
@@ -124,7 +124,7 @@ def test_kernel_texts_equal_per_point_reference(field):
 
 
 def test_mset_texts_of_a_stack_with_empty_rows():
-    spec = FieldSpec.of(5)
+    spec = FieldSpec(5)
     V = _random_stack(spec, 4, 4)
     V[[0, 2]] = 0
     V[3, -1] = 0
@@ -155,7 +155,7 @@ def test_ghost_report_holds_compact_arrays(tmp_path):
 def test_left_kernel_basis_updates_in_row_slices():
     # each pivot updated all its rows at once, through two temporaries the
     # size of the trailing block: 6.17 MiB against a 1.88 MiB work array
-    M = poly.point_matrix_fp(FieldSpec.of(31))
+    M = poly.point_matrix_fp(FieldSpec(31))
     work = M.size * np.dtype(np.int32).itemsize
     tracemalloc.start()
     try:

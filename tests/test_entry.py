@@ -95,6 +95,70 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+# Definitions that nothing in src/ or perfbench/ names, and why they stay.
+UNNAMED_BY_DESIGN = {
+    "ElimReport.summary": "the pinned text of the elimination proof, for "
+                          "library callers",
+    "_ArgumentParser.error": "argparse calls it on a usage error",
+}
+
+
+def _defs(tree, prefix="", in_class=False):
+    """(qualified name, node, whether a method) of each def under tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield prefix + node.name, node, in_class
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield from _defs(node, f"{prefix}{node.name}.",
+                             isinstance(node, ast.ClassDef))
+        else:
+            yield from _defs(node, prefix, in_class)
+
+
+def test_every_function_is_run_by_the_package_or_the_benchmark():
+    """Each function and method of psghost is named outside its own def
+    somewhere in src/ or perfbench/, or is in psghost.__all__.  A method is
+    named by an attribute (`x.name`) or an identifier string, as perfbench
+    wraps methods by name; a function may also be named bare.  Dunders
+    are called by Python.
+
+    Names are matched, not resolved: a method that shares its name with
+    an attribute used elsewhere passes unseen.  A multiset `size` or
+    `empty` would pass through numpy's `.size` and `np.empty`.
+    """
+    root = PYPROJECT.parent
+    trees = {path: ast.parse(path.read_text())
+             for folder in ("src", "perfbench")
+             for path in sorted((root / folder).rglob("*.py"))}
+    attributes, bare = {}, {}  # name -> [(path, line)]
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                bare.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute) or (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and node.value.isidentifier()):
+                name = getattr(node, "attr", node.value)
+                attributes.setdefault(name, []).append((path, node.lineno))
+
+    def named_elsewhere(path, node, method):
+        uses = attributes.get(node.name, []) + (
+            [] if method else bare.get(node.name, []))
+        return any(p != path or not node.lineno <= line <= node.end_lineno
+                   for p, line in uses)
+
+    unnamed = [
+        f"{path.name}:{qualname}"
+        for path, tree in trees.items() if path.parent.name == "psghost"
+        for qualname, node, method in _defs(tree)
+        if not (node.name.startswith("__") and node.name.endswith("__")
+                or qualname in UNNAMED_BY_DESIGN
+                or qualname in psghost.__all__
+                or named_elsewhere(path, node, method))]
+    assert unnamed == []
+
+
 def test_field_element_is_named_in_field_and_the_export_map_only():
     # the scalar that the benchmark's field chain multiplies; every
     # command computes on integer encodings

@@ -13,9 +13,9 @@ import schoolbook
 from psghost import field
 from psghost.field import FieldSpec, multinomial_int
 
-GF7 = FieldSpec.of(7)
-GF4 = FieldSpec.of(2, 2)
-GF9 = FieldSpec.of(3, 2)  # modulus x^2 + 2x + 2
+GF7 = FieldSpec(7)
+GF4 = FieldSpec(2, 2)
+GF9 = FieldSpec(3, 2)  # modulus x^2 + 2x + 2
 
 
 class _GF9X2P1(FieldSpec):
@@ -52,10 +52,6 @@ PRIME_POWERS = [(p, h) for p in range(2, field.MAX_Q + 1)
 SRC = Path(field.__file__).resolve().parent.parent
 
 
-def spec_of(p, h):
-    return FieldSpec.of(p, h)
-
-
 def power(spec, a, n):
     """a^n for n >= 1, by n - 1 products of field.mul."""
     x = a
@@ -80,7 +76,7 @@ def test_mul_prime_field():
     e = GF7.elements()
     assert e[3] * e[5] == e[1]
     assert e[6] * e[6] == e[1]  # (-1)^2
-    one = FieldSpec.of(2).elements()[1]
+    one = FieldSpec(2).elements()[1]
     assert one * one == one
 
 
@@ -99,7 +95,7 @@ def test_mul_gf9_x_squared():
 
 def test_spec_mismatch_raises():
     # GF9_X2P1 has the (p, h) of GF9 but another modulus
-    for a, b in [(GF7, FieldSpec.of(5)), (GF9, GF9_X2P1)]:
+    for a, b in [(GF7, FieldSpec(5)), (GF9, GF9_X2P1)]:
         with pytest.raises(ValueError, match="field mismatch"):
             a.elements()[1] * b.elements()[1]
     with pytest.raises(ValueError, match="field mismatch"):
@@ -117,7 +113,7 @@ def test_pow_q_minus_1_examples():
 
 @pytest.mark.parametrize("p,h", ALL_Q)
 def test_pow_q_minus_1_exhaustive(p, h):
-    spec = spec_of(p, h)
+    spec = FieldSpec(p, h)
     want = [0] + [1] * (spec.q - 1)
     assert power(spec, np.arange(spec.q), spec.q - 1).tolist() == want
 
@@ -145,7 +141,7 @@ def test_multinomial_nonzero_prime_field(p):
 @pytest.mark.parametrize("p,h", ALL_Q)
 def test_field_axioms(p, h):
     # every triple of elements, 12167 at q = 23
-    spec = spec_of(p, h)
+    spec = FieldSpec(p, h)
     a, b, c = np.ix_(*[range(spec.q)] * 3)
 
     def add(x, y):
@@ -166,7 +162,7 @@ def test_field_axioms(p, h):
 @pytest.mark.parametrize("p,h", ALL_Q)
 def test_frobenius(p, h):
     # (a + b)^p = a^p + b^p for every pair
-    spec = spec_of(p, h)
+    spec = FieldSpec(p, h)
     a, b = np.ix_(*[range(spec.q)] * 2)
     assert np.array_equal(power(spec, field.add(spec, a, b), p),
                           field.add(spec, power(spec, a, p),
@@ -175,7 +171,7 @@ def test_frobenius(p, h):
 
 def test_encoding_round_trip():
     for p, h in ALL_Q:
-        spec = spec_of(p, h)
+        spec = FieldSpec(p, h)
         els = spec.elements()
         assert [x.encoding for x in els] == list(range(spec.q))
         assert all(x.spec is spec for x in els)
@@ -183,8 +179,8 @@ def test_encoding_round_trip():
 
 def test_parse():
     assert FieldSpec.parse("7") == GF7
-    assert FieldSpec.parse("3^2") == FieldSpec.of(3, 2)
-    assert str(FieldSpec.of(3, 2)) == "3^2"
+    assert FieldSpec.parse("3^2") == FieldSpec(3, 2)
+    assert str(FieldSpec(3, 2)) == "3^2"
     assert FieldSpec.parse(" 3^2\n") == GF9
     assert FieldSpec.parse("2^5").modulus == (1, 0, 1, 0, 0, 1)
     assert FieldSpec.parse("7").modulus == (0, 1)  # x
@@ -251,9 +247,9 @@ def _check_against_schoolbook(spec):
     assert [[(x * y).encoding for y in els] for x in els] == ref_mul.tolist()
 
 
-REFERENCE_SPECS = sorted({FieldSpec.of(p, h) for p, h in ALL_Q}
-                         | {FieldSpec.of(2, 4), FieldSpec.of(2, 5),
-                            FieldSpec.of(3, 3), FieldSpec.of(5, 2), GF9_X2P1},
+REFERENCE_SPECS = sorted({FieldSpec(p, h) for p, h in ALL_Q}
+                         | {FieldSpec(2, 4), FieldSpec(2, 5),
+                            FieldSpec(3, 3), FieldSpec(5, 2), GF9_X2P1},
                          key=lambda spec: (str(spec), spec is GF9_X2P1))
 
 
@@ -295,12 +291,12 @@ def test_a_ring_without_a_primitive_element_is_refused():
 
 def test_least_candidate_not_primitive_in_gf7():
     # 2^3 = 8 = 1, so 2 has order 3 and the generator search must go past it
-    assert FieldSpec.of(7).exp.tolist()[:2] == [1, 3]  # g = 3
+    assert FieldSpec(7).exp.tolist()[:2] == [1, 3]  # g = 3
 
 
 def test_tables_built_on_first_arithmetic():
     field._tables.cache_clear()
-    spec = FieldSpec.of(2, 4)
+    spec = FieldSpec(2, 4)
     field.add(spec, 3, 5)
     assert field._tables.cache_info().currsize == 0
     els = spec.elements()
@@ -311,13 +307,13 @@ def test_tables_built_on_first_arithmetic():
 
 def test_coeffs_derived_from_encoding():
     assert field.digits(GF9, 5).tolist() == [2, 1]  # 2 + x
-    assert field.digits(FieldSpec.of(7), 6).tolist() == [6]
+    assert field.digits(FieldSpec(7), 6).tolist() == [6]
     assert field.from_digits(GF9, [[2, 1], [0, 2]]).tolist() == [5, 6]
 
 
 def test_nonprime_p_rejected():
     with pytest.raises(ValueError):
-        FieldSpec.of(6)
+        FieldSpec(6)
 
 
 @pytest.mark.parametrize("p,h,reason", [
@@ -327,14 +323,14 @@ def test_nonprime_p_rejected():
 ])
 def test_of_without_modulus_checks_the_order_first(p, h, reason):
     with pytest.raises(ValueError, match=reason):
-        FieldSpec.of(p, h)
+        FieldSpec(p, h)
 
 
 @pytest.mark.parametrize("p,h", [(7.0, 1), (7, 1.0), ("7", 1), (7, None)])
 def test_order_must_be_ints(p, h):
     # 7.0 used to build a field equal to GF(7) that failed deep in a builder
     with pytest.raises(ValueError, match="p and h are ints"):
-        FieldSpec.of(p, h)
+        FieldSpec(p, h)
 
 
 def test_numpy_ints_are_stored_as_ints():
@@ -343,7 +339,7 @@ def test_numpy_ints_are_stored_as_ints():
     code = ("import numpy as np\n"
             "from psghost import ghost\n"
             "from psghost.field import FieldSpec\n"
-            "spec = FieldSpec.of(np.int64(5), np.uint8(1))\n"
+            "spec = FieldSpec(np.int64(5), np.uint8(1))\n"
             "print(type(spec.p).__name__, type(spec.h).__name__,\n"
             "      ghost.ghost_report(spec).ghost_exponent)\n")
     proc = subprocess.run([sys.executable, "-c", code],
@@ -355,8 +351,8 @@ def test_numpy_ints_are_stored_as_ints():
 
 def test_parse_bounds_the_order():
     # one bound, MAX_Q, for the library and the CLI alike
-    assert FieldSpec.parse("2^6") == FieldSpec.of(2, 6)
-    for make in (lambda: FieldSpec.parse("2^7"), lambda: FieldSpec.of(67)):
+    assert FieldSpec.parse("2^6") == FieldSpec(2, 6)
+    for make in (lambda: FieldSpec.parse("2^7"), lambda: FieldSpec(67)):
         with pytest.raises(ValueError, match="exceeds 64"):
             make()
 
@@ -368,7 +364,7 @@ def test_oversized_p_rejected_before_trial_division(monkeypatch):
 
     monkeypatch.setattr(field, "is_prime", no_trial_division)
     with pytest.raises(ValueError, match="exceeds"):
-        FieldSpec.of(2**61 - 1)
+        FieldSpec(2**61 - 1)
 
 
 def test_every_cli_field_parses():
@@ -397,6 +393,6 @@ def test_building_a_field_loads_no_numpy():
 
 @pytest.mark.parametrize("p,h", [(7, 2), (2, 6)])
 def test_new_default_moduli_make_fields(p, h):
-    spec = FieldSpec.of(p, h)
+    spec = FieldSpec(p, h)
     assert spec.modulus == field.DEFAULT_MODULI[(p, h)]
     _check_against_schoolbook(spec)

@@ -16,7 +16,7 @@ def test_rank_identity_and_zero():
 
 
 def test_rank_point_image_matrix_p7():
-    M = point_matrix_fp(FieldSpec.of(7))
+    M = point_matrix_fp(FieldSpec(7))
     assert M.shape == (57, 28)
     assert linalg.rank(M, 7) == 28
 
@@ -32,7 +32,7 @@ def test_kernel_zero_matrix():
 
 
 def test_kernel_point_image_matrix_q2():
-    M = point_matrix_fp(FieldSpec.of(2))
+    M = point_matrix_fp(FieldSpec(2))
     B = linalg.left_kernel_basis(M, 2)
     assert B.shape[0] == 4
     assert not np.any(B @ M % 2)
@@ -54,13 +54,13 @@ def test_kernel_deterministic_echelon():
 
 
 def test_solve_zero_target():
-    M = point_matrix_fp(FieldSpec.of(2))
+    M = point_matrix_fp(FieldSpec(2))
     x = linalg.PrefactoredLeftSystem(M, 2).solve(np.zeros(3, dtype=np.int64))
     assert np.array_equal(x, np.zeros(7, dtype=np.int64))
 
 
 def test_solve_target_z_q2():
-    spec = FieldSpec.of(2)
+    spec = FieldSpec(2)
     M = point_matrix_fp(spec)
     target = np.array([0, 0, 1], dtype=np.int64)  # coefficients of Z
     x = linalg.PrefactoredLeftSystem(M, 2).solve(target)
@@ -71,7 +71,7 @@ def test_solve_target_z_q2():
 
 def test_solve_inconsistent_truncated():
     # rows with a = 0 have zero X-coefficient, so X is unreachable
-    spec = FieldSpec.of(2)
+    spec = FieldSpec(2)
     M = point_matrix_fp(spec)[:3]  # points (0,0,1), (0,1,0), (0,1,1)
     target = np.array([1, 0, 0], dtype=np.int64)  # coefficients of X
     assert linalg.PrefactoredLeftSystem(M, 2).solve(target) is None
@@ -86,17 +86,17 @@ def _expand(spec, rows):
 
 
 def test_expand_h1_identity():
-    spec = FieldSpec.of(7)
+    spec = FieldSpec(7)
     assert np.array_equal(_expand(spec, [[3, 5]]), [[3, 5]])
 
 
 def test_expand_gf4():
-    spec = FieldSpec.of(2, 2)
+    spec = FieldSpec(2, 2)
     assert np.array_equal(_expand(spec, [[2]]), [[0, 1]])  # x
 
 
 def test_expand_gf9_shape():
-    spec = FieldSpec.of(3, 2)
+    spec = FieldSpec(3, 2)
     out = _expand(spec, [[4, 7]])
     assert out.shape == (1, 4)
 
@@ -104,7 +104,7 @@ def test_expand_gf9_shape():
 def test_expand_commutes_with_fp_row_operations():
     # F_p row operations before or after expansion give the same rank,
     # so the expanded rank is the F_p-dimension of the original row span.
-    spec = FieldSpec.of(3, 2)
+    spec = FieldSpec(3, 2)
     rng = random.Random(4)
     rows = np.array([[rng.randrange(9) for _ in range(3)] for _ in range(5)])
     expanded = _expand(spec, rows)
@@ -180,7 +180,7 @@ def test_det_mod_p_vs_rank():
 
 
 def test_solver_prefactored_matches_direct():
-    spec = FieldSpec.of(3)
+    spec = FieldSpec(3)
     M = point_matrix_fp(spec)
     solver = linalg.PrefactoredLeftSystem(M, 3)
     rng = random.Random(6)

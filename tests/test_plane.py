@@ -32,7 +32,7 @@ def incidence_reference(spec):
 @pytest.mark.parametrize("q,p,h,count", [(2, 2, 1, 7), (3, 3, 1, 13),
                                          (7, 7, 1, 57)])
 def test_point_counts(q, p, h, count):
-    spec = FieldSpec.of(p, h)
+    spec = FieldSpec(p, h)
     points = enumerate_points(spec)
     assert len(points) == count == q * q + q + 1
     assert len(set(points)) == count
@@ -40,25 +40,25 @@ def test_point_counts(q, p, h, count):
 
 
 def test_enumeration_order_q2():
-    spec = FieldSpec.of(2)
+    spec = FieldSpec(2)
     encs = [P.encodings() for P in enumerate_points(spec)]
     assert encs == [(0, 0, 1), (0, 1, 0), (0, 1, 1),
                     (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
 
 
 def test_incident_examples():
-    spec = FieldSpec.of(2)
+    spec = FieldSpec(2)
     P = ProjPoint.from_encodings(spec, 0, 0, 1)
     assert incident(P, ProjLine.from_encodings(spec, 1, 0, 0))
     assert not incident(P, ProjLine.from_encodings(spec, 0, 0, 1))
-    gf7 = FieldSpec.of(7)
+    gf7 = FieldSpec(7)
     # 1*1 + 2*1 + 3*2 = 9 = 2 != 0 mod 7
     assert not incident(ProjPoint.from_encodings(gf7, 1, 2, 3),
                         ProjLine.from_encodings(gf7, 1, 1, 2))
 
 
 def test_line_points_q2():
-    spec = FieldSpec.of(2)
+    spec = FieldSpec(2)
     pts = line_points(ProjLine.from_encodings(spec, 1, 0, 0), spec)
     assert {P.encodings() for P in pts} == {(0, 0, 1), (0, 1, 0), (0, 1, 1)}
     pts = line_points(ProjLine.from_encodings(spec, 0, 0, 1), spec)
@@ -66,19 +66,19 @@ def test_line_points_q2():
 
 
 def test_line_sizes_q3():
-    spec = FieldSpec.of(3)
+    spec = FieldSpec(3)
     for l in enumerate_lines(spec):
         assert len(line_points(l, spec)) == 4
 
 
 def test_pencil_q2():
-    spec = FieldSpec.of(2)
+    spec = FieldSpec(2)
     P = ProjPoint.from_encodings(spec, 0, 0, 1)
     assert len(pencil_lines(P, spec)) == 3
 
 
 def test_pencil_q7_pairwise_meet_only_at_vertex():
-    spec = FieldSpec.of(7)
+    spec = FieldSpec(7)
     P = enumerate_points(spec)[10]
     pencil = pencil_lines(P, spec)
     assert len(pencil) == 8
@@ -90,7 +90,7 @@ def test_pencil_q7_pairwise_meet_only_at_vertex():
 
 
 def test_pencil_union_covers_plane_q4():
-    spec = FieldSpec.of(2, 2)
+    spec = FieldSpec(2, 2)
     P = enumerate_points(spec)[3]
     pencil = pencil_lines(P, spec)
     assert len(pencil) == 5
@@ -101,7 +101,7 @@ def test_pencil_union_covers_plane_q4():
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
                                  (2, 3), (3, 2)])
 def test_incidence_invariants(p, h):
-    spec = FieldSpec.of(p, h)
+    spec = FieldSpec(p, h)
     q = spec.q
     inc = incidence_matrix(spec)
     n = q * q + q + 1
@@ -117,14 +117,14 @@ def test_incidence_invariants(p, h):
 
 def test_duality():
     for p, h in [(2, 1), (3, 1), (2, 2)]:
-        spec = FieldSpec.of(p, h)
+        spec = FieldSpec(p, h)
         pts = {P.encodings() for P in enumerate_points(spec)}
         lns = {l.encodings() for l in enumerate_lines(spec)}
         assert pts == lns
 
 
 def test_normalization_idempotent():
-    spec = FieldSpec.of(7)
+    spec = FieldSpec(7)
     P = ProjPoint.from_encodings(spec, 1, 2, 3)
     assert P.encodings() == (1, 2, 3)
     mul = schoolbook.tables(spec).mul
@@ -136,7 +136,7 @@ def test_normalization_idempotent():
 
 def test_all_zero_rejected():
     # and each encoding is checked first, with the field's own message
-    spec = FieldSpec.of(7)
+    spec = FieldSpec(7)
     for t, message in [((0, 0, 0), "projective coordinates cannot be all "
                                    "zero"),
                        ((7, 0, 1), "encoding 7 out of range for GF(7)"),
@@ -151,7 +151,7 @@ def test_all_zero_rejected():
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
                                  (2, 3), (3, 2)])
 def test_incidence_matrix_matches_scalar_incident(p, h):
-    spec = FieldSpec.of(p, h)
+    spec = FieldSpec(p, h)
     points = enumerate_points(spec)
     inc = incidence_matrix(spec)
     expected = [[int(incident(P, l)) for l in enumerate_lines(spec)]
@@ -160,7 +160,7 @@ def test_incidence_matrix_matches_scalar_incident(p, h):
 
 
 def test_line_points_and_pencils_read_the_incidence_matrix():
-    spec = FieldSpec.of(3, 2)
+    spec = FieldSpec(3, 2)
     points = enumerate_points(spec)
     for k in (0, 17, len(points) - 1):
         P = points[k]
@@ -170,7 +170,7 @@ def test_line_points_and_pencils_read_the_incidence_matrix():
 
 
 def test_one_type_for_points_and_lines():
-    spec = FieldSpec.of(2, 2)
+    spec = FieldSpec(2, 2)
     assert ProjLine is ProjPoint
     assert enumerate_lines is enumerate_points
     assert pencil_lines is line_points
@@ -192,7 +192,7 @@ def test_incidence_matrix_matches_dot_product_reference(text):
 def test_incidence_matrix_is_built_from_the_points_of_each_line():
     # all 993^2 int64 dot products at q = 31 peaked at 45 MiB; the q+1
     # points of each line and the uint8 matrix take about 3 MiB
-    spec = FieldSpec.of(31)
+    spec = FieldSpec(31)
     canonical_triples(spec), spec.exp
     tracemalloc.start()
     try:
@@ -225,14 +225,14 @@ def test_a_point_of_another_plane_is_a_value_error():
     from psghost.ghost import (line_ghost, partial_pencil_ghost,
                                punctured_pencil_ghost)
     from psghost.msets import PointMultiset
-    spec = FieldSpec.of(7)
-    foreign = ProjPoint.from_encodings(FieldSpec.of(5), 1, 2, 3)
+    spec = FieldSpec(7)
+    foreign = ProjPoint.from_encodings(FieldSpec(5), 1, 2, 3)
     # a point is its row, so there is no unnormalized point to pass
     for row in (57, -1, 2.0):
         with pytest.raises(ValueError, match="is not a point of PG"):
             ProjPoint(spec, row)
     calls = [lambda P: PointMultiset.from_points(spec, [P]),
-             lambda P: PointMultiset.empty(spec).multiplicity(P),
+             lambda P: point_row(spec, P),
              lambda P: line_points(P, spec),
              lambda P: pencil_lines(P, spec),
              lambda P: line_ghost(P, spec),

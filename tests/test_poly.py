@@ -14,11 +14,11 @@ from psghost.plane import (ProjLine, ProjPoint, canonical_triples,
                            line_points)
 from psghost.poly import (HomPoly, add_poly, evaluate, line_values,
                           monomial_indices, monomial_positions,
-                          monomial_values, num_monomials,
+                          monomial_values, nonzero_terms, num_monomials,
                           point_image_rows, poly_from_text, poly_to_text,
                           power_sum)
 
-GF2 = FieldSpec.of(2)
+GF2 = FieldSpec(2)
 
 
 def mset(spec, *encs):
@@ -41,7 +41,7 @@ def test_power_sum_five_point_union():
 
 
 def test_power_sum_empty():
-    assert power_sum(PointMultiset.empty(GF2)).is_zero()
+    assert power_sum(PointMultiset.from_points(GF2, [])) == HomPoly.zero(GF2)
 
 
 def test_evaluate_examples():
@@ -52,7 +52,7 @@ def test_evaluate_examples():
 
 
 def test_evaluate_scaling_invariance():
-    spec = FieldSpec.of(7)
+    spec = FieldSpec(7)
     rng = random.Random(3)
     S = PointMultiset.from_vector(spec, [rng.randrange(7) for _ in range(57)])
     G = phi(S)
@@ -68,43 +68,43 @@ def test_evaluate_scaling_invariance():
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2)])
 def test_line_count_identity_exhaustive_lines(p, h):
     """evaluate(G^S, line) = |S| - m in the prime subfield, all lines."""
-    spec = FieldSpec.of(p, h)
+    spec = FieldSpec(p, h)
     n = spec.q**2 + spec.q + 1
     rng = random.Random(7)
     msets_ = [PointMultiset.from_vector(spec, [rng.randrange(p) for _ in range(n)])
               for _ in range(5)]
-    msets_.append(PointMultiset.empty(spec))
+    msets_.append(PointMultiset.from_points(spec, []))
     msets_.append(PointMultiset(spec, (1,) * n))
     for S in msets_:
         G = phi(S)
         for l in enumerate_lines(spec):
-            m = sum(S.multiplicity(P) for P in line_points(l, spec))
-            assert evaluate(G, l) == (S.size - m) % p
+            m = S.mult[[P.row for P in line_points(l, spec)]].sum()
+            assert evaluate(G, l) == (S.mult.sum() - m) % p
 
 
 @pytest.mark.parametrize("p,h", [(5, 1), (7, 1), (2, 3), (3, 2)])
 def test_line_count_identity_randomized(p, h):
-    spec = FieldSpec.of(p, h)
+    spec = FieldSpec(p, h)
     n = spec.q**2 + spec.q + 1
     rng = random.Random(11)
     for _ in range(3):
         S = PointMultiset.from_vector(spec, [rng.randrange(p) for _ in range(n)])
         G = phi(S)
         for l in rng.sample(list(enumerate_lines(spec)), 10):
-            m = sum(S.multiplicity(P) for P in line_points(l, spec))
-            assert evaluate(G, l) == (S.size - m) % p
+            m = S.mult[[P.row for P in line_points(l, spec)]].sum()
+            assert evaluate(G, l) == (S.mult.sum() - m) % p
 
 
 def test_additivity_disjoint_union():
-    spec = FieldSpec.of(3)
+    spec = FieldSpec(3)
     A = mset(spec, (0, 0, 1), (0, 1, 0))
     B = mset(spec, (1, 0, 0), (1, 1, 1))
     assert power_sum(msum(A, B)) == add_poly(power_sum(A), power_sum(B))
 
 
 def test_add_poly_refuses_another_field():
-    G = HomPoly.zero(FieldSpec.of(3))
-    for H in (HomPoly.zero(GF2), HomPoly.zero(FieldSpec.of(2, 2))):
+    G = HomPoly.zero(FieldSpec(3))
+    for H in (HomPoly.zero(GF2), HomPoly.zero(FieldSpec(2, 2))):
         with pytest.raises(ValueError, match="field mismatch"):
             add_poly(G, H)
         with pytest.raises(ValueError, match="field mismatch"):
@@ -112,14 +112,14 @@ def test_add_poly_refuses_another_field():
 
 
 def test_add_negate():
-    spec = FieldSpec.of(3)
+    spec = FieldSpec(3)
     rng = random.Random(5)
     S = PointMultiset.from_vector(spec, [rng.randrange(3) for _ in range(13)])
     G = phi(S)
     zero = HomPoly.zero(spec)
     assert add_poly(G, zero) == G
     minus_G = HomPoly(spec, schoolbook.tables(spec).mul[G.coeffs, spec.p - 1])
-    assert add_poly(G, minus_G).is_zero()
+    assert add_poly(G, minus_G) == zero
     Z = HomPoly.from_terms(GF2, {(1, 0): 1})
     Y = HomPoly.from_terms(GF2, {(0, 1): 1})
     assert add_poly(Z, Y) == HomPoly.from_terms(GF2, {(1, 0): 1, (0, 1): 1})
@@ -127,7 +127,7 @@ def test_add_negate():
 
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
 def test_coefficient_vector_length(p, h):
-    spec = FieldSpec.of(p, h)
+    spec = FieldSpec(p, h)
     q = spec.q
     assert num_monomials(spec) == q * (q + 1) // 2
     assert len(monomial_indices(spec)) == q * (q + 1) // 2
@@ -147,14 +147,11 @@ def test_monomial_positions_follow_monomial_indices(text):
 
 
 def test_coefficient_out_of_range_is_a_value_error():
-    spec = FieldSpec.of(5)
+    spec = FieldSpec(5)
     G = HomPoly.from_terms(spec, {(2, 1): 3})
-    assert G.coefficient(2, 1) == 3 and type(G.coefficient(2, 1)) is int
-    assert G.coefficient(0, 0) == 0
+    assert nonzero_terms(G) == [(2, 1, 3)]
     for i, j in [(9, 9), (-1, 0), (0, 5), (3, 2)]:
         message = f"monomial exponents {(i, j)} out of range"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            G.coefficient(i, j)
         with pytest.raises(ValueError, match=re.escape(message)):
             HomPoly.from_terms(spec, {(i, j): 1})
 
@@ -163,7 +160,7 @@ def test_coefficient_out_of_range_is_a_value_error():
 def test_power_sum_matches_direct_coefficient_formula(p, h):
     """Independent oracle: per-coefficient multinomial-and-powers formula,
     summed on the schoolbook tables."""
-    spec = FieldSpec.of(p, h)
+    spec = FieldSpec(p, h)
     add, mul, _, _ = schoolbook.tables(spec)
     rng = random.Random(31)
     n = spec.q**2 + spec.q + 1
@@ -179,11 +176,11 @@ def test_power_sum_matches_direct_coefficient_formula(p, h):
                              P.encodings(), i, j)
                 # m < p acts through the prime subfield
                 acc = add[acc, mul[m, term]]
-        assert G.coefficient(i, j) == acc
+        assert G.coeffs[monomial_positions(spec, i, j)] == acc
 
 
 def test_poly_text_round_trip():
-    spec = FieldSpec.of(3, 2)
+    spec = FieldSpec(3, 2)
     rng = random.Random(9)
     S = PointMultiset.from_vector(spec, [rng.randrange(3) for _ in range(91)])
     G = phi(S)
@@ -198,20 +195,20 @@ def test_poly_text_parse_error_line_number():
 def test_poly_text_out_of_range_monomial_names_its_line():
     with pytest.raises(ValueError, match=r"line 2: monomial exponents "
                                          r"\(9, 9\) out of range"):
-        poly_from_text("# psp q=7\n9 9 1\n", FieldSpec.of(7))
+        poly_from_text("# psp q=7\n9 9 1\n", FieldSpec(7))
 
 
 def test_a_file_of_the_other_kind_is_refused():
     # "1 2 3" would parse as the monomial (1, 2) with coefficient 3, and
     # "0 0 1" as the point (0, 0, 1)
-    gf7 = FieldSpec.of(7)
+    gf7 = FieldSpec(7)
     with pytest.raises(ValueError, match="# mset, but a # psp"):
         poly_from_text("# mset q=7\n1 2 3\n", gf7)
     with pytest.raises(ValueError, match="# psp, but a # mset"):
         mset_from_text("# psp q=7\n0 0 1\n", gf7)
     # headerless files still parse as their reader's kind
-    assert poly_from_text("1 2 3\n", gf7).coefficient(1, 2) == 3
-    assert mset_from_text("0 0 1\n", gf7).size == 1
+    assert nonzero_terms(poly_from_text("1 2 3\n", gf7)) == [(1, 2, 3)]
+    assert mset_from_text("0 0 1\n", gf7).mult.sum() == 1
 
 
 @pytest.mark.parametrize("comment", ["#", "# psp: notes", "# pspq=7",
@@ -224,12 +221,12 @@ def test_poly_other_hash_lines_are_comments(comment):
 def test_poly_text_repeated_monomial_is_an_error():
     # keeping the last of the two lines solved for another polynomial
     with pytest.raises(ValueError, match="line 3: monomial 0 0 repeated"):
-        poly_from_text("# psp q=3\n0 0 1\n0 0 2\n", FieldSpec.of(3))
+        poly_from_text("# psp q=3\n0 0 1\n0 0 2\n", FieldSpec(3))
 
 
 def test_monomial_values_zero_to_the_zero():
     # q = 4: monomials Z^i Y^j X^(3-i-j); 0^0 = 1 and 0^e = 0 for e > 0
-    spec = FieldSpec.of(2, 2)
+    spec = FieldSpec(2, 2)
     pos = {ij: k for k, ij in enumerate(monomial_indices(spec))}
     V = monomial_values(spec, [[0, 0, 2], [2, 0, 0], [0, 0, 0]],
                         [1] * num_monomials(spec))
@@ -253,7 +250,7 @@ def _term(spec, coeff, triple, i, j):
 def test_point_image_rows_match_per_entry_formula(p, h):
     # Multinomials vanish mod p at prime powers (C(3; 1, 1) = 6 at q = 4),
     # so the zero-coefficient branch is covered too.
-    spec = FieldSpec.of(p, h)
+    spec = FieldSpec(p, h)
     rows = point_image_rows(spec)
     for r, P in enumerate(enumerate_points(spec)):
         expected = [_term(spec, multinomial_int(spec.q - 1, i, j) % p,
@@ -264,7 +261,7 @@ def test_point_image_rows_match_per_entry_formula(p, h):
 
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
 def test_monomial_values_match_per_entry_formula(p, h):
-    spec = FieldSpec.of(p, h)
+    spec = FieldSpec(p, h)
     rng = random.Random(p * 10 + h)
     T = [[rng.choice([0, 0, 1, rng.randrange(spec.q)]) for _ in range(3)]
          for _ in range(60)]
@@ -277,7 +274,7 @@ def test_monomial_values_match_per_entry_formula(p, h):
                        for c, (i, j) in zip(coeffs, monomial_indices(spec))]
 
 
-GF7 = FieldSpec.of(7)
+GF7 = FieldSpec(7)
 BIG = 10**30  # beyond int64
 SPELL = ("integers are written in the digits 0-9, each with an optional "
          "leading '-'")
@@ -358,11 +355,11 @@ def test_poly_text_values_beyond_int64_are_out_of_range(text, message):
 ])
 def test_hompoly_checks_its_coefficients(coeffs, message):
     with pytest.raises(ValueError, match=message):
-        HomPoly(FieldSpec.of(3), coeffs)
+        HomPoly(FieldSpec(3), coeffs)
 
 
 def test_hompoly_holds_a_read_only_copy():
-    spec = FieldSpec.of(3)
+    spec = FieldSpec(3)
     given = np.array([0, 1, 2, 0, 1, 2], dtype=np.uint8)
     G = HomPoly(spec, given)
     assert G.coeffs.dtype == np.int64 and not G.coeffs.flags.writeable
@@ -372,7 +369,7 @@ def test_hompoly_holds_a_read_only_copy():
     assert G.coeffs[0] == 0 and given.flags.writeable
     assert G == HomPoly(spec, [0, 1, 2, 0, 1, 2])
     assert G != HomPoly(spec, [0, 1, 2, 0, 1, 1])
-    assert G != HomPoly(FieldSpec.of(2, 2), [0] * 10)
+    assert G != HomPoly(FieldSpec(2, 2), [0] * 10)
     assert G != given.tolist()
     with pytest.raises(TypeError):
         hash(G)
@@ -380,7 +377,7 @@ def test_hompoly_holds_a_read_only_copy():
 
 def test_bulk_paths_build_no_field_elements(monkeypatch, tmp_path, capsys):
     from psghost import cli, tomo
-    spec = FieldSpec.of(7)
+    spec = FieldSpec(7)
     rng = random.Random(4)
     S = PointMultiset.from_vector(spec, [rng.randrange(7) for _ in range(57)])
     mset_text = mset_to_text(S)
@@ -409,14 +406,14 @@ def test_bulk_paths_build_no_field_elements(monkeypatch, tmp_path, capsys):
 
 
 def test_evaluate_refuses_a_line_of_another_field():
-    spec = FieldSpec.of(5)
+    spec = FieldSpec(5)
     G = power_sum(mset(spec, (1, 2, 3), (0, 1, 4)))
     e = spec.elements()
     assert evaluate(G, ProjLine.from_encodings(spec, 1, 2, 3)) == line_values(
         G, [[1, 2, 3]])[0]
     # a line is a ProjLine; triples of ints or of FieldElements are not
-    for line in [ProjLine.from_encodings(FieldSpec.of(2, 2), 1, 2, 3),
-                 ProjLine.from_encodings(FieldSpec.of(7), 1, 2, 3),
+    for line in [ProjLine.from_encodings(FieldSpec(2, 2), 1, 2, 3),
+                 ProjLine.from_encodings(FieldSpec(7), 1, 2, 3),
                  (1, 2, 3), (e[1], e[2], e[3]), (e[1], e[2]), 7]:
         with pytest.raises(ValueError, match="field mismatch"):
             evaluate(G, line)
@@ -432,7 +429,8 @@ def test_line_values_of_a_power_sum_count_the_points_off_each_line(text):
     for row in random_residues(rng, spec.p, (20, len(T))):
         S = PointMultiset.from_vector(spec, row)
         values = line_values(power_sum(S), T)
-        assert values.tolist() == ((S.size - S.mult @ inc) % spec.p).tolist()
+        counts = (int(S.mult.sum()) - S.mult @ inc) % spec.p
+        assert values.tolist() == counts.tolist()
         assert values.max() < spec.p
 
 
@@ -447,9 +445,9 @@ def test_evaluate_refuses_the_all_zero_triple():
 
 
 def test_from_terms_checks_its_encodings():
-    spec = FieldSpec.of(5)
-    assert HomPoly.from_terms(spec, {(0, 1): np.int64(4)}).coefficient(
-        0, 1) == 4
+    spec = FieldSpec(5)
+    assert nonzero_terms(HomPoly.from_terms(spec, {(0, 1): np.int64(4)})) == [
+        (0, 1, 4)]
     for c in (5, -1, 10**30):
         with pytest.raises(ValueError) as err:
             HomPoly.from_terms(spec, {(0, 1): c})
