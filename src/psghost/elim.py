@@ -197,7 +197,8 @@ def verify_procedure(p: int) -> ElimReport:
     as a discrepancy), each pivotal block is a nonsingular Vandermonde
     block mod p, the outer blocks are nonsingular mod p, and the
     multinomial-weighted image matrix has full rank mod p by independent
-    generic elimination.
+    generic elimination.  Those rank checks eliminate p(p+1)/2-square
+    matrices, which linalg.rref refuses (ArithmeticError) for p >= 257.
     """
     import numpy as np
 

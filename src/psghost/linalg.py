@@ -1,13 +1,12 @@
 """Exact linear algebra over F_p.
 
 One elimination routine serves rank, left kernel and the prefactored
-solver; `rref` returns its echelon form.  It fills its work array with
-the residues of `as_fp` a block of rows at a time, and delays the reduction
-mod p (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008): a row update
-subtracts at most (p-1)^2 from an entry, so it works in int32 (int64 when
-p + (p-1)^2 >= 2^31) and reduces the whole matrix only after every `room`
-updates, the number that provably stay in range.  Each update runs over
-row slices of the rows it changes, so its temporaries stay within
+solver; `rref` returns its echelon form.  It works in int32 and reduces
+mod p once, at the end (delayed reduction: Dumas, Giorgi and Pernet, ACM
+TOMS 35(3), 2008).  A pivot subtracts at most (p-1)^2 from an entry, so
+an elimination with at most k pivots stays exact while k * (p-1)^2 + p <
+2^31, and `rref` refuses any other before it starts.  Each update runs
+over row slices of the rows it changes, so its temporaries stay within
 `block_entries` of the work array.  Pivoting is deterministic (first
 nonzero in column order) so echelon forms and kernel bases are
 byte-reproducible.  The kernel orientation is the left kernel: vectors
@@ -59,36 +58,34 @@ def rref(M, p: int, ncols: int | None = None):
     """Reduced row-echelon form over F_p.
 
     Returns (R, pivots): pivots are the pivot column indices and R is the
-    work array, every entry reduced to {0,...,p-1}.  Pivots are searched
-    only in the first ncols columns (all columns by default); the
-    remaining columns take part in every row operation.
+    C-ordered int32 work array, every entry reduced to {0,...,p-1}.  Pivots
+    are searched only in the first ncols columns (all columns by default);
+    the remaining columns take part in every row operation.
 
-    The work array starts from the residues of M in int32 (int64 when
-    p + (p-1)^2 >= 2^31), read from an array a block of rows at a time.
-    The pivot column and the pivot row are reduced when read, so each
-    update subtracts products in [0, (p-1)^2] and entries stay in
-    [-room * (p-1)^2, p-1] between full reductions.
-    A pivot updates the rows with a nonzero in its column a slice of rows
-    at a time, each slice and its outer product at most
-    block_entries(A.size) entries.  ArithmeticError when not even one
-    update fits int64.
+    The work array starts from the residues of M, read from an array a
+    block of rows at a time.  The pivot column and row are reduced when
+    read, so each of at most k = min(rows, ncols) pivots subtracts
+    products in [0, (p-1)^2] and entries stay in [-k * (p-1)^2, p-1]
+    until the one reduction at the end; ArithmeticError unless
+    k * (p-1)^2 + p < 2^31.  A pivot updates the rows with a nonzero in
+    its column a slice of rows at a time, each slice and its outer
+    product at most block_entries(A.size) entries.
     """
-    if p + (p - 1)**2 >= 2**63:
-        raise ArithmeticError(f"products of residues mod {p} would overflow "
-                              "int64")
-    dtype = np.int32 if p + (p - 1)**2 < 2**31 else np.int64
-    room = (int(np.iinfo(dtype).max) - p) // (p - 1)**2
     # numpy reads big integers in a list inexactly: a list is reduced whole
     M = M if isinstance(M, np.ndarray) and M.ndim == 2 else as_fp(M, p)
-    A = np.empty(M.shape, dtype=dtype)
-    rows, cols = A.shape
+    rows, cols = M.shape
+    ncols = cols if ncols is None else ncols
+    if min(rows, ncols) * (p - 1)**2 + p >= 2**31:
+        raise ArithmeticError(f"eliminating {rows}x{ncols} mod {p} could "
+                              "overflow int32")
+    A = np.empty(M.shape, dtype=np.int32)
     block = block_entries(A.size)
     step = max(1, block // max(1, cols))
     for i in range(0, rows, step):
         A[i:i + step] = as_fp(M[i:i + step], p)
     pivots: list[int] = []
-    r = updates = 0
-    for c in range(cols if ncols is None else ncols):
+    r = 0
+    for c in range(ncols):
         if r == rows:
             break
         col = A[:, c] % p
@@ -111,10 +108,6 @@ def rref(M, p: int, ncols: int | None = None):
         for i in range(0, others.size, step):
             part = others[i:i + step]
             A[part, c:] -= col[part, None] * pivot_row
-        updates += 1
-        if updates == room:
-            A %= p
-            updates = 0
         pivots.append(c)
         r += 1
     A %= p
@@ -157,8 +150,8 @@ class PrefactoredLeftSystem:
 
     Eliminates [M^T | I] once, pivoting only in the M^T block, so the
     identity block becomes the transform T with T @ M^T in echelon form;
-    each solve is a matrix-vector product plus a consistency check on the
-    non-pivot rows.
+    each solve is a matrix-vector product, exact in int64 by rref's bound,
+    plus a consistency check on the non-pivot rows.
     """
 
     def __init__(self, M, p: int):

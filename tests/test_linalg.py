@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from psghost import elim, field, linalg
 from psghost.field import FieldSpec, multinomial_int
 from psghost.ghost import point_matrix_fp
+from test_field import PRIME_POWERS
 
 
 def test_rank_identity_and_zero():
@@ -267,29 +269,124 @@ def _chain(p, k):
     return rows + [[p - 1] * k + [0, 1]]
 
 
-# 46337 is the largest prime with p + (p-1)^2 < 2^31: it stays in int32
-# with room for one update between full reductions.  46349 is the next
-# prime, and one of its updates already leaves int32.  3037000493 is the
-# largest prime with p + (p-1)^2 < 2^63.
+def _admits(k, p):
+    """Whether rref's bound admits an elimination of at most k pivots mod
+    p: each pivot subtracts at most (p-1)^2 from an entry in [0, p-1]."""
+    return k * (p - 1)**2 + p < 2**31
+
+
+def _edge_primes(k):
+    """The largest prime that _admits(k, .) and the next prime."""
+    p = math.isqrt(2**31 // k) + 1
+    while not (field.is_prime(p) and _admits(k, p)):
+        p -= 1
+    above = p + 1
+    while not field.is_prime(above):
+        above += 1
+    return p, above
+
+
+def _check_refused(A, p):
+    """Each elimination of A mod p raises ArithmeticError."""
+    for fn in (linalg.rank, linalg.rref, linalg.left_kernel_basis,
+               linalg.PrefactoredLeftSystem):
+        with pytest.raises(ArithmeticError):
+            fn(np.array(A, dtype=np.int64), p)
+
+
+def _solves(A, p, rng):
+    """PrefactoredLeftSystem(A) solves x @ A = t for a reachable t."""
+    x0 = [rng.randrange(p) for _ in A]
+    t = [sum(x * a for x, a in zip(x0, col)) % p for col in zip(*A)]
+    x = linalg.PrefactoredLeftSystem(np.array(A, dtype=np.int64), p).solve(t)
+    return x is not None and [sum(int(x) * a for x, a in zip(x, col)) % p
+                              for col in zip(*A)] == t
+
+
+# 46337 is the largest prime with (p-1)^2 + p < 2^31, so the only one here
+# that admits a pivot at all.  3037000493 is the largest prime with
+# (p-1)^2 + p < 2^63, the bound of an int64 work array.
 @pytest.mark.parametrize("p", [2, 3, 46337, 46349, 65521, 2**31 - 1,
                                3037000493])
 def test_delayed_reduction_stays_in_range(p):
     for k in (1, 2, 3, 5):
         A = _chain(p, k)
-        R_ref, piv_ref = _ref_rref(A, p)
-        R, piv = linalg.rref(np.array(A, dtype=np.int64), p)
-        assert (R.tolist(), piv) == (R_ref, piv_ref)
-        assert linalg.rank(A, p) == len(piv_ref)
+        # k pivots with ncols=k, k+1 with every column
+        for ncols, pivots in ((k, k), (None, k + 1)):
+            if _admits(pivots, p):
+                R, piv = linalg.rref(np.array(A, dtype=np.int64), p,
+                                     ncols=ncols)
+                assert (R.tolist(), piv) == _ref_rref(A, p, ncols=ncols)
+            else:
+                with pytest.raises(ArithmeticError):
+                    linalg.rref(np.array(A, dtype=np.int64), p, ncols=ncols)
+        if _admits(k + 1, p):
+            assert linalg.rank(A, p) == len(_ref_rref(A, p)[1])
+        else:
+            _check_refused(A, p)
 
 
 def test_delayed_reduction_bounds():
     # The primes above sit where the comment says they do.
-    assert field.is_prime(46337) and field.is_prime(46349)
-    assert not any(field.is_prime(n) for n in range(46338, 46349))
-    assert 46337 + 46336**2 < 2**31 <= 46349 + 46348**2
+    assert _edge_primes(1) == (46337, 46349)
     assert field.is_prime(3037000493) and field.is_prime(3037000507)
     assert not any(field.is_prime(n) for n in range(3037000494, 3037000507))
     assert 3037000493 + 3037000492**2 < 2**63 <= 3037000507 + 3037000506**2
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 13])
+def test_elimination_at_the_exactness_bound(k):
+    # At the largest prime the bound admits, _chain's last row reaches
+    # -k * (p-1)^2 > -2^31 + p with ncols=k, and every elimination of a
+    # matrix with k rows or k columns is exact; one prime up, each refuses.
+    p, above = _edge_primes(k)
+    A = _chain(p, k)
+    R, piv = linalg.rref(np.array(A, dtype=np.int64), p, ncols=k)
+    assert (R.tolist(), piv) == _ref_rref(A, p, ncols=k)
+    with pytest.raises(ArithmeticError):
+        linalg.rref(np.array(_chain(above, k), dtype=np.int64), above, ncols=k)
+    rng = random.Random(k)
+    for rows, cols in ((k, k), (k, k + 3), (k + 3, k)):
+        for A in (_random_low_rank(rng, p, rows, cols),
+                  [[rng.randrange(p) for _ in range(cols)]
+                   for _ in range(rows)]):
+            R, piv = linalg.rref(np.array(A, dtype=np.int64), p)
+            assert (R.tolist(), piv) == _ref_rref(A, p)
+            assert linalg.rank(A, p) == len(piv)
+            B = linalg.left_kernel_basis(np.array(A, dtype=np.int64), p)
+            assert B.tolist() == _ref_left_kernel(A, p)
+            assert _solves(A, p, rng)
+            _check_refused(A, above)
+
+
+def test_prefactored_solve_refuses_products_beyond_int64():
+    # T @ t overflowed int64 at p = 2^31 - 1: for this full-rank system
+    # solve returned an x with x @ M != t.
+    p = 2**31 - 1
+    rng = random.Random(2)
+    M = [[rng.randrange(p) for _ in range(8)] for _ in range(8)]
+    assert len(_ref_rref(M, p)[1]) == 8
+    with pytest.raises(ArithmeticError):
+        linalg.PrefactoredLeftSystem(np.array(M, dtype=np.int64), p)
+
+
+def test_the_bound_admits_every_elimination_psghost_runs():
+    # From shapes alone.  ghost_report and tomo eliminate the transpose of
+    # the point matrix, h * C(q+1, 2) monomial coordinates by q^2 + q + 1
+    # points: left_kernel_basis pivots in the points, and
+    # PrefactoredLeftSystem in the points of [M^T | I].
+    for p, h in PRIME_POWERS:
+        q = p**h
+        coords, points = h * math.comb(q + 1, 2), q * q + q + 1
+        assert _admits(min(coords, points), p), q
+        if q <= 9:
+            assert point_matrix_fp(FieldSpec(p, h)).shape == (points, coords)
+    # verify_procedure's largest rank checks are p(p+1)/2-square, at each
+    # odd prime the CLI takes.
+    odd = [p for p, h in PRIME_POWERS if p > 2 and h == 1]
+    assert max(odd) == 61
+    assert all(_admits(p * (p + 1) // 2, p) for p in odd)
+    assert _admits(251 * 252 // 2, 251) and not _admits(257 * 258 // 2, 257)
 
 
 @pytest.mark.parametrize("p", [3037000507, 4294967311])
@@ -303,7 +400,10 @@ def test_rref_refuses_a_modulus_beyond_int64(p):
             fn(A, p)
 
 
-@pytest.mark.parametrize("p", [2, 3, 181, 191, 46337, 46349, 65521])
+# 46337, 46349 and 65521 admit only an elimination of one pivot, if any;
+# the rest refuse.
+@pytest.mark.parametrize("p", [2, 3, 181, 191, 46337, 46349, 65521,
+                               *_edge_primes(13)])
 def test_elimination_matches_python_integer_reference(p):
     rng = random.Random(p)
     for trial in range(40):
@@ -312,14 +412,26 @@ def test_elimination_matches_python_integer_reference(p):
             A = _random_low_rank(rng, p, rows, cols)
         else:
             A = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+        ncols = rng.randrange(cols + 1)
+        if _admits(min(rows, ncols), p):
+            R, piv = linalg.rref(np.array(A, dtype=np.int64), p, ncols=ncols)
+            assert (R.tolist(), piv) == _ref_rref(A, p, ncols=ncols)
+        else:
+            with pytest.raises(ArithmeticError):
+                linalg.rref(np.array(A, dtype=np.int64), p, ncols=ncols)
+        if not _admits(min(rows, cols), p):
+            _check_refused(A, p)
+            continue
         R_ref, piv_ref = _ref_rref(A, p)
         R, piv = linalg.rref(np.array(A, dtype=np.int64), p)
-        assert R.dtype == (np.int32 if p + (p - 1)**2 < 2**31 else np.int64)
+        assert R.dtype == np.int32 and R.flags.c_contiguous
         assert piv == piv_ref and R.tolist() == R_ref
+        # left_kernel_basis's reversed transposed view of M is in Fortran
+        # order; a work array kept in that order strides across memory
+        R, piv = linalg.rref(np.array(A, dtype=np.int64).T[:, ::-1], p)
+        assert R.dtype == np.int32 and R.flags.c_contiguous
+        assert (R.tolist(), piv) == _ref_rref([r[::-1] for r in zip(*A)], p)
         assert linalg.rank(A, p) == len(piv_ref)
-        ncols = rng.randrange(cols + 1)
-        R, piv = linalg.rref(np.array(A, dtype=np.int64), p, ncols=ncols)
-        assert (R.tolist(), piv) == _ref_rref(A, p, ncols=ncols)
         B = linalg.left_kernel_basis(np.array(A, dtype=np.int64), p)
         assert B.tolist() == _ref_left_kernel(A, p)
 
