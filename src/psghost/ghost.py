@@ -8,8 +8,8 @@ The fast paths go through a cached prime-subfield point-image matrix: the
 power sum polynomial of a multiset, in F_p coordinates, is the
 multiplicity vector times that matrix mod p.  Each predicate takes an
 (m, q^2+q+1) stack of multiplicity vectors and answers every row with one
-exact product, which rows_congruent takes in float64 blocks; the
-PointMultiset forms wrap a one-row stack.
+exact product, linalg.mul_mod; the PointMultiset forms wrap a one-row
+stack.
 """
 
 from __future__ import annotations
@@ -26,43 +26,10 @@ from .plane import ProjLine, ProjPoint, incidence_matrix, point_row
 from .poly import point_matrix_fp
 
 
-def rows_congruent(V, matrix: np.ndarray, p: int, target=0) -> np.ndarray:
-    """Per row of an (m, n) stack V: V @ matrix = target (mod p) in every
-    column, with target broadcast to the product's shape.
-
-    The product is taken in float64 (BLAS), a block of V's rows by a block
-    of matrix's columns at a time; each factor's block and their product
-    hold at most linalg.block_entries(matrix.size) entries, so no float64
-    copy of a whole factor is made.  Entries of V and matrix must lie in
-    {0,...,p-1}.  The product is exact while every sum of n such products,
-    at most (p-1)^2 * n, is below 2^53; ArithmeticError otherwise.  A block
-    R is reduced as R - p * floor(R / p) in one temporary: R / p rounds by
-    at most half an ulp, less than 1/p, so its floor is exact.
-    """
-    V = np.asarray(V)
-    n, width = matrix.shape
-    if (p - 1)**2 * n >= 2**53:
-        raise ArithmeticError(f"a sum of {n} products mod {p} would not be "
-                              "exact in float64")
-    target = np.broadcast_to(target, (len(V), width))
-    block = linalg.block_entries(matrix.size)
-    cols = max(1, min(width, block // n))
-    rows = max(1, block // max(n, cols))
-    ok = np.ones(len(V), dtype=bool)
-    for j in range(0, width, cols):
-        right = matrix[:, j:j + cols].astype(np.float64)
-        for i in range(0, len(V), rows):
-            R = V[i:i + rows].astype(np.float64) @ right
-            F = R / p
-            R -= np.multiply(np.floor(F, out=F), p, out=F)
-            ok[i:i + rows] &= (R == target[i:i + rows, j:j + cols]).all(axis=1)
-    return ok
-
-
 def is_ghost_stack(spec: FieldSpec, V) -> np.ndarray:
     """Per row of V: every coefficient of the power sum polynomial is zero."""
     V = mult_stack(spec, V)
-    return rows_congruent(V, point_matrix_fp(spec), spec.p)
+    return ~linalg.mul_mod(V, point_matrix_fp(spec), spec.p).any(axis=1)
 
 
 def vandermonde_check_stack(spec: FieldSpec, V) -> np.ndarray:
@@ -72,8 +39,8 @@ def vandermonde_check_stack(spec: FieldSpec, V) -> np.ndarray:
     weighted, mod p), where r is its total multiplicity mod p.
     """
     V = mult_stack(spec, V)
-    return rows_congruent(V, incidence_matrix(spec), spec.p,
-                          (V.sum(axis=1) % spec.p)[:, None])
+    meets = linalg.mul_mod(V, incidence_matrix(spec), spec.p)
+    return (meets == (V.sum(axis=1) % spec.p)[:, None]).all(axis=1)
 
 
 def is_ghost(S: PointMultiset) -> bool:
@@ -197,7 +164,10 @@ def ghost_report(spec: FieldSpec) -> GhostReport:
         raise ArithmeticError(f"kernel basis over GF({spec}) is not in "
                               "reduced echelon form")
     rest = np.delete(np.arange(n), leads)
-    if not rows_congruent(B[:, rest], M[rest], p, (p - M[leads]) % p).all():
+    P = linalg.mul_mod(B[:, rest], M[rest], p)
+    np.subtract(p, P, out=P)
+    P %= p
+    if not np.array_equal(P, M[leads]):
         raise ArithmeticError(f"kernel basis over GF({spec}) is not in the "
                               "kernel of the point-image matrix")
     B.flags.writeable = False

@@ -54,6 +54,38 @@ def as_fp(M, p: int) -> np.ndarray:
     return (A % A.dtype.type(p)).astype(residues, copy=False)
 
 
+def mul_mod(V, M, p: int) -> np.ndarray:
+    """V @ M mod p for an (m, n) V and an (n, w) M with entries in
+    {0,...,p-1}, in the residue dtype of as_fp.
+
+    The product is taken in float64 (BLAS), a block of V's rows by a block
+    of M's columns at a time; each factor's block and their product hold
+    at most block_entries(M.size) entries, and a factor's block is freed
+    before its next one is built, so no float64 copy of a whole factor is
+    made.  It is exact while every sum of n products, at most
+    (p-1)^2 * n, is below 2^53; ArithmeticError otherwise.  A block R is
+    reduced as R - p * floor(R / p) in one temporary: R / p rounds by at
+    most half an ulp, less than 1/p, so its floor is exact.
+    """
+    n, width = M.shape
+    if (p - 1)**2 * n >= 2**53:
+        raise ArithmeticError(f"a sum of {n} products mod {p} would not be "
+                              "exact in float64")
+    out = np.empty((len(V), width), dtype=np.min_scalar_type(p - 1))
+    block = block_entries(M.size)
+    cols = max(1, min(width, block // n))
+    rows = max(1, block // max(n, cols))
+    for j in range(0, width, cols):
+        right = M[:, j:j + cols].astype(np.float64)
+        for i in range(0, len(V), rows):
+            R = V[i:i + rows].astype(np.float64) @ right
+            F = R / p
+            R -= np.multiply(np.floor(F, out=F), p, out=F)
+            out[i:i + rows, j:j + cols] = R
+        del right
+    return out
+
+
 def rref(M, p: int, ncols: int | None = None):
     """Reduced row-echelon form over F_p.
 
@@ -150,8 +182,8 @@ class PrefactoredLeftSystem:
 
     Eliminates [M^T | I] once, pivoting only in the M^T block, so the
     identity block becomes the transform T with T @ M^T in echelon form;
-    each solve is a matrix-vector product, exact in int64 by rref's bound,
-    plus a consistency check on the non-pivot rows.
+    each solve reads its target exactly, through as_fp, takes one mul_mod
+    and checks consistency on the non-pivot rows.
     """
 
     def __init__(self, M, p: int):
@@ -160,14 +192,12 @@ class PrefactoredLeftSystem:
         m, self.n_unknowns = A.shape
         R, self.pivots = rref(np.hstack([A, np.eye(m, dtype=A.dtype)]), p,
                               ncols=self.n_unknowns)
-        self.T = np.ascontiguousarray(R[:, self.n_unknowns:],
-                                      dtype=np.int64)
+        self.T = as_fp(R[:, self.n_unknowns:], p)
 
     def solve(self, target):
-        t = np.asarray(target, dtype=np.int64) % self.p
-        if t.shape != (self.T.shape[0],):
+        if np.shape(target) != (self.T.shape[0],):
             raise ValueError("target length must equal the column count")
-        tp = self.T @ t % self.p
+        tp = mul_mod(self.T, as_fp([target], self.p).T, self.p)[:, 0]
         r = len(self.pivots)
         if np.any(tp[r:]):
             return None

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import field
 from .field import FieldSpec, multinomial_int
-from .linalg import block_entries
+from .linalg import block_entries, mul_mod
 from .plane import ProjLine, canonical_triples
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -141,7 +141,7 @@ def point_matrix_fp(spec: FieldSpec) -> np.ndarray:
     Each entry becomes its h base-p digits, so the shape is
     (q^2+q+1, h*C(q+1,2)); a multiset maps to mult @ matrix mod p.
     Read-only, in the smallest unsigned dtype that holds p-1; for h = 1 it
-    is point_image_rows itself.  Products must be taken in a wider dtype.
+    is point_image_rows itself.  Products go through linalg.mul_mod.
     """
     rows = point_image_rows(spec)
     if spec.h == 1:
@@ -158,12 +158,10 @@ def power_sum(S: "PointMultiset") -> HomPoly:
 
     Multiplicities act as prime-subfield scalars (they are already reduced
     mod p, which is all that matters for the scalar action); the sum is
-    taken in prime-subfield coordinates, in int64.  einsum casts the point
-    matrix in buffered chunks, where a product would cast all of it first.
+    one mul_mod in prime-subfield coordinates.
     """
     spec = S.spec
-    flat = np.einsum("i,ij->j", S.mult, point_matrix_fp(spec),
-                     dtype=np.int64) % spec.p
+    flat = mul_mod(S.mult[None], point_matrix_fp(spec), spec.p)
     return HomPoly(spec, field.from_digits(spec, flat.reshape(-1, spec.h)))
 
 
@@ -171,13 +169,13 @@ def line_values(G: HomPoly, T) -> np.ndarray:
     """Encodings of G at each triple of T, an (n, 3) array of encodings.
 
     The terms are summed digit-wise mod p through a table of digits, a
-    block of about 2^18 terms at a time.
+    block of rows at a time, each block at most block_entries of them all.
     """
     spec = G.spec
     T, coeffs = np.asarray(T), G.coeffs
     table = field.digits(spec, np.arange(spec.q)).astype(
         np.min_scalar_type(spec.p - 1))
-    block = max(1, 2**18 // len(coeffs))
+    block = max(1, block_entries(len(T) * len(coeffs)) // len(coeffs))
     values = np.empty(len(T), dtype=np.int64)
     for k in range(0, len(T), block):
         terms = monomial_values(spec, T[k:k + block], coeffs)

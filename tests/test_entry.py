@@ -63,13 +63,18 @@ sys.stderr.write(f"{code} {loaded}\\n")
     (["--help"], ["numpy"]),
     (["ghost-report", "--field", "5"], ["psghost.tomo", "psghost.elim"]),
     (["verify", "--field", "5"], ["psghost.tomo", "json"]),
-], ids=["elim-trace", "help", "ghost-report", "verify"])
+    (["eval", "--field", "5", "--in", "-"],
+     ["psghost.ghost", "psghost.tomo", "psghost.elim", "psghost.msets"]),
+    (["psp", "--field", "5", "--in", "-"],
+     ["psghost.ghost", "psghost.tomo", "psghost.elim"]),
+], ids=["elim-trace", "help", "ghost-report", "verify", "eval", "psp"])
 def test_cold_command_imports_only_what_it_runs(argv, absent):
+    # eval and psp read an empty file from stdin
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, ",".join(absent), *argv],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        text=True, timeout=120)
+        env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stderr.splitlines()[-1] == "0 []"
 
@@ -157,6 +162,41 @@ def test_every_function_is_run_by_the_package_or_the_benchmark():
                 or qualname in psghost.__all__
                 or named_elsewhere(path, node, method))]
     assert unnamed == []
+
+
+# Matrix products in src/psghost outside linalg.mul_mod, and why each
+# stays where it is.
+OTHER_PRODUCTS = {
+    "field.from_digits": "digits times the powers of p: encodings, not "
+                         "residues mod p",
+    "field._tables": "field loads without linalg",
+    "poly.monomial_values": "exponents times logs: sums of integers, not "
+                            "residues mod p",
+    "tomo.enumerate_set_solutions": "one small product per kernel "
+                                    "combination, where a blocked product "
+                                    "would slow the walk",
+}
+
+
+def test_products_of_residue_matrices_go_through_mul_mod():
+    """Every `@`, matmul, dot and einsum in psghost is in linalg.mul_mod
+    or in OTHER_PRODUCTS, named by its innermost def."""
+    found = set()
+    for path in sorted(Path(psghost.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [(node.lineno, node.end_lineno, qualname)
+                for qualname, node, _ in _defs(tree)]
+        for node in ast.walk(tree):
+            op = getattr(node, "op", None)
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if (isinstance(op, ast.MatMult)
+                    or name in ("matmul", "dot", "einsum")):
+                where = max(((first, qualname) for first, last, qualname
+                             in defs if first <= node.lineno <= last),
+                            default=(0, "<module>"))[1]
+                found.add(f"{path.stem}.{where}")
+    assert sorted(found - {"linalg.mul_mod"} - set(OTHER_PRODUCTS)) == []
+    assert set(OTHER_PRODUCTS) | {"linalg.mul_mod"} <= found
 
 
 def test_field_element_is_named_in_field_and_the_export_map_only():

@@ -9,8 +9,9 @@ import schoolbook
 from psghost.field import FieldSpec
 from psghost.ghost import (ghost_report, is_ghost, is_ghost_stack,
                            line_ghost, partial_pencil_ghost,
-                           punctured_pencil_ghost, rows_congruent,
-                           vandermonde_check, vandermonde_check_stack)
+                           punctured_pencil_ghost, vandermonde_check,
+                           vandermonde_check_stack)
+from psghost.linalg import block_entries, mul_mod
 from psghost.msets import PointMultiset, complement, minverse, msum, phi
 from psghost.plane import (ProjLine, ProjPoint, canonical_triples,
                            enumerate_lines, enumerate_points,
@@ -270,7 +271,7 @@ RESIDUE_SHAPES = {"3^2": (91, 182), "61": (500, 300)}
 
 
 def _product_operands(caller, spec, m):
-    """(V, matrix) as the caller passes them to rows_congruent."""
+    """(V, matrix) as the caller passes them to mul_mod."""
     if caller == "ghost_report":
         B = ghost_report(spec).kernel
         rest = np.ones(B.shape[1], dtype=bool)
@@ -292,7 +293,8 @@ def _product_operands(caller, spec, m):
     ("ghost_report", "5", None), ("ghost_report", "23", None),
     ("residues", "3^2", 100), ("residues", "61", 70)])
 def test_rows_congruent_matches_int64_product(caller, field, m):
-    from psghost.linalg import block_entries
+    # mul_mod, on the operands and in the blocks of each caller, equals the
+    # int64 product mod p in every entry of every block
     spec = FieldSpec.parse(field)
     p = spec.p
     V, matrix = _product_operands(caller, spec, m)
@@ -305,14 +307,9 @@ def test_rows_congruent_matches_int64_product(caller, field, m):
         assert width > cols and width % cols
         assert len(V) > rows and len(V) % rows
     want = V.astype(np.int64) @ matrix.astype(np.int64) % p
-    assert rows_congruent(V, matrix, p, want).all()
-    # one wrong entry, in the first, a middle or the last block, flags
-    # its row alone
-    for i, j in [(0, 0), (len(V) // 2, width // 2), (len(V) - 1, width - 1)]:
-        target = want.copy()
-        target[i, j] = (target[i, j] + 1) % p
-        got = rows_congruent(V, matrix, p, target)
-        assert got.tolist() == [k != i for k in range(len(V))]
+    got = mul_mod(V, matrix, p)
+    assert got.dtype == np.min_scalar_type(p - 1)
+    assert got.tolist() == want.tolist()
 
 
 STACK_PREDICATES = [is_ghost_stack, vandermonde_check_stack]
@@ -415,11 +412,9 @@ def test_product_mod_p_guard():
     # (p-1)^2 * n must stay below 2^53 for the float64 sums to be exact
     p = 2**26 + 1
     V = np.array([[p - 1]])
-    assert rows_congruent(V, np.array([[p - 1]]), p, 1).tolist() == [True]
-    assert rows_congruent(V, np.array([[p - 1]]), p).tolist() == [False]
+    assert mul_mod(V, np.array([[p - 1]]), p).tolist() == [[1]]
     with pytest.raises(ArithmeticError):
-        rows_congruent(np.array([[p - 1, p - 1]]),
-                       np.array([[p - 1], [p - 1]]), p)
+        mul_mod(np.array([[p - 1, p - 1]]), np.array([[p - 1], [p - 1]]), p)
 
 
 def test_one_multiset_predicates_return_bool():

@@ -466,6 +466,17 @@ def test_prefactored_solve_checks_the_target_length():
             solver.solve(target)
 
 
+def test_prefactored_solve_reads_its_target_exactly():
+    # the target was cast to int64: 1.5 was solved as 1, 2^70 raised
+    # OverflowError and a uint64 above 2^63 wrapped around
+    solver = linalg.PrefactoredLeftSystem(np.eye(2, dtype=np.int64), 5)
+    with pytest.raises(ValueError, match="is not an integer"):
+        solver.solve([1.5, 1])
+    assert solver.solve([2**70, 1]).tolist() == [2**70 % 5, 1]
+    big = np.array([2**64 - 1, 2**63 + 7], dtype=np.uint64)
+    assert solver.solve(big).tolist() == [(2**64 - 1) % 5, (2**63 + 7) % 5]
+
+
 def test_as_fp_is_exact_on_uint64_beyond_int64():
     # uint64 values >= 2^63 have no int64 form; they are reduced as Python
     # integers
