@@ -72,7 +72,8 @@ def _check_order(p: int, h: int) -> None:
     if h < 1:
         raise ValueError(f"extension degree must be >= 1, got {h}")
     if p >= 2 and (h >= MAX_Q.bit_length() or p**h > MAX_Q):
-        raise ValueError(f"q = {p}^{h} exceeds {MAX_Q}, the largest field "
+        q = p if h == 1 else f"{p}^{h}"
+        raise ValueError(f"q = {q} exceeds {MAX_Q}, the largest field "
                          "supported")
     if not is_prime(p):
         r = next((d for d in range(2, p) if p % d == 0), 0)

@@ -136,24 +136,17 @@ def mset_texts(spec: FieldSpec, V):
     multiplicities in {0,...,p-1}: one line per point with nonzero
     multiplicity, "a b c" for 1 and "a b c : m" otherwise.
 
-    Yields the texts in row order.  One np.flatnonzero pass over the stack
-    finds every line; each text is made when it is asked for.
+    Yields the texts in row order, each made when it is asked for from
+    its own row's np.flatnonzero, so that no index of every nonzero in
+    the stack is held while the texts are written.
     """
-    V = np.asarray(V)
-    n = V.shape[1]
     labels = _point_labels(spec)
     suffix = _multiplicity_suffixes(spec.p)
     head = f"# mset q={spec}\n"
-    flat = np.flatnonzero(V)
-    mults = V.ravel()[flat]
-    ends = np.searchsorted(flat, n * np.arange(1, len(V) + 1)).tolist()
-    start = 0
-    for r, end in enumerate(ends):
-        cols = (flat[start:end] - r * n).tolist()
-        yield head + "".join([labels[c] + suffix[m]
-                              for c, m in zip(cols,
-                                              mults[start:end].tolist())])
-        start = end
+    for row in np.asarray(V):
+        cols = np.flatnonzero(row)
+        yield head + "".join([labels[c] + suffix[m] for c, m in
+                              zip(cols.tolist(), row[cols].tolist())])
 
 
 def mset_to_text(S: PointMultiset) -> str:

@@ -153,6 +153,41 @@ def point_matrix_fp(spec: FieldSpec) -> np.ndarray:
     return M.reshape(rows.shape[0], -1)
 
 
+@lru_cache(maxsize=None)
+def image_columns(spec: FieldSpec):
+    """Columns of point_matrix_fp that span all of its columns.
+
+    A monomial's column is 0 unless its multinomial is nonzero mod p, that
+    is (Lucas) unless i and j add without carry in base p.  By Frobenius
+    the entries at (p*i, p*j) mod q-1 (q-1 fixed: the base-p digits
+    rotate) are the p-th powers of those at (i, j), an F_p-linear map of
+    the digits.  So the h digit columns k*h + d of the least monomial k in
+    each rotation orbit of the carry-free monomials span the rest, and
+    M[:, image_columns(spec)] has the left kernel of M: C(p+1,2)^h is its
+    rank.  A read-only ascending index array, or at h = 1 slice(None),
+    which selects every column without a copy.
+    """
+    p, h, q1 = spec.p, spec.h, spec.q - 1
+    if h == 1:
+        return slice(None)
+    monomials = monomial_indices(spec)
+    index = {m: k for k, m in enumerate(monomials)}
+
+    def rotate(e):
+        return e if e == q1 else p * e % q1
+
+    cols = []
+    for k, (i, j) in enumerate(monomials):
+        orbit = [(i, j)]
+        for _ in range(h - 1):
+            orbit.append(tuple(map(rotate, orbit[-1])))
+        if multinomial_int(q1, i, j) % p and min(map(index.get, orbit)) == k:
+            cols += range(k * h, k * h + h)
+    cols = np.array(cols)
+    cols.flags.writeable = False
+    return cols
+
+
 def power_sum(S: "PointMultiset") -> HomPoly:
     """The power sum polynomial of a point multiset.
 

@@ -526,6 +526,7 @@ def test_object_paths_enumerate_no_plane(monkeypatch, capsys, tmp_path):
 @pytest.mark.parametrize("field,reason", [
     ("11^2", "exceeds 64"),
     ("2^7", "exceeds 64"),
+    ("67", "q = 67 exceeds 64"),
     ("2^0", "extension degree must be >= 1"),
     ("2^-1", "extension degree must be >= 1"),
     ("1^5", "p = 1 is not prime"),
@@ -544,6 +545,7 @@ def test_field_error_names_the_reason(capsys, field, reason):
     # way to pass; a prime power written as an integer (4, 64) read "p = 64
     # is not prime", although 2^6 is a supported field.  int() read 1_3 as
     # 13, +7 as 7, "7^ 2" as 49 and the Arabic-Indic digit three as 3.
+    # 67 was named "q = 67^1", with an exponent it was not written with.
     code, out, err = run(capsys, "ghost-report", "--field", field)
     assert code == 3 and out == ""
     assert reason in err and "modulus" not in err

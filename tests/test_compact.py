@@ -123,6 +123,24 @@ def test_kernel_texts_equal_per_point_reference(field):
     assert list(mset_texts(spec, np.zeros((0, n), dtype=np.uint8))) == []
 
 
+def test_mset_texts_hold_no_index_of_the_whole_stack():
+    # one np.flatnonzero over the whole kernel held an int64 index of all
+    # its nonzeros while the texts were written: 344 KiB at 23, where the
+    # texts peaked at 435 KiB (38 KiB row by row)
+    spec = FieldSpec(23)
+    kernel = ghost.ghost_report(spec).kernel
+    msets._point_labels(spec)
+    texts = mset_texts(spec, kernel)
+    tracemalloc.start()
+    try:
+        for _ in texts:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < np.count_nonzero(kernel) * 8 / 4
+
+
 def test_mset_texts_of_a_stack_with_empty_rows():
     spec = FieldSpec(5)
     V = _random_stack(spec, 4, 4)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -16,8 +17,8 @@ from psghost.msets import PointMultiset, complement, minverse, msum, phi
 from psghost.plane import (ProjLine, ProjPoint, canonical_triples,
                            enumerate_lines, enumerate_points,
                            incidence_matrix, line_points)
-from psghost.poly import (HomPoly, evaluate, line_values, point_matrix_fp,
-                          power_sum)
+from psghost.poly import (HomPoly, evaluate, image_columns, line_values,
+                          monomial_indices, point_matrix_fp, power_sum)
 
 GF2 = FieldSpec(2)
 
@@ -226,6 +227,74 @@ def test_ghost_report_rejects_a_basis_outside_the_kernel(monkeypatch):
     ghost_report.cache_clear()
     try:
         with pytest.raises(ArithmeticError):
+            ghost_report(spec)
+    finally:
+        ghost_report.cache_clear()
+
+
+# Columns of point_matrix_fp that image_columns keeps, by field.
+IMAGE_COLUMN_COUNTS = {"2^2": 12, "2^3": 33, "2^4": 96, "2^5": 255, "3^2": 42,
+                       "3^3": 228, "5^2": 240}
+
+
+def _reference_image_columns(spec):
+    """The h digit columns of each monomial whose i and j add without carry
+    in base p and that is the least of its digit rotations."""
+    p, h = spec.p, spec.h
+
+    def digits(e):
+        return [e // p**d % p for d in range(h)]
+
+    def rotate(e):  # p * e mod q - 1, with q - 1 fixed
+        d = digits(e)
+        return sum(c * p**k for k, c in enumerate(d[-1:] + d[:-1]))
+
+    index = {m: k for k, m in enumerate(monomial_indices(spec))}
+    cols = []
+    for k, (i, j) in enumerate(monomial_indices(spec)):
+        if any(a + b >= p for a, b in zip(digits(i), digits(j))):
+            continue
+        orbit = [(i, j)]
+        for _ in range(h - 1):
+            orbit.append(tuple(map(rotate, orbit[-1])))
+        if k == min(index[m] for m in orbit):
+            cols += [k * h + d for d in range(h)]
+    return cols
+
+
+@pytest.mark.parametrize("field", sorted(IMAGE_COLUMN_COUNTS))
+def test_image_columns_have_the_kernel_of_the_point_matrix(field):
+    from psghost import linalg
+    spec = FieldSpec.parse(field)
+    M, cols = point_matrix_fp(spec), image_columns(spec)
+    assert cols.tolist() == _reference_image_columns(spec)
+    assert len(cols) == IMAGE_COLUMN_COUNTS[field]
+    assert not cols.flags.writeable
+    B = linalg.left_kernel_basis(M, spec.p)
+    reduced = linalg.left_kernel_basis(M[:, cols], spec.p)
+    assert reduced.dtype == B.dtype and reduced.shape == B.shape
+    assert reduced.tobytes() == B.tobytes()
+    assert M.shape[0] - len(B) == math.comb(spec.p + 1, 2)**spec.h
+
+
+@pytest.mark.parametrize("p", [2, 13])
+def test_image_columns_select_a_prime_field_matrix_without_a_copy(p):
+    M = point_matrix_fp(FieldSpec(p))
+    view = M[:, image_columns(FieldSpec(p))]
+    assert view.base is M and view.shape == M.shape
+
+
+def test_ghost_report_rejects_columns_that_lose_rank(monkeypatch):
+    # without its first column the reduced matrix has a larger kernel, whose
+    # basis is in reduced echelon form but not in the kernel of M
+    from psghost import ghost, linalg
+    spec = FieldSpec(2, 2)
+    M, cols = point_matrix_fp(spec), image_columns(spec)[1:]
+    assert linalg.rank(M[:, cols], spec.p) < linalg.rank(M, spec.p)
+    monkeypatch.setattr(ghost, "image_columns", lambda spec: cols)
+    ghost_report.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="not in the kernel"):
             ghost_report(spec)
     finally:
         ghost_report.cache_clear()

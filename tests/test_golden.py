@@ -28,8 +28,9 @@ FIELDS = ["2", "3", "2^2", "5", "7", "2^3", "3^2", "13"]
 
 # `ghost-report` is also pinned at the benchmark's larger fields, at 5^2
 # and 29, whose eliminations gain most from delaying the reduction mod p,
-# and at 31 and 3^3, the largest prime and odd-characteristic planes.
-REPORT_FIELDS = FIELDS + ["23", "2^4", "5^2", "29", "31", "3^3"]
+# and at 31, 3^3 and 2^5: a large prime plane, and the largest odd- and
+# even-characteristic extension planes that these pins report on.
+REPORT_FIELDS = FIELDS + ["23", "2^4", "5^2", "29", "31", "3^3", "2^5"]
 
 GHOST_REPORT_SHA256 = {
     "2":
@@ -60,6 +61,8 @@ GHOST_REPORT_SHA256 = {
         "1bb9390d0383387e76e1d73e569116a07340243b8ee149f9e7059fee5639da4a",
     "3^3":
         "cdd0da7a9fa4171c908b46699d7e93d8f2cb1e4750d2588a3702437230547e98",
+    "2^5":
+        "31eba6cbcb35d16f86e1f905ce454d43e9b34e3cbeef8601cfdc32ead7ab6a67",
 }
 
 # `ghost-report` text: the count is an integer below 2^128 (2, 7, 2^3, 3^2)
@@ -83,6 +86,10 @@ GHOST_REPORT_TEXT_SHA256 = {
 # list the kernel basis as `# mset` blocks.
 SOLVE_FIELDS = FIELDS + ["23", "2^4"]
 
+# `solve` JSON is pinned at the extension fields above 2^4 too, where the
+# solver eliminates a reduced set of the point-image columns.
+SOLVE_JSON_FIELDS = SOLVE_FIELDS + ["3^3", "5^2", "2^5"]
+
 SOLVE_SHA256 = {
     "2":
         "fae85dbf157a76d1649c8277b9fbab2a20516ec02dc0c80774b317a3e2d3e1f9",
@@ -104,6 +111,12 @@ SOLVE_SHA256 = {
         "ef382eb167f762ced7f2f9fa0abffd3d2c7773bcaf5c6f3dd2a3162186e211d7",
     "2^4":
         "9b33ef86fdd06bae9b5d66f144a102472e3b60898c9fe99d3b463096931c6b1a",
+    "3^3":
+        "6ac4173d9baf8cb6e32076d6639319542fbd1c71b223819f046ee7069cd2cafb",
+    "5^2":
+        "96a62a2d02838b91acc630898d5212ecb96e29fd88825f97a58c0de5b97e07f5",
+    "2^5":
+        "4295e666ac520a18feb1607683f8cf94715ee64e27761d47058de054ab9f84f0",
 }
 
 SOLVE_TEXT_SHA256 = {
@@ -255,7 +268,7 @@ def test_ghost_report_text_golden(capsys, field):
     assert digest == GHOST_REPORT_TEXT_SHA256[field]
 
 
-@pytest.mark.parametrize("field", SOLVE_FIELDS)
+@pytest.mark.parametrize("field", SOLVE_JSON_FIELDS)
 def test_solve_json_golden(tmp_path, capsys, field):
     text = _random_set_poly(FieldSpec.parse(field))
     assert (_cli_sha256(tmp_path, capsys, "solve", field, text)

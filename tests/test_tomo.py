@@ -4,11 +4,12 @@ import random
 import pytest
 
 from psghost import tomo
-from psghost.field import FieldSpec
+from psghost.cli import main
+from psghost.field import FieldSpec, digits
 from psghost.ghost import ghost_report, is_ghost
 from psghost.msets import PointMultiset, minverse, msum, phi
 from psghost.plane import ProjPoint, enumerate_lines, line_points
-from psghost.poly import HomPoly
+from psghost.poly import HomPoly, image_columns, poly_to_text
 
 GF2 = FieldSpec(2)
 Z2 = HomPoly.from_terms(GF2, {(1, 0): 1})
@@ -48,6 +49,38 @@ def test_no_sets_for_a_polynomial_outside_the_image():
     G = HomPoly.from_terms(FieldSpec(2, 2), {(0, 0): 2})
     assert tomo.solve(G).particular is None
     assert tomo.enumerate_set_solutions(G, 5) == []
+
+
+GF4 = FieldSpec(2, 2)
+
+
+def _solve_cli(tmp_path, capsys, G):
+    f = tmp_path / "g.psp"
+    f.write_text(poly_to_text(G))
+    code = main(["solve", "--field", str(G.spec), "--in", str(f)])
+    capsys.readouterr()
+    return code
+
+
+@pytest.mark.parametrize("terms", [
+    {(1, 1): 1},               # XYZ: C(3; 1, 1, 1) = 6 = 0 mod 2
+    {(0, 1): 1, (0, 2): 2},    # Frobenius makes c(0, 2) = c(0, 1)^2 = 1
+])
+def test_solve_checks_the_whole_target(tmp_path, capsys, terms):
+    # the solver sees c(0, 1) but neither c(1, 1) nor c(0, 2), so the x it
+    # finds for the image columns is no solution of G
+    G = HomPoly.from_terms(GF4, terms)
+    t = digits(GF4, G.coeffs).ravel()
+    assert tomo._solver(GF4).solve(t[image_columns(GF4)]) is not None
+    assert tomo.solve(G).particular is None
+    assert _solve_cli(tmp_path, capsys, G) == 2
+
+
+def test_solve_a_frobenius_consistent_target(tmp_path, capsys):
+    G = HomPoly.from_terms(GF4, {(0, 1): 1, (0, 2): 1})
+    coset = tomo.solve(G)
+    assert coset.particular is not None and phi(coset.particular) == G
+    assert _solve_cli(tmp_path, capsys, G) == 0
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
