@@ -23,7 +23,7 @@ from . import linalg
 from .field import FieldSpec
 from .msets import PointMultiset, mset_texts, mult_stack
 from .plane import ProjLine, ProjPoint, incidence_matrix, point_row
-from .poly import image_columns, point_matrix_fp
+from .poly import point_matrix_fp
 
 
 def is_ghost_stack(spec: FieldSpec, V) -> np.ndarray:
@@ -148,18 +148,18 @@ class GhostReport:
 def ghost_report(spec: FieldSpec) -> GhostReport:
     """Rank of the point-image matrix over F_p, kernel basis, exponent.
 
-    The elimination runs on M's image_columns, and the basis B is checked
-    against the whole of M in two steps.  First it must be in reduced
-    echelon form: each row has a leading 1, the leads strictly increase,
-    and every other row is 0 at each lead column, so its rows are
-    independent.  Then, B[:, leads] being the identity, B @ M = 0 (mod p)
-    reads B[:, rest] @ M[rest] = -M[leads] for the other columns rest.
-    The kernel of M lies in that of its columns, so the two are equal and
-    B is the reduced echelon form of M's kernel.
+    The elimination runs on M = point_matrix_fp(spec), whose columns span
+    the whole map's (it is built only once they are certified to), and
+    the basis B is checked against M in two steps.  First it must be in
+    reduced echelon form: each row has a leading 1, the leads strictly
+    increase, and every other row is 0 at each lead column, so its rows
+    are independent.  Then, B[:, leads] being the identity, B @ M = 0
+    (mod p) reads B[:, rest] @ M[rest] = -M[leads] for the other columns
+    rest.  So B is the reduced echelon form of M's kernel.
     """
     M = point_matrix_fp(spec)
     p = spec.p
-    B = linalg.left_kernel_basis(M[:, image_columns(spec)], p)
+    B = linalg.left_kernel_basis(M, p)
     k, n = B.shape
     leads = (B != 0).argmax(axis=1)
     if (np.any(B[np.arange(k), leads] != 1) or np.any(np.diff(leads) <= 0)

@@ -190,8 +190,9 @@ class PrefactoredLeftSystem:
         self.p = p
         A = as_fp(M, p).T  # solve A y = t with y = x
         m, self.n_unknowns = A.shape
-        R, self.pivots = rref(np.hstack([A, np.eye(m, dtype=A.dtype)]), p,
-                              ncols=self.n_unknowns)
+        R, pivots = rref(np.hstack([A, np.eye(m, dtype=A.dtype)]), p,
+                         ncols=self.n_unknowns)
+        self.pivots = np.array(pivots, dtype=np.intp)
         self.T = as_fp(R[:, self.n_unknowns:], p)
 
     def solve(self, target):

@@ -135,69 +135,108 @@ def point_image_rows(spec: FieldSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def point_matrix_fp(spec: FieldSpec) -> np.ndarray:
-    """Point-image rows in prime-subfield coordinates, as a numpy matrix.
+def _orbits(spec: FieldSpec) -> np.ndarray:
+    """Positions of the Frobenius orbits of the carry-free monomials.
 
-    Each entry becomes its h base-p digits, so the shape is
-    (q^2+q+1, h*C(q+1,2)); a multiset maps to mult @ matrix mod p.
-    Read-only, in the smallest unsigned dtype that holds p-1; for h = 1 it
-    is point_image_rows itself.  Products go through linalg.mul_mod.
-    """
-    rows = point_image_rows(spec)
-    if spec.h == 1:
-        return rows
-    M = np.empty(rows.shape + (spec.h,), dtype=np.min_scalar_type(spec.p - 1))
-    for k in range(spec.h):  # p^k < q, so digits stay in the rows' dtype
-        M[:, :, k] = rows // spec.p**k % spec.p
-    M.flags.writeable = False
-    return M.reshape(rows.shape[0], -1)
-
-
-@lru_cache(maxsize=None)
-def image_columns(spec: FieldSpec):
-    """Columns of point_matrix_fp that span all of its columns.
-
-    A monomial's column is 0 unless its multinomial is nonzero mod p, that
-    is (Lucas) unless i and j add without carry in base p.  By Frobenius
-    the entries at (p*i, p*j) mod q-1 (q-1 fixed: the base-p digits
-    rotate) are the p-th powers of those at (i, j), an F_p-linear map of
-    the digits.  So the h digit columns k*h + d of the least monomial k in
-    each rotation orbit of the carry-free monomials span the rest, and
-    M[:, image_columns(spec)] has the left kernel of M: C(p+1,2)^h is its
-    rank.  A read-only ascending index array, or at h = 1 slice(None),
-    which selects every column without a copy.
+    A monomial's multinomial is nonzero mod p exactly when (Lucas) i and j
+    add without carry in base p; the others are Lucas's zeros.  Frobenius
+    takes (i, j) to (p*i, p*j) mod q-1, q-1 fixed, which rotates the
+    base-p digits of i and j.  Row t of the read-only (h, r) result holds
+    the image under t rotations of each orbit's least member; row 0 holds
+    those members, ascending.  Computed in plain Python.
     """
     p, h, q1 = spec.p, spec.h, spec.q - 1
-    if h == 1:
-        return slice(None)
     monomials = monomial_indices(spec)
     index = {m: k for k, m in enumerate(monomials)}
 
     def rotate(e):
         return e if e == q1 else p * e % q1
 
-    cols = []
+    orbits = []
     for k, (i, j) in enumerate(monomials):
-        orbit = [(i, j)]
-        for _ in range(h - 1):
-            orbit.append(tuple(map(rotate, orbit[-1])))
-        if multinomial_int(q1, i, j) % p and min(map(index.get, orbit)) == k:
-            cols += range(k * h, k * h + h)
-    cols = np.array(cols)
-    cols.flags.writeable = False
-    return cols
+        if multinomial_int(q1, i, j) % p:
+            orbit = [k]
+            for _ in range(h - 1):
+                i, j = rotate(i), rotate(j)
+                orbit.append(index[i, j])
+            if min(orbit) == k:
+                orbits.append(orbit)
+    members = np.array(orbits).T
+    members.flags.writeable = False
+    return members
+
+
+def _frobenius_fill(spec: FieldSpec, V) -> np.ndarray:
+    """Encodings at every monomial from those at the orbit representatives.
+
+    V is (n, r), one column per representative in _orbits order; the
+    (n, C(q+1,2)) result is 0 at Lucas's zeros and, at a representative's
+    image under t rotations, its column raised to the p^t-th power (through
+    exp/log).  At h = 1 every monomial is its own orbit, and V is returned.
+    """
+    if spec.h == 1:
+        return V
+    out = np.zeros((len(V), num_monomials(spec)), dtype=V.dtype)
+    for t, cols in enumerate(_orbits(spec)):
+        power = spec.exp[spec.log * spec.p**t % (spec.q - 1)]  # e^(p^t)
+        power[0] = 0
+        out[:, cols] = power.astype(V.dtype)[V]
+    return out
+
+
+@lru_cache(maxsize=None)
+def point_matrix_fp(spec: FieldSpec) -> np.ndarray:
+    """The point-image rows in prime-subfield coordinates, on columns that
+    span them all: a multiset maps to mult @ matrix mod p.
+
+    At h = 1 it is point_image_rows itself.  At h > 1 it holds the h base-p
+    digits of each orbit representative's column (see _orbits), once
+    _frobenius_fill of those columns is certified to give back every
+    column, a block of rows at a time (ArithmeticError otherwise).
+    Frobenius is F_p-linear on the digits, so the kept columns span the
+    rest and have their kernel; C(p+1,2)^h is the rank.  Read-only, in the
+    smallest unsigned dtype that holds p-1; products go through mul_mod.
+    """
+    rows = point_image_rows(spec)
+    if spec.h == 1:
+        return rows
+    reps = _orbits(spec)[0]
+    step = max(1, block_entries(rows.size) // rows.shape[1])
+    for k in range(0, len(rows), step):
+        block = rows[k:k + step]
+        if not np.array_equal(_frobenius_fill(spec, block[:, reps]), block):
+            raise ArithmeticError(f"the point-image rows over GF({spec}) "
+                                  "break the Lucas and Frobenius relations")
+    image = rows[:, reps]
+    M = np.empty(image.shape + (spec.h,), dtype=np.min_scalar_type(spec.p - 1))
+    for k in range(spec.h):  # p^k < q, so digits stay in the rows' dtype
+        M[:, :, k] = image // spec.p**k % spec.p
+    M.flags.writeable = False
+    return M.reshape(len(rows), -1)
+
+
+def representative_digits(G: HomPoly) -> np.ndarray:
+    """The base-p digits of G's coefficients at the orbit representatives:
+    the target t of mult @ point_matrix_fp(spec) = t (mod p).  At h = 1
+    they are G.coeffs itself."""
+    spec = G.spec
+    if spec.h == 1:
+        return G.coeffs
+    return field.digits(spec, G.coeffs[_orbits(spec)[0]]).ravel()
 
 
 def power_sum(S: "PointMultiset") -> HomPoly:
     """The power sum polynomial of a point multiset.
 
     Multiplicities act as prime-subfield scalars (they are already reduced
-    mod p, which is all that matters for the scalar action); the sum is
-    one mul_mod in prime-subfield coordinates.
+    mod p, which is all that matters for the scalar action); the
+    representatives' coefficients are one mul_mod in prime-subfield
+    coordinates, and _frobenius_fill gives the rest.
     """
     spec = S.spec
     flat = mul_mod(S.mult[None], point_matrix_fp(spec), spec.p)
-    return HomPoly(spec, field.from_digits(spec, flat.reshape(-1, spec.h)))
+    coeffs = field.from_digits(spec, flat.reshape(1, -1, spec.h))
+    return HomPoly(spec, _frobenius_fill(spec, coeffs)[0])
 
 
 def line_values(G: HomPoly, T) -> np.ndarray:

@@ -15,10 +15,10 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .field import FieldSpec, digits
+from .field import FieldSpec
 from .ghost import ghost_report, point_matrix_fp
 from .msets import PointMultiset
-from .poly import HomPoly, image_columns
+from .poly import HomPoly, power_sum, representative_digits
 
 # Cap on kernel combinations per coset walk.  A coset has p^exponent
 # elements: 16, 2187 and 4096 for q = 2, 3, 4, but 5^16 at q = 5.
@@ -39,26 +39,23 @@ class SolutionCoset:
 
 @lru_cache(maxsize=None)
 def _solver(spec: FieldSpec) -> linalg.PrefactoredLeftSystem:
-    return linalg.PrefactoredLeftSystem(
-        point_matrix_fp(spec)[:, image_columns(spec)], spec.p)
+    return linalg.PrefactoredLeftSystem(point_matrix_fp(spec), spec.p)
 
 
 def solve(G: HomPoly) -> SolutionCoset:
     """Particular solution (if any) plus the ghost kernel basis.
 
     The particular solution can be missing only for h > 1; over prime
-    fields the multiset map is onto.  The solver sees the target only on
-    the image_columns, so at h > 1 its x is a solution only if x @ M is
-    the whole target.
+    fields the multiset map is onto.  At h > 1 the solver sees the target
+    only at the orbit representatives, so its x is kept only if its power
+    sum is G.
     """
     spec = G.spec
     report = ghost_report(spec)
-    t = digits(spec, G.coeffs).ravel()
-    x = _solver(spec).solve(t[image_columns(spec)])
-    if x is not None and spec.h > 1 and np.any(
-            linalg.mul_mod(x[None], point_matrix_fp(spec), spec.p) != t):
-        x = None
+    x = _solver(spec).solve(representative_digits(G))
     particular = None if x is None else PointMultiset.from_vector(spec, x)
+    if spec.h > 1 and particular is not None and power_sum(particular) != G:
+        particular = None
     return SolutionCoset(spec, particular, report.kernel,
                          report.ghost_exponent)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import schoolbook
-from psghost.field import FieldSpec
+from psghost.field import FieldSpec, digits
 from psghost.ghost import (ghost_report, is_ghost, is_ghost_stack,
                            line_ghost, partial_pencil_ghost,
                            punctured_pencil_ghost, vandermonde_check,
@@ -17,8 +17,9 @@ from psghost.msets import PointMultiset, complement, minverse, msum, phi
 from psghost.plane import (ProjLine, ProjPoint, canonical_triples,
                            enumerate_lines, enumerate_points,
                            incidence_matrix, line_points)
-from psghost.poly import (HomPoly, evaluate, image_columns, line_values,
-                          monomial_indices, point_matrix_fp, power_sum)
+from psghost.poly import (HomPoly, evaluate, line_values, monomial_indices,
+                          monomial_positions, point_image_rows,
+                          point_matrix_fp, power_sum)
 
 GF2 = FieldSpec(2)
 
@@ -232,14 +233,16 @@ def test_ghost_report_rejects_a_basis_outside_the_kernel(monkeypatch):
         ghost_report.cache_clear()
 
 
-# Columns of point_matrix_fp that image_columns keeps, by field.
+# Width of point_matrix_fp, by field: h digit columns per orbit
+# representative.
 IMAGE_COLUMN_COUNTS = {"2^2": 12, "2^3": 33, "2^4": 96, "2^5": 255, "3^2": 42,
                        "3^3": 228, "5^2": 240}
 
 
 def _reference_image_columns(spec):
-    """The h digit columns of each monomial whose i and j add without carry
-    in base p and that is the least of its digit rotations."""
+    """The columns of the full digit matrix that point_matrix_fp keeps: the
+    h digit columns of each monomial whose i and j add without carry in
+    base p and that is the least of its digit rotations."""
     p, h = spec.p, spec.h
 
     def digits(e):
@@ -264,40 +267,52 @@ def _reference_image_columns(spec):
 
 @pytest.mark.parametrize("field", sorted(IMAGE_COLUMN_COUNTS))
 def test_image_columns_have_the_kernel_of_the_point_matrix(field):
+    # the full digit matrix, each encoding of the point-image rows as its h
+    # base-p digits, is built here and nowhere in psghost
     from psghost import linalg
     spec = FieldSpec.parse(field)
-    M, cols = point_matrix_fp(spec), image_columns(spec)
-    assert cols.tolist() == _reference_image_columns(spec)
-    assert len(cols) == IMAGE_COLUMN_COUNTS[field]
-    assert not cols.flags.writeable
-    B = linalg.left_kernel_basis(M, spec.p)
-    reduced = linalg.left_kernel_basis(M[:, cols], spec.p)
+    rows = point_image_rows(spec)
+    full = digits(spec, rows).reshape(len(rows), -1)
+    cols = _reference_image_columns(spec)
+    M = point_matrix_fp(spec)
+    assert len(cols) == IMAGE_COLUMN_COUNTS[field] and len(cols) % spec.h == 0
+    assert M.shape == (len(rows), len(cols)) and M.dtype == np.uint8
+    assert np.array_equal(M, full[:, cols])
+    assert not M.flags.writeable
+    B = linalg.left_kernel_basis(full, spec.p)
+    reduced = linalg.left_kernel_basis(M, spec.p)
     assert reduced.dtype == B.dtype and reduced.shape == B.shape
     assert reduced.tobytes() == B.tobytes()
+    assert ghost_report(spec).kernel.tobytes() == B.tobytes()
     assert M.shape[0] - len(B) == math.comb(spec.p + 1, 2)**spec.h
 
 
 @pytest.mark.parametrize("p", [2, 13])
 def test_image_columns_select_a_prime_field_matrix_without_a_copy(p):
-    M = point_matrix_fp(FieldSpec(p))
-    view = M[:, image_columns(FieldSpec(p))]
-    assert view.base is M and view.shape == M.shape
+    assert point_matrix_fp(FieldSpec(p)) is point_image_rows(FieldSpec(p))
 
 
-def test_ghost_report_rejects_columns_that_lose_rank(monkeypatch):
-    # without its first column the reduced matrix has a larger kernel, whose
-    # basis is in reduced echelon form but not in the kernel of M
-    from psghost import ghost, linalg
+def test_point_matrix_refuses_rows_outside_the_frobenius_span(monkeypatch,
+                                                             capsys):
+    # At 2^2, (0, 2) is the Frobenius image of (0, 1), and (1, 1) a Lucas
+    # zero: C(3; 1, 1) = 6.  Neither column is kept, so a changed entry in
+    # either would leave the kept columns' kernel too large.
+    from psghost import poly
+    from psghost.cli import main
     spec = FieldSpec(2, 2)
-    M, cols = point_matrix_fp(spec), image_columns(spec)[1:]
-    assert linalg.rank(M[:, cols], spec.p) < linalg.rank(M, spec.p)
-    monkeypatch.setattr(ghost, "image_columns", lambda spec: cols)
-    ghost_report.cache_clear()
-    try:
-        with pytest.raises(ArithmeticError, match="not in the kernel"):
-            ghost_report(spec)
-    finally:
+    for i, j in [(0, 2), (1, 1)]:
+        k = monomial_positions(spec, i, j)
+        assert k * spec.h not in _reference_image_columns(spec)
+        bad = point_image_rows(spec).copy()
+        bad[5, k] = (bad[5, k] + 1) % spec.q
+        monkeypatch.setattr(poly, "point_image_rows", lambda spec: bad)
+        point_matrix_fp.cache_clear()
         ghost_report.cache_clear()
+        with pytest.raises(ArithmeticError, match="Frobenius"):
+            point_matrix_fp(spec)
+        assert main(["ghost-report", "--field", "2^2"]) == 4
+        assert "Frobenius" in capsys.readouterr().err
+        monkeypatch.undo()
 
 
 def _basis_variants(B, p):

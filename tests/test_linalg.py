@@ -371,16 +371,19 @@ def test_prefactored_solve_refuses_products_beyond_int64():
 
 
 def test_the_bound_admits_every_elimination_psghost_runs():
-    # From shapes alone.  ghost_report and tomo eliminate the transpose of
-    # the point matrix, h * C(q+1, 2) monomial coordinates by q^2 + q + 1
-    # points: left_kernel_basis pivots in the points, and
-    # PrefactoredLeftSystem in the points of [M^T | I].
+    # ghost_report and tomo eliminate the transpose of the point matrix,
+    # its width in monomial coordinates by its points: left_kernel_basis
+    # pivots in the points, and PrefactoredLeftSystem in the points of
+    # [M^T | I].  At h > 1 the width is h digits per orbit representative.
     for p, h in PRIME_POWERS:
         q = p**h
-        coords, points = h * math.comb(q + 1, 2), q * q + q + 1
-        assert _admits(min(coords, points), p), q
-        if q <= 9:
-            assert point_matrix_fp(FieldSpec(p, h)).shape == (points, coords)
+        points, width = point_matrix_fp(FieldSpec(p, h)).shape
+        assert points == q * q + q + 1
+        if h == 1:
+            assert width == math.comb(q + 1, 2)
+        else:
+            assert width % h == 0 and width < h * math.comb(q + 1, 2)
+        assert _admits(min(width, points), p), q
     # verify_procedure's largest rank checks are p(p+1)/2-square, at each
     # odd prime the CLI takes.
     odd = [p for p, h in PRIME_POWERS if p > 2 and h == 1]

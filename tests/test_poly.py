@@ -156,27 +156,31 @@ def test_coefficient_out_of_range_is_a_value_error():
             HomPoly.from_terms(spec, {(i, j): 1})
 
 
-@pytest.mark.parametrize("p,h", [(2, 1), (5, 1), (3, 2)])
+@pytest.mark.parametrize("p,h", [(2, 1), (5, 1), (2, 2), (2, 3), (2, 4),
+                                 (3, 2), (5, 2)])
 def test_power_sum_matches_direct_coefficient_formula(p, h):
     """Independent oracle: per-coefficient multinomial-and-powers formula,
-    summed on the schoolbook tables."""
+    summed on the schoolbook tables, at every monomial.  At h > 1 that
+    covers each Frobenius image and each Lucas zero that power_sum fills
+    in from the orbit representatives."""
     spec = FieldSpec(p, h)
-    add, mul, _, _ = schoolbook.tables(spec)
+    add, mul, power, _ = schoolbook.tables(spec)
     rng = random.Random(31)
     n = spec.q**2 + spec.q + 1
     S = PointMultiset.from_vector(spec, [rng.randrange(p) for _ in range(n)])
-    G = power_sum(S)
     d = spec.q - 1
-    for i, j in rng.sample(list(monomial_indices(spec)),
-                           min(8, num_monomials(spec))):
-        acc = 0
-        for P, m in zip(enumerate_points(spec), S.mult):
-            if m:
-                term = _term(spec, multinomial_int(d, i, j) % p,
-                             P.encodings(), i, j)
-                # m < p acts through the prime subfield
-                acc = add[acc, mul[m, term]]
-        assert G.coeffs[monomial_positions(spec, i, j)] == acc
+    i, j = np.array(monomial_indices(spec)).T
+    coeff = np.array([multinomial_int(d, a, b) % p
+                      for a, b in monomial_indices(spec)])
+    acc = np.zeros(num_monomials(spec), dtype=np.int64)
+    for P, m in zip(enumerate_points(spec), S.mult):
+        if m:
+            a, b, c = P.encodings()
+            term = mul[coeff, mul[power[a, d - i - j],
+                                  mul[power[b, j], power[c, i]]]]
+            # m < p acts through the prime subfield
+            acc = add[acc, mul[m, term]]
+    assert power_sum(S).coeffs.tolist() == acc.tolist()
 
 
 def test_poly_text_round_trip():

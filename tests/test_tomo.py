@@ -5,11 +5,11 @@ import pytest
 
 from psghost import tomo
 from psghost.cli import main
-from psghost.field import FieldSpec, digits
+from psghost.field import FieldSpec
 from psghost.ghost import ghost_report, is_ghost
 from psghost.msets import PointMultiset, minverse, msum, phi
 from psghost.plane import ProjPoint, enumerate_lines, line_points
-from psghost.poly import HomPoly, image_columns, poly_to_text
+from psghost.poly import HomPoly, poly_to_text, representative_digits
 
 GF2 = FieldSpec(2)
 Z2 = HomPoly.from_terms(GF2, {(1, 0): 1})
@@ -68,10 +68,9 @@ def _solve_cli(tmp_path, capsys, G):
 ])
 def test_solve_checks_the_whole_target(tmp_path, capsys, terms):
     # the solver sees c(0, 1) but neither c(1, 1) nor c(0, 2), so the x it
-    # finds for the image columns is no solution of G
+    # finds for the orbit representatives is no solution of G
     G = HomPoly.from_terms(GF4, terms)
-    t = digits(GF4, G.coeffs).ravel()
-    assert tomo._solver(GF4).solve(t[image_columns(GF4)]) is not None
+    assert tomo._solver(GF4).solve(representative_digits(G)) is not None
     assert tomo.solve(G).particular is None
     assert _solve_cli(tmp_path, capsys, G) == 2
 
